@@ -20,15 +20,7 @@ from .errors import (
     SpecError,
 )
 from .odeint import DenseSolution, IvpSpec, crossings, integrate
-from .ptrig import (
-    PExponent,
-    PTrigContext,
-    get_context,
-    phi_p,
-    phi_p_inv,
-    pi_p,
-    ptrig_pair,
-)
+from .ptrig import PExponent, PTrigContext, get_context, phi_p, phi_p_inv, pi_p
 from .radial import (
     Annulus,
     Ball,
@@ -78,7 +70,6 @@ __all__ = [
     "phi_p",
     "phi_p_inv",
     "pi_p",
-    "ptrig_pair",
     "rstar",
     "shoot",
     "startup_state",

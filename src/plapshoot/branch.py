@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from .config import SolverConfig
 from .errors import SearchError, SpecError
+from .odeint import bisect_bracket
 from .radial import Nonlinearity, ProblemSpec
 from .solver import _records_for_side, find_solutions
 
@@ -187,10 +188,10 @@ def bifurcation_onset(
             f"no solutions with {zeros} zeros up to q={hi}; "
             "raise the ending exponent"
         )
-    while hi - lo > 1e-3 * lo:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return bisect_bracket(
+        lambda q: 1.0 if pred(q) else -1.0,
+        lo,
+        hi,
+        -1.0,
+        lambda lo, hi: hi - lo <= 1e-3 * lo,
+    )

@@ -35,10 +35,10 @@ def _parse_g(text: str) -> Nonlinearity:
     kind, _, rest = text.partition(":")
     try:
         if kind == "pow":
-            return Nonlinearity.pure_power(float(rest))
+            return Nonlinearity(q=float(rest))
         if kind == "combo":
             q_str, _, r_str = rest.partition(",")
-            return Nonlinearity.power_combo(float(q_str), float(r_str))
+            return Nonlinearity(q=float(q_str), r_exp=float(r_str))
     except ValueError as exc:
         raise SpecError(f"cannot parse nonlinearity {text!r}: {exc}") from exc
     raise SpecError(
@@ -65,8 +65,6 @@ def _config_from(args) -> SolverConfig:
         kw["abs_tol"] = args.tol * 1e-2
     if getattr(args, "eps0", None) is not None:
         kw["eps0"] = args.eps0
-    if getattr(args, "threads", None) is not None:
-        kw["threads"] = args.threads
     if getattr(args, "grid", None) is not None:
         kw["d_grid_size"] = args.grid
     return SolverConfig(**kw)
@@ -369,9 +367,6 @@ def _add_common(sp, with_solver=True):
         "--eps0", type=float, default=None, help="startup radius on balls"
     )
     if with_solver:
-        sp.add_argument(
-            "--threads", type=int, default=None, help="threads for scans"
-        )
         sp.add_argument(
             "--grid", type=int, default=None, help="size of the d scan grid"
         )

@@ -19,7 +19,7 @@ class SolverConfig:
     """Tolerances, grids and limits for shots and root searches.
 
     ``eps0`` overrides the startup radius on balls; when ``None`` it is
-    ``eps0_factor`` times the outer radius.  ``rho_floor`` is the
+    ``1e-8`` times the outer radius.  ``rho_floor`` is the
     squared phase-plane radius below which a shot is declared to have
     collapsed onto the constant state.
     """
@@ -37,10 +37,8 @@ class SolverConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 1_000_000
-    eps0_factor: float = 1e-8
     eps0: float | None = None
     profile_nodes: int = 400
-    threads: int = 1
 
     def __post_init__(self):
         if self.d_grid_size < 16:
@@ -64,18 +62,14 @@ class SolverConfig:
                 raise SpecError(f"{name} must be a positive finite number")
         if self.max_steps < 1:
             raise SpecError("max_steps must be at least 1")
-        if not 0.0 < self.eps0_factor <= 1e-2:
-            raise SpecError("eps0_factor must lie in (0, 1e-2]")
         if self.eps0 is not None and not self.eps0 > 0.0:
             raise SpecError("eps0 must be positive when given")
         if self.profile_nodes < 2:
             raise SpecError("profile_nodes must be at least 2")
-        if self.threads < 1:
-            raise SpecError("threads must be at least 1")
 
     def eps0_for(self, r_outer: float) -> float:
         """Startup radius for a ball of the given outer radius."""
-        eps0 = self.eps0 if self.eps0 is not None else self.eps0_factor * r_outer
+        eps0 = self.eps0 if self.eps0 is not None else 1e-8 * r_outer
         if not eps0 < r_outer / 2.0:
             raise SpecError(
                 f"startup radius {eps0!r} too large for outer radius {r_outer!r}"

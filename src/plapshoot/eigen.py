@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .config import SolverConfig
 from .errors import SearchError, SpecError
-from .odeint import IvpSpec, integrate
+from .odeint import IvpSpec, bisect_bracket, integrate
 from .ptrig import get_context, phi_p, phi_p_inv
 from .radial import ProblemSpec
 
@@ -32,7 +32,6 @@ from .radial import ProblemSpec
 LAMBDA_CAP_FACTOR = 1e8
 
 _BISECT_REL_TOL = 1e-10
-_BISECT_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -99,9 +98,10 @@ def eigenvalue(k: int, spec: ProblemSpec, cfg: SolverConfig | None = None) -> Ei
     """The k-th radial Neumann eigenvalue, k = 1 being the trivial zero.
 
     For k >= 2 the bracket is grown by doubling and then bisected on
-    the terminal angle until the relative width is below 1e-10 (or 200
-    iterations).  Raises :class:`SearchError` if the bracket cannot be
-    established below the safety cap.
+    the terminal angle with :func:`~plapshoot.odeint.bisect_bracket`
+    until its relative width is below 1e-10.  Raises
+    :class:`SearchError` if the bracket cannot be established below the
+    safety cap.
     """
     if not (isinstance(k, int) and k >= 1):
         raise SpecError(f"eigenvalue index must be an integer >= 1, got {k!r}")
@@ -122,15 +122,13 @@ def eigenvalue(k: int, spec: ProblemSpec, cfg: SolverConfig | None = None) -> Ei
             raise SearchError(
                 f"no angle crossing for k={k} below lam={cap:.3e}"
             )
-    for _ in range(_BISECT_MAX_ITERS):
-        if hi - lo <= _BISECT_REL_TOL * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if eigen_angle(mid, spec, cfg) < target:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
+    lam = bisect_bracket(
+        lambda lam: eigen_angle(lam, spec, cfg) - target,
+        lo,
+        hi,
+        -1.0,
+        lambda lo, hi: hi - lo <= _BISECT_REL_TOL * hi,
+    )
     residual = abs(eigen_angle(lam, spec, cfg) - target)
     return EigenResult(k=k, lam=lam, residual=residual)
 

@@ -5,11 +5,13 @@ and a quartic interpolant on every accepted step.  The integrator is
 deliberately self-contained and operates on plain float tuples: the
 systems in this package are tiny (two to four components), the right
 hand sides are scalar math, and repeated runs must be bit-for-bit
-deterministic across processes and thread counts.
+deterministic across processes.
 
 The dense output is what the rest of the package builds on: event
 location (:func:`crossings`) and profile sampling both evaluate the
-stored interpolants rather than re-integrating.
+stored interpolants rather than re-integrating.  :func:`bisect_bracket`
+is the one bracketed search of the package; events, eigenvalues, roots
+in ``d`` and the sweeps in R and q all bisect through it.
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ _BETA = 0.04
 _EXPO = 0.2 - 0.75 * _BETA
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
+
+# Halvings after which bisect_bracket gives up.  A bracket of ordinary
+# width reaches adjacent doubles in about 60.
+_BISECT_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -345,6 +351,40 @@ def integrate(ivp: IvpSpec) -> DenseSolution:
     return DenseSolution(rs=rs, ys=ys, coeffs=coeffs, n_rhs_evals=n_evals)
 
 
+def bisect_bracket(
+    side: Callable[[float], float],
+    lo: float,
+    hi: float,
+    side_lo: float,
+    done: Callable[[float, float], bool],
+) -> float:
+    """Bisect ``[lo, hi]`` on the sign of ``side`` and return the midpoint.
+
+    ``side_lo`` is ``side`` at ``lo``, or any number of the same sign:
+    only signs are compared, so ``side`` may rise or fall across the
+    bracket and may be a plus-or-minus-one predicate.  The endpoint
+    whose sign ``side(mid)`` shares moves to ``mid``.  The search stops
+    when ``done(lo, hi)`` holds, when ``lo`` and ``hi`` are adjacent
+    doubles, or after 200 halvings; an exact zero of ``side`` is
+    returned at once.
+    """
+    lo_negative = side_lo < 0.0
+    for _ in range(_BISECT_MAX_ITERS):
+        if done(lo, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        s_mid = side(mid)
+        if s_mid == 0.0:
+            return mid
+        if (s_mid < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def crossings(
     sol: DenseSolution,
     component: int,
@@ -356,10 +396,10 @@ def crossings(
     Returns ``(r, level, direction)`` triples sorted by ``r``, with
     ``direction`` +1 for an upward crossing and -1 for a downward one.
     Each mesh interval is searched per level by bisecting the dense
-    interpolant, so crossings are found even where accepted steps are
-    long, as long as the component meets each level at most once per
-    step.  A crossing sitting exactly on an interior knot is reported
-    once.
+    interpolant with :func:`bisect_bracket`, so crossings are found even
+    where accepted steps are long, as long as the component meets each
+    level at most once per step.  A crossing sitting exactly on an
+    interior knot is reported once.
     """
     if not 0 <= component < len(sol.ys[0]):
         raise SpecError(f"component {component} out of range")
@@ -381,21 +421,14 @@ def crossings(
                 continue
             if ga * gb > 0.0:
                 continue
-            lo, hi = rs[i], rs[i + 1]
-            glo = ga
-            tol = refine_tol * max(1.0, abs(hi))
-            for _ in range(200):
-                if hi - lo <= tol:
-                    break
-                mid = 0.5 * (lo + hi)
-                gm = sol.eval(mid)[component] - level
-                if gm == 0.0:
-                    lo = hi = mid
-                    break
-                if (glo < 0) == (gm < 0):
-                    lo, glo = mid, gm
-                else:
-                    hi = mid
-            out.append((0.5 * (lo + hi), level, 1 if ga < 0 else -1))
+            tol = refine_tol * max(1.0, abs(rs[i + 1]))
+            r = bisect_bracket(
+                lambda r: sol.eval(r)[component] - level,
+                rs[i],
+                rs[i + 1],
+                ga,
+                lambda lo, hi: hi - lo <= tol,
+            )
+            out.append((r, level, 1 if ga < 0 else -1))
     out.sort(key=lambda t: t[0])
     return out

@@ -174,8 +174,3 @@ class PTrigContext:
 def get_context(p: float) -> PTrigContext:
     """Shared per-exponent context; building one is the slow part."""
     return PTrigContext(float(p))
-
-
-def ptrig_pair(theta: float, ctx: PTrigContext) -> tuple[float, float]:
-    """Evaluate ``(cos_p, sin_p)`` at ``theta`` using a prepared context."""
-    return ctx.pair(theta)

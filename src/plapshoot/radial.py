@@ -85,14 +85,6 @@ class Nonlinearity:
     q: float
     r_exp: float | None = None
 
-    @classmethod
-    def pure_power(cls, q: float) -> "Nonlinearity":
-        return cls(q=q)
-
-    @classmethod
-    def power_combo(cls, q: float, r_exp: float) -> "Nonlinearity":
-        return cls(q=q, r_exp=r_exp)
-
     def __post_init__(self):
         if not (math.isfinite(self.q) and self.q > 1.0):
             raise SpecError(f"exponent q must be finite and > 1, got {self.q!r}")

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .config import SolverConfig
 from .errors import NumericsError, SearchError, SpecError
+from .odeint import bisect_bracket
 from .ptrig import pi_p
 from .radial import ProblemSpec, ShotSummary, Trajectory, shoot
 
@@ -82,13 +82,12 @@ def d_grid(cfg: SolverConfig, side: str = "lower") -> list[float]:
 def theta_scan(
     spec: ProblemSpec, cfg: SolverConfig | None = None, side: str = "lower"
 ) -> list[tuple[float, float]]:
-    """Terminal angle over the scan grid; collapsed shots give NaN.
+    """Terminal angle over the scan grid, as ``(d, theta_end)`` pairs.
 
-    With ``cfg.threads > 1`` the shots run on a thread pool; the result
-    order and values are identical either way.
+    One shot per grid point, in grid order; shots that collapse or
+    fail give NaN.
     """
     cfg = cfg or SolverConfig()
-    grid = d_grid(cfg, side)
     scan_cfg = replace(cfg, profile_nodes=2)
 
     def one(d: float) -> float:
@@ -97,12 +96,7 @@ def theta_scan(
         except NumericsError:
             return math.nan
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            thetas = list(pool.map(one, grid))
-    else:
-        thetas = [one(d) for d in grid]
-    return list(zip(grid, thetas))
+    return [(d, one(d)) for d in d_grid(cfg, side)]
 
 
 def _brackets(
@@ -128,26 +122,18 @@ def _bisect_on_angle(
     target: float,
 ) -> float:
     scan_cfg = replace(cfg, profile_nodes=2)
-    lo, hi = d_lo, d_hi
-    g_lo = t_lo - target
-    while hi - lo > cfg.bisect_tol_d:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
+
+    def side(d: float) -> float:
         try:
-            th = shoot(mid, spec, scan_cfg)[1].theta_end
+            return shoot(d, spec, scan_cfg)[1].theta_end - target
         except NumericsError as exc:
             raise SearchError(
-                f"shot failed at d={mid!r} while bisecting a bracket"
+                f"shot failed at d={d!r} while bisecting a bracket"
             ) from exc
-        g_mid = th - target
-        if g_mid == 0.0:
-            return mid
-        if (g_lo < 0.0) == (g_mid < 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+
+    return bisect_bracket(
+        side, d_lo, d_hi, t_lo - target, lambda lo, hi: hi - lo <= cfg.bisect_tol_d
+    )
 
 
 def _validated_record(
@@ -204,12 +190,10 @@ def _records_for_side(
     cfg: SolverConfig,
     side: str,
     zero_counts: list[int],
-    scan: list[tuple[float, float]] | None = None,
 ) -> list[SolutionRecord]:
     pip = pi_p(spec.p)
     phase_tol = cfg.phase_tol_factor * pip
-    if scan is None:
-        scan = theta_scan(spec, cfg, side)
+    scan = theta_scan(spec, cfg, side)
     records = []
     for j in zero_counts:
         target = (j + 1) * pip if side == "lower" else j * pip
@@ -308,10 +292,10 @@ def rstar(
                 raise SearchError(
                     f"no {k}-zero solutions found up to outer radius {r_cap}"
                 )
-    while hi - lo > 1.5e-3 * lo:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return bisect_bracket(
+        lambda r: 1.0 if pred(r) else -1.0,
+        lo,
+        hi,
+        -1.0,
+        lambda lo, hi: hi - lo <= 1.5e-3 * lo,
+    )

@@ -152,6 +152,29 @@ def test_bracket_cap(monkeypatch):
         eigenvalue(4, geom())
 
 
+def _old_eigenvalue_lam(k, spec):
+    # The hand-written bisection loop eigenvalue used before it moved to
+    # bisect_bracket, kept to pin the result bit for bit.
+    target = k * pi_p(spec.p)
+    lo, hi = 0.0, 1.0
+    while eigen_angle(hi, spec) < target:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        if hi - lo <= 1e-10 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if eigen_angle(mid, spec) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_eigenvalue_equals_old_loop():
+    spec = geom(p=3.0)
+    assert eigenvalue(3, spec).lam == _old_eigenvalue_lam(3, spec)
+
+
 def test_eigenvalue_rejects_bad_k():
     with pytest.raises(SpecError):
         eigenvalue(0, geom())

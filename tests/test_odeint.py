@@ -5,7 +5,13 @@ import math
 import pytest
 
 from plapshoot.errors import IntegrationError, SpecError
-from plapshoot.odeint import DenseSolution, IvpSpec, crossings, integrate
+from plapshoot.odeint import (
+    DenseSolution,
+    IvpSpec,
+    bisect_bracket,
+    crossings,
+    integrate,
+)
 
 
 def exp_ivp(rel=1e-10, abs_=1e-12, **kw):
@@ -178,6 +184,115 @@ def test_crossings_bad_component():
     sol = integrate(exp_ivp())
     with pytest.raises(SpecError):
         crossings(sol, 3, [0.0])
+
+
+def _old_crossings(sol, component, levels, refine_tol=1e-12):
+    # The hand-written bisection loop crossings used before it moved to
+    # bisect_bracket, kept to pin the results bit for bit.
+    out = []
+    rs, ys = sol.rs, sol.ys
+    for i in range(len(rs) - 1):
+        va = ys[i][component]
+        vb = ys[i + 1][component]
+        for level in levels:
+            ga = va - level
+            gb = vb - level
+            if ga == 0.0:
+                if i == 0:
+                    out.append((rs[0], level, 1 if gb > 0 else -1))
+                continue
+            if gb == 0.0:
+                out.append((rs[i + 1], level, 1 if ga < 0 else -1))
+                continue
+            if ga * gb > 0.0:
+                continue
+            lo, hi = rs[i], rs[i + 1]
+            glo = ga
+            tol = refine_tol * max(1.0, abs(hi))
+            for _ in range(200):
+                if hi - lo <= tol:
+                    break
+                mid = 0.5 * (lo + hi)
+                gm = sol.eval(mid)[component] - level
+                if gm == 0.0:
+                    lo = hi = mid
+                    break
+                if (glo < 0) == (gm < 0):
+                    lo, glo = mid, gm
+                else:
+                    hi = mid
+            out.append((0.5 * (lo + hi), level, 1 if ga < 0 else -1))
+    out.sort(key=lambda t: t[0])
+    return out
+
+
+def test_crossings_equal_old_loop():
+    sol = integrate(rotation_ivp(r_end=6 * math.pi))
+    for component in (0, 1):
+        for levels in ([0.0], [0.5, -0.5], [0.999, -0.25]):
+            hits = crossings(sol, component, levels)
+            assert hits
+            assert hits == _old_crossings(sol, component, levels)
+
+
+def test_bisect_returns_exact_zero():
+    calls = []
+
+    def side(x):
+        calls.append(x)
+        return x - 0.75
+
+    never = lambda lo, hi: False  # noqa: E731
+    assert bisect_bracket(side, 0.0, 1.0, -1.0, never) == 0.75
+    assert calls == [0.5, 0.75]
+
+
+def test_bisect_stops_on_adjacent_doubles():
+    root = math.sqrt(2.0)
+    calls = []
+
+    def side(x):
+        calls.append(x)
+        return -1.0 if x <= root else 1.0
+
+    r = bisect_bracket(side, 1.0, 2.0, -1.0, lambda lo, hi: False)
+    assert r in (root, math.nextafter(root, math.inf))
+    # One halving per bit of the mantissa, far below the cap.
+    assert 50 <= len(calls) <= 54
+    assert len(set(calls)) == len(calls)
+
+
+def test_bisect_caps_at_200_halvings():
+    # A bracket closing in on zero never reaches adjacent doubles.
+    calls = []
+
+    def side(x):
+        calls.append(x)
+        return 1.0
+
+    r = bisect_bracket(side, 0.0, 1.0, -1.0, lambda lo, hi: False)
+    assert len(calls) == 200
+    assert r == 2.0**-201
+
+
+def test_bisect_decreasing_side():
+    done = lambda lo, hi: hi - lo <= 1e-12  # noqa: E731
+    falling = bisect_bracket(math.cos, 0.0, 3.0, 1.0, done)
+    assert falling == pytest.approx(math.pi / 2, abs=1e-12)
+    rising = bisect_bracket(lambda x: -math.cos(x), 0.0, 3.0, -1.0, done)
+    assert falling == rising
+
+
+def test_bisect_stopping_rule_sees_every_bracket():
+    seen = []
+
+    def done(lo, hi):
+        seen.append((lo, hi))
+        return hi - lo <= 0.25
+
+    r = bisect_bracket(lambda x: x - 0.3, 0.0, 1.0, -0.3, done)
+    assert seen == [(0.0, 1.0), (0.0, 0.5), (0.25, 0.5)]
+    assert r == 0.375
 
 
 def test_fifth_order_convergence():

@@ -7,14 +7,7 @@ from scipy.special import betaincinv
 
 from plapshoot.errors import SpecError
 from plapshoot.odeint import IvpSpec, crossings, integrate
-from plapshoot.ptrig import (
-    PExponent,
-    get_context,
-    phi_p,
-    phi_p_inv,
-    pi_p,
-    ptrig_pair,
-)
+from plapshoot.ptrig import PExponent, get_context, phi_p, phi_p_inv, pi_p
 
 P_GRID = (1.3, 4 / 3, 1.5, 2.0, 2.5, 3.0, 4.0)
 
@@ -77,7 +70,7 @@ def test_pair_reduces_to_cos_sin():
     ctx = get_context(2.0)
     for i in range(101):
         theta = -2 * math.pi + 4 * math.pi * i / 100 + 0.05
-        c, s = ptrig_pair(theta, ctx)
+        c, s = ctx.pair(theta)
         assert c == pytest.approx(math.cos(theta), abs=1e-9)
         assert s == pytest.approx(math.sin(theta), abs=1e-9)
 
@@ -85,11 +78,11 @@ def test_pair_reduces_to_cos_sin():
 def test_pair_anchor_values():
     for p in P_GRID:
         ctx = get_context(p)
-        assert ptrig_pair(0.0, ctx) == (1.0, 0.0)
-        c, s = ptrig_pair(ctx.half_pi_p, ctx)
+        assert ctx.pair(0.0) == (1.0, 0.0)
+        c, s = ctx.pair(ctx.half_pi_p)
         assert abs(c) <= 1e-10
         assert s == pytest.approx(ctx.sin_p_max, abs=1e-10)
-        c, s = ptrig_pair(ctx.pi_p, ctx)
+        c, s = ctx.pair(ctx.pi_p)
         assert c == pytest.approx(-1.0, abs=1e-10)
         assert abs(s) <= 1e-10
 

@@ -339,8 +339,6 @@ def test_config_validation():
     with pytest.raises(SpecError):
         SolverConfig(rel_tol=0.0)
     with pytest.raises(SpecError):
-        SolverConfig(threads=0)
-    with pytest.raises(SpecError):
         SolverConfig(refine_fraction=1.5)
     cfg = SolverConfig(eps0=1e-6)
     assert cfg.eps0_for(2.0) == 1e-6

@@ -67,13 +67,6 @@ def test_theta_scan_subcritical_stays_under_target():
         assert pip - 1e-9 <= th < 2 * pip
 
 
-def test_theta_scan_threads_match_serial():
-    spec = ball(q=15.0)
-    cfg1 = SolverConfig(d_grid_size=60, threads=1)
-    cfg4 = SolverConfig(d_grid_size=60, threads=4)
-    assert theta_scan(spec, cfg1) == theta_scan(spec, cfg4)
-
-
 def test_no_solutions_below_onset():
     recs = find_solutions(
         ball(q=5.0), CFG, max_zeros=2, sides=("lower", "upper")
