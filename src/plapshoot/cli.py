@@ -3,7 +3,9 @@
 Every subcommand prints a JSON document to stdout.  Commands whose
 natural output is a table (a trig table, a shot profile, a branch
 sweep) switch stdout to CSV with ``--format csv``, or write the CSV to
-``--out FILE`` while keeping the JSON summary on stdout.  Exit codes:
+``--out FILE`` while keeping the JSON summary on stdout; ``solve --out
+PREFIX`` writes one profile CSV per solution.  Each subcommand accepts
+only the flags it reads.  Exit codes:
 0 on success, 1 when a numerical routine fails, 2 for invalid usage or
 parameters.
 """
@@ -13,15 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
-from contextlib import contextmanager
 
 from .branch import BranchTable, branch_sweep
 from .config import SolverConfig
 from .eigen import eigenvalue
 from .errors import NumericsError, SpecError
-from .ptrig import get_context, pi_p
+from .ptrig import get_context
 from .radial import Annulus, Ball, Nonlinearity, ProblemSpec, shoot
 from .solver import find_solutions, rstar
 
@@ -51,7 +51,7 @@ def _spec_from(args, need_g: bool = True) -> ProblemSpec:
     g = _parse_g(g_text) if g_text is not None else None
     if need_g and g is None:
         raise SpecError("this command needs a nonlinearity (--g)")
-    if getattr(args, "annulus", None) is not None:
+    if args.annulus is not None:
         domain: Ball | Annulus = Annulus(args.annulus[0], args.annulus[1])
     else:
         domain = Ball(args.r)
@@ -60,24 +60,14 @@ def _spec_from(args, need_g: bool = True) -> ProblemSpec:
 
 def _config_from(args) -> SolverConfig:
     kw = {}
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         kw["rel_tol"] = args.tol
         kw["abs_tol"] = args.tol * 1e-2
-    if getattr(args, "eps0", None) is not None:
+    if args.eps0 is not None:
         kw["eps0"] = args.eps0
     if getattr(args, "grid", None) is not None:
         kw["d_grid_size"] = args.grid
     return SolverConfig(**kw)
-
-
-@contextmanager
-def _table_sink(args):
-    """Where table output goes: --out file, else stdout."""
-    if getattr(args, "out", None) is not None:
-        with open(args.out, "w", newline="") as fh:
-            yield fh
-    else:
-        yield sys.stdout
 
 
 def _emit_json(doc: dict) -> None:
@@ -85,20 +75,21 @@ def _emit_json(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _write_csv(fh, header: list[str], rows) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
+
+
 def _write_table(args, header: list[str], rows: list[list[float]], summary: dict):
     """CSV to --out (summary JSON to stdout) or, with --format csv, to stdout."""
-    as_csv = args.out is not None or args.format == "csv"
-    if as_csv:
-        with _table_sink(args) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [_fmt(x) if isinstance(x, float) else x for x in row]
-                )
-        if args.out is not None:
-            summary = dict(summary, out=args.out)
-            _emit_json(summary)
+    if args.out is not None:
+        with open(args.out, "w", newline="") as fh:
+            _write_csv(fh, header, rows)
+        _emit_json(dict(summary, out=args.out))
+    elif args.format == "csv":
+        _write_csv(sys.stdout, header, rows)
     else:
         _emit_json(dict(summary, header=header, rows=rows))
 
@@ -210,12 +201,13 @@ def cmd_solve(args) -> int:
     if args.out is not None:
         for i, rec in enumerate(records):
             path = f"{args.out}-{rec.side}-j{rec.zeros}-{i}.csv"
+            t = rec.trajectory
             with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["r", "u", "v", "theta", "rho_sq"])
-                t = rec.trajectory
-                for row in zip(t.r, t.u, t.v, t.theta, t.rho_sq):
-                    writer.writerow([_fmt(x) for x in row])
+                _write_csv(
+                    fh,
+                    ["r", "u", "v", "theta", "rho_sq"],
+                    zip(t.r, t.u, t.v, t.theta, t.rho_sq),
+                )
     _emit_json(
         {
             "p": spec.p,
@@ -322,30 +314,24 @@ def cmd_branch(args) -> int:
 
 def cmd_rstar(args) -> int:
     spec = _spec_from(args)
-    if args.annulus_ratio is not None:
-        if not 0.0 < args.annulus_ratio < 1.0:
-            raise SpecError("--annulus-ratio must lie in (0, 1)")
-        spec = ProblemSpec(
-            p=spec.p,
-            dim=spec.dim,
-            domain=Annulus(args.annulus_ratio * args.r, args.r),
-            g=spec.g,
-        )
     value = rstar(args.k, spec, _config_from(args), r_cap=args.r_cap)
+    dom = spec.domain
+    ratio = None if spec.is_ball else dom.r_inner / dom.r_outer
     _emit_json(
         {
             "p": spec.p,
             "dim": spec.dim,
             "g": spec.g.label(),
             "k": args.k,
-            "annulus_ratio": args.annulus_ratio,
+            "annulus_ratio": ratio,
             "rstar": value,
         }
     )
     return 0
 
 
-def _add_common(sp, with_solver=True):
+def _add_problem(sp, with_grid=True):
+    """The flags _spec_from and _config_from read; --grid only for scans."""
     sp.add_argument("--p", type=float, required=True, help="exponent p > 1")
     sp.add_argument("--n", type=int, default=1, help="space dimension N")
     sp.add_argument("--r", type=float, default=1.0, help="outer radius")
@@ -366,15 +352,19 @@ def _add_common(sp, with_solver=True):
     sp.add_argument(
         "--eps0", type=float, default=None, help="startup radius on balls"
     )
-    if with_solver:
+    if with_grid:
         sp.add_argument(
             "--grid", type=int, default=None, help="size of the d scan grid"
         )
+
+
+def _add_table_output(sp):
+    """The flags _write_table reads."""
     sp.add_argument(
         "--format",
         choices=("json", "csv"),
         default="json",
-        help="stdout format for table-producing commands",
+        help="stdout format: JSON, or the table as CSV",
     )
     sp.add_argument("--out", default=None, help="write table output to this file")
 
@@ -396,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate or tabulate the generalized trig pair",
         formatter_class=fmt,
     )
-    _add_common(sp, with_solver=False)
+    sp.add_argument("--p", type=float, required=True, help="exponent p > 1")
+    _add_table_output(sp)
     sp.add_argument("--theta", type=float, default=None, help="single angle")
     sp.add_argument(
         "--table", type=int, default=None, help="tabulate this many rows"
@@ -406,14 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "eigen", help="k-th radial Neumann eigenvalue", formatter_class=fmt
     )
-    _add_common(sp, with_solver=False)
+    _add_problem(sp, with_grid=False)
     sp.add_argument("--k", type=int, required=True, help="eigenvalue index")
     sp.set_defaults(func=cmd_eigen)
 
     sp = sub.add_parser(
         "shoot", help="integrate one shot and report it", formatter_class=fmt
     )
-    _add_common(sp)
+    _add_problem(sp, with_grid=False)
+    _add_table_output(sp)
     sp.add_argument("--g", required=True, help="pow:<q> or combo:<q>,<r>")
     sp.add_argument("--d", type=float, required=True, help="center value")
     sp.set_defaults(func=cmd_shoot)
@@ -423,7 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="find all solutions with up to max-zeros interior zeros",
         formatter_class=fmt,
     )
-    _add_common(sp)
+    _add_problem(sp)
+    sp.add_argument(
+        "--out",
+        default=None,
+        help="write each solution profile to OUT-<side>-j<zeros>-<i>.csv",
+    )
     sp.add_argument("--g", required=True, help="pow:<q> or combo:<q>,<r>")
     sp.add_argument(
         "--max-zeros", type=int, default=3, help="largest zero count to search"
@@ -440,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep q or R and tabulate the solution branches",
         formatter_class=fmt,
     )
-    _add_common(sp)
+    _add_problem(sp)
+    _add_table_output(sp)
     sp.add_argument("--g", required=True, help="pow:<q> or combo:<q>,<r>")
     sp.add_argument(
         "--param", choices=("q", "R"), default="q", help="sweep parameter"
@@ -464,15 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="smallest outer radius carrying k-zero solutions (p < 2)",
         formatter_class=fmt,
     )
-    _add_common(sp)
+    _add_problem(sp)
     sp.add_argument("--g", required=True, help="pow:<q> or combo:<q>,<r>")
     sp.add_argument("--k", type=int, required=True, help="zero count")
-    sp.add_argument(
-        "--annulus-ratio",
-        type=float,
-        default=None,
-        help="use annuli with this inner/outer ratio instead of balls",
-    )
     sp.add_argument(
         "--r-cap", type=float, default=1e4, help="give up beyond this radius"
     )

@@ -88,7 +88,6 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
             y0=(th0,),
             rel_tol=cfg.rel_tol,
             abs_tol=cfg.abs_tol,
-            max_steps=cfg.max_steps,
         )
     )
     return sol.y_end[0]
@@ -177,7 +176,6 @@ def eigenfunction(
             y0=(w0, flux0),
             rel_tol=cfg.rel_tol,
             abs_tol=cfg.abs_tol,
-            max_steps=cfg.max_steps,
         )
     )
     rs = [r0 + (spec.r_outer - r0) * i / (n_nodes - 1) for i in range(n_nodes)]

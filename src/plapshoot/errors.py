@@ -36,7 +36,7 @@ class IntegrationError(NumericsError):
 class NearConstantShotError(NumericsError):
     """A shot collapsed onto the constant equilibrium.
 
-    Raised when the squared phase-plane radius drops below the configured
+    Raised when the squared phase-plane radius drops below the collapse
     floor, at which point the phase angle is no longer trustworthy.
     """
 

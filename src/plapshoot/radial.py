@@ -34,6 +34,11 @@ from .errors import NearConstantShotError, SpecError
 from .odeint import IvpSpec, crossings, integrate
 from .ptrig import PExponent, phi_p_inv, pi_p
 
+# A shot has collapsed onto the constant state once the squared
+# phase-plane radius falls below this floor: the angle is then no longer
+# trustworthy.
+RHO_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -277,7 +282,7 @@ def _pow_abs(x: float, e: float) -> float:
         return math.inf
 
 
-def _make_rhs(spec: ProblemSpec, rho_floor: float, d: float):
+def _make_rhs(spec: ProblemSpec, d: float):
     p = spec.p
     pp = spec.exponent.pprime
     n = spec.dim
@@ -290,7 +295,7 @@ def _make_rhs(spec: ProblemSpec, rho_floor: float, d: float):
         fu = g.f(u, p)
         um1 = u - 1.0
         rho2 = _pow_abs(um1, p) + (p - 1.0) * _pow_abs(v, pp)
-        if rho2 < rho_floor:
+        if rho2 < RHO_FLOOR:
             raise NearConstantShotError(d, r, rho2)
         du = math.copysign(_pow_abs(w, pp - 1.0), w) if w != 0.0 else 0.0
         dv = -rn * fu
@@ -310,7 +315,7 @@ def shoot(
     """Integrate one shot from ``u = d`` across the whole domain.
 
     Raises :class:`NearConstantShotError` if the phase-plane radius
-    collapses below ``cfg.rho_floor`` along the way, and
+    collapses below ``RHO_FLOOR`` along the way, and
     :class:`IntegrationError` if the integrator gives up.
     """
     cfg = cfg or SolverConfig()
@@ -323,18 +328,17 @@ def shoot(
     y0 = startup_state(d, spec, eps0)
     p = spec.p
     pp = spec.exponent.pprime
-    if _rho_sq(y0[0], y0[1], p, pp) < cfg.rho_floor:
+    if _rho_sq(y0[0], y0[1], p, pp) < RHO_FLOOR:
         raise NearConstantShotError(d, r0, _rho_sq(y0[0], y0[1], p, pp))
 
     sol = integrate(
         IvpSpec(
-            rhs=_make_rhs(spec, cfg.rho_floor, d),
+            rhs=_make_rhs(spec, d),
             r_start=r0,
             r_end=spec.r_outer,
             y0=y0,
             rel_tol=cfg.rel_tol,
             abs_tol=cfg.abs_tol,
-            max_steps=cfg.max_steps,
         )
     )
 

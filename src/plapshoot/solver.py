@@ -4,8 +4,8 @@ A non-constant solution with j interior zeros corresponds to a center
 value ``d`` whose shot lands with terminal angle exactly ``(j+1)``
 half-periods (starting below the constant state) or ``j`` half-periods
 (starting above).  This module scans the terminal angle over a grid of
-``d``, brackets the target levels, bisects each bracket down to the
-configured width, and re-validates every candidate with a full-accuracy
+``d``, brackets the target levels, bisects each bracket down to a
+width of ``BISECT_TOL_D``, and re-validates every candidate with a full-accuracy
 shot before reporting it.
 
 Shots that collapse onto the constant state are recorded as gaps in
@@ -30,6 +30,19 @@ logger = logging.getLogger(__name__)
 
 _SIDES = ("lower", "upper")
 
+# Scan range on each side of the constant state, and the share of the
+# lower grid spaced geometrically toward d = 1.
+D_MIN = 1e-4
+D_MAX = 1.0 - 1e-6
+D_MIN_UPPER = 1.0 + 1e-6
+D_MAX_UPPER = 50.0
+REFINE_FRACTION = 0.5
+
+# Bisection stops once a bracket in d is this narrow; a validated root's
+# terminal angle lies within this many half-periods of its target.
+BISECT_TOL_D = 1e-12
+PHASE_TOL_FACTOR = 1e-8
+
 
 @dataclass(frozen=True)
 class SolutionRecord:
@@ -52,27 +65,27 @@ class SolutionRecord:
 def d_grid(cfg: SolverConfig, side: str = "lower") -> list[float]:
     """Scan grid for the chosen side of the constant state.
 
-    The lower grid mixes uniform coverage of ``(d_min, d_max)`` with
+    The lower grid mixes uniform coverage of ``(D_MIN, D_MAX)`` with
     points spaced geometrically toward ``d = 1``, where the terminal
     angle moves fastest; the upper grid is geometric in ``d - 1``.
     """
     if side not in _SIDES:
         raise SpecError(f"side must be one of {_SIDES}, got {side!r}")
     if side == "upper":
-        lo = cfg.d_min_upper - 1.0
-        hi = cfg.d_max_upper - 1.0
+        lo = D_MIN_UPPER - 1.0
+        hi = D_MAX_UPPER - 1.0
         n = cfg.d_grid_size
         step = (math.log(hi) - math.log(lo)) / (n - 1)
         return [1.0 + math.exp(math.log(lo) + step * i) for i in range(n)]
-    n_geo = round(cfg.d_grid_size * cfg.refine_fraction)
+    n_geo = round(cfg.d_grid_size * REFINE_FRACTION)
     n_uni = cfg.d_grid_size - n_geo
     pts: set[float] = set()
     if n_uni >= 2:
         for i in range(n_uni):
-            pts.add(cfg.d_min + (cfg.d_max - cfg.d_min) * i / (n_uni - 1))
+            pts.add(D_MIN + (D_MAX - D_MIN) * i / (n_uni - 1))
     if n_geo >= 2:
-        gap_near = 1.0 - cfg.d_max
-        gap_far = min(0.5, 1.0 - cfg.d_min)
+        gap_near = 1.0 - D_MAX
+        gap_far = min(0.5, 1.0 - D_MIN)
         step = (math.log(gap_far) - math.log(gap_near)) / (n_geo - 1)
         for i in range(n_geo):
             pts.add(1.0 - math.exp(math.log(gap_near) + step * i))
@@ -132,7 +145,7 @@ def _bisect_on_angle(
             ) from exc
 
     return bisect_bracket(
-        side, d_lo, d_hi, t_lo - target, lambda lo, hi: hi - lo <= cfg.bisect_tol_d
+        side, d_lo, d_hi, t_lo - target, lambda lo, hi: hi - lo <= BISECT_TOL_D
     )
 
 
@@ -192,7 +205,7 @@ def _records_for_side(
     zero_counts: list[int],
 ) -> list[SolutionRecord]:
     pip = pi_p(spec.p)
-    phase_tol = cfg.phase_tol_factor * pip
+    phase_tol = PHASE_TOL_FACTOR * pip
     scan = theta_scan(spec, cfg, side)
     records = []
     for j in zero_counts:

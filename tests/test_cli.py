@@ -1,5 +1,6 @@
 """End-to-end command line tests through plapshoot.cli.run."""
 
+import argparse
 import csv
 import json
 import math
@@ -9,7 +10,8 @@ import pytest
 from plapshoot.cli import build_parser, run
 from plapshoot.config import SolverConfig
 from plapshoot.ptrig import get_context, pi_p
-from plapshoot.radial import Ball, Nonlinearity, ProblemSpec, shoot
+from plapshoot.radial import Annulus, Ball, Nonlinearity, ProblemSpec, shoot
+from plapshoot.solver import rstar
 
 
 def run_json(capsys, argv):
@@ -202,10 +204,83 @@ def test_rstar_rejects_bad_ratio(capsys):
     rc = run(
         [
             "rstar", "--p", "1.8", "--g", "pow:3", "--k", "1",
-            "--annulus-ratio", "1.5",
+            "--annulus", "1.5", "1.0",
         ]
     )
     assert rc == 2
+    assert "r_inner < r_outer" in capsys.readouterr().err
+
+
+def test_rstar_annulus_reports_its_ratio(capsys):
+    doc = run_json(
+        capsys,
+        [
+            "rstar", "--p", "1.8", "--g", "pow:3", "--k", "1",
+            "--annulus", "0.1", "1", "--grid", "40",
+        ],
+    )
+    assert doc["annulus_ratio"] == 0.1
+    spec = ProblemSpec(
+        p=1.8, dim=1, domain=Annulus(0.1, 1.0), g=Nonlinearity(q=3.0)
+    )
+    assert doc["rstar"] == rstar(1, spec, SolverConfig(d_grid_size=40))
+
+
+def _flags(sp):
+    # Flag slots in registration order, without the automatic -h/--help.
+    return [
+        o
+        for a in sp._actions
+        for o in a.option_strings
+        if o not in ("-h", "--help")
+    ]
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    problem = ["--p", "--n", "--r", "--annulus", "--tol", "--eps0"]
+    expected = {
+        "ptrig": ["--p", "--format", "--out", "--theta", "--table"],
+        "eigen": problem + ["--k"],
+        "shoot": problem + ["--format", "--out", "--g", "--d"],
+        "solve": problem
+        + ["--grid", "--out", "--g", "--max-zeros", "--sides"],
+        "branch": problem
+        + [
+            "--grid", "--format", "--out", "--g", "--param", "--start",
+            "--stop", "--steps", "--max-zeros", "--sides", "--svg",
+        ],
+        "rstar": problem + ["--grid", "--g", "--k", "--r-cap"],
+    }
+    sub = next(
+        a
+        for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    got = {name: _flags(sp) for name, sp in sub.choices.items()}
+    assert got == expected
+    assert sum(len(flags) for flags in expected.values()) == 60
+    assert len({f for flags in expected.values() for f in flags}) == 22
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ptrig", "--p", "2", "--theta", "1", "--tol", "1e-9"],
+        ["eigen", "--p", "2", "--k", "2", "--out", "x.csv"],
+        ["shoot", "--p", "2", "--g", "pow:15", "--d", "0.5", "--grid", "40"],
+        ["solve", "--p", "2", "--g", "pow:15", "--format", "csv"],
+        ["rstar", "--p", "1.8", "--g", "pow:3", "--k", "1", "--format", "csv"],
+        [
+            "rstar", "--p", "1.8", "--g", "pow:3", "--k", "1",
+            "--annulus-ratio", "0.1",
+        ],
+    ],
+)
+def test_removed_flags_are_unknown(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_help_shows_defaults(capsys):

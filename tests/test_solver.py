@@ -10,7 +10,16 @@ from plapshoot.eigen import eigen_angle
 from plapshoot.errors import SpecError
 from plapshoot.ptrig import pi_p
 from plapshoot.radial import Annulus, Ball, Nonlinearity, ProblemSpec, shoot
-from plapshoot.solver import d_grid, find_solutions, rstar, theta_scan
+from plapshoot.solver import (
+    D_MAX,
+    D_MAX_UPPER,
+    D_MIN,
+    D_MIN_UPPER,
+    d_grid,
+    find_solutions,
+    rstar,
+    theta_scan,
+)
 
 CFG = SolverConfig(d_grid_size=400, rel_tol=1e-10, abs_tol=1e-12)
 CFG_COARSE = SolverConfig(d_grid_size=200, rel_tol=1e-9, abs_tol=1e-11)
@@ -34,8 +43,8 @@ def test_d_grid_lower_refines_toward_one():
     cfg = SolverConfig(d_grid_size=100)
     grid = d_grid(cfg, "lower")
     assert grid == sorted(grid)
-    assert grid[0] == cfg.d_min
-    assert grid[-1] == pytest.approx(cfg.d_max, abs=1e-15)
+    assert grid[0] == D_MIN
+    assert grid[-1] == pytest.approx(D_MAX, abs=1e-15)
     # Geometric tail: several points within 1e-4 of d = 1.
     assert sum(1 for d in grid if d > 1.0 - 1e-4) >= 10
     assert len(grid) <= cfg.d_grid_size
@@ -44,8 +53,8 @@ def test_d_grid_lower_refines_toward_one():
 def test_d_grid_upper_is_geometric():
     cfg = SolverConfig(d_grid_size=50)
     grid = d_grid(cfg, "upper")
-    assert grid[0] == pytest.approx(cfg.d_min_upper)
-    assert grid[-1] == pytest.approx(cfg.d_max_upper)
+    assert grid[0] == pytest.approx(D_MIN_UPPER)
+    assert grid[-1] == pytest.approx(D_MAX_UPPER)
     gaps = [b - a for a, b in zip(grid, grid[1:])]
     assert all(g > 0 for g in gaps)
     assert gaps[-1] > gaps[0] * 100
