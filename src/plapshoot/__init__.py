@@ -26,6 +26,7 @@ from .radial import (
     Ball,
     Nonlinearity,
     ProblemSpec,
+    ShotEnd,
     ShotSummary,
     Trajectory,
     f_eval,
@@ -51,6 +52,7 @@ __all__ = [
     "PlapshootError",
     "ProblemSpec",
     "SearchError",
+    "ShotEnd",
     "ShotSummary",
     "SolutionRecord",
     "SolverConfig",

@@ -334,8 +334,11 @@ def _add_problem(sp, with_grid=True):
     """The flags _spec_from and _config_from read; --grid only for scans."""
     sp.add_argument("--p", type=float, required=True, help="exponent p > 1")
     sp.add_argument("--n", type=int, default=1, help="space dimension N")
-    sp.add_argument("--r", type=float, default=1.0, help="outer radius")
-    sp.add_argument(
+    domain = sp.add_mutually_exclusive_group()
+    domain.add_argument(
+        "--r", type=float, default=1.0, help="outer radius of a ball"
+    )
+    domain.add_argument(
         "--annulus",
         type=float,
         nargs=2,

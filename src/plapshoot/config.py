@@ -2,9 +2,9 @@
 
 One frozen configuration object travels through every routine so that a
 whole computation can be tightened or loosened coherently.  It holds the
-six values callers choose: ``d_grid_size``, ``rel_tol``, ``abs_tol``,
-``residual_tol``, ``eps0`` and ``profile_nodes``.  Fixed constants (scan
-range, bisection width, collapse floor) live in the module that reads
+five values callers choose: ``d_grid_size``, ``rel_tol``, ``abs_tol``,
+``residual_tol`` and ``eps0``.  Fixed constants (scan range, bisection
+width, collapse floor, profile sampling) live in the module that reads
 each.  Defaults are chosen so that phase angles come out well below the
 validation tolerances used when roots are accepted.
 """
@@ -19,15 +19,13 @@ from .errors import SpecError
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Scan resolution, tolerances and profile sampling for shots and searches.
+    """Scan resolution and tolerances for shots and searches.
 
     ``d_grid_size`` is the size of the ``d`` scan grid (an integer of at
     least 16).  ``rel_tol`` and ``abs_tol`` are the integrator's error
     tolerances.  ``residual_tol`` bounds the relative terminal flux of a
     validated solution.  ``eps0`` overrides the startup radius on balls;
     when ``None`` it is ``1e-8`` times the outer radius.
-    ``profile_nodes`` is the size of the uniform grid added to each
-    shot's accepted mesh for its sampled profile.
     """
 
     d_grid_size: int = 2000
@@ -35,7 +33,6 @@ class SolverConfig:
     abs_tol: float = 1e-12
     residual_tol: float = 1e-7
     eps0: float | None = None
-    profile_nodes: int = 400
 
     def __post_init__(self):
         if not (isinstance(self.d_grid_size, int) and self.d_grid_size >= 16):
@@ -48,8 +45,6 @@ class SolverConfig:
                 raise SpecError(f"{name} must be a positive finite number")
         if self.eps0 is not None and not self.eps0 > 0.0:
             raise SpecError("eps0 must be positive when given")
-        if self.profile_nodes < 2:
-            raise SpecError("profile_nodes must be at least 2")
 
     def eps0_for(self, r_outer: float) -> float:
         """Startup radius for a ball of the given outer radius."""

@@ -7,9 +7,14 @@ systems in this package are tiny (two to four components), the right
 hand sides are scalar math, and repeated runs must be bit-for-bit
 deterministic across processes.
 
-The dense output is what the rest of the package builds on: event
+The dense output is what profiles and events build on: event
 location (:func:`crossings`) and profile sampling both evaluate the
-stored interpolants rather than re-integrating.  :func:`bisect_bracket`
+stored interpolants rather than re-integrating.  Shots that need a
+profile (validated solutions, the ``shoot`` command), the eigenvalue
+angles and the p-trig table run :func:`integrate`; the scan and
+bisection shots, which read only the end state, run the same steps
+through ``plapshoot.radial._shot_end``, which uses this module's
+tableau, controller constants and first-step probe.  :func:`bisect_bracket`
 is the one bracketed search of the package; events, eigenvalues, roots
 in ``d`` and the sweeps in R and q all bisect through it.
 """
@@ -65,6 +70,7 @@ _P = (
     (0.0, 40617522 / 29380423, -110615467 / 29380423,
      69997945 / 29380423),
 )
+_P_COLS = tuple(zip(*_P))
 
 # PI controller constants (classic dopri5 settings).
 _SAFETY = 0.9
@@ -177,6 +183,27 @@ class DenseSolution:
         return tuple(out)
 
 
+def _dot(w, k, d: int) -> float:
+    """Sum of ``w[j] * k[j][d]`` over the weights ``w``, left to right.
+
+    Not the builtin ``sum``, which compensates its rounding from Python
+    3.12 on: ``plapshoot.radial._shot_end`` adds left to right, and both
+    must take the same steps to the last bit on every version.
+    """
+    acc = 0.0
+    for j in range(len(w)):
+        acc += w[j] * k[j][d]
+    return acc
+
+
+def _rms(xs, scale) -> float:
+    """Root mean square of ``xs[d] / scale[d]``, added left to right."""
+    acc = 0.0
+    for x, sc in zip(xs, scale):
+        acc += (x / sc) ** 2
+    return math.sqrt(acc / len(xs))
+
+
 def _error_norm(err, y_old, y_new, rel_tol, abs_tol) -> float:
     acc = 0.0
     for d in range(len(err)):
@@ -201,8 +228,8 @@ def _initial_step(ivp: IvpSpec, f0) -> tuple[float, int]:
     dim = len(y0)
     span = ivp.r_end - ivp.r_start
     scale = [ivp.abs_tol + ivp.rel_tol * abs(c) for c in y0]
-    d0 = math.sqrt(sum((y0[d] / scale[d]) ** 2 for d in range(dim)) / dim)
-    d1 = math.sqrt(sum((f0[d] / scale[d]) ** 2 for d in range(dim)) / dim)
+    d0 = _rms(y0, scale)
+    d1 = _rms(f0, scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = tuple(y0[d] + h0 * f0[d] for d in range(dim))
@@ -212,9 +239,7 @@ def _initial_step(ivp: IvpSpec, f0) -> tuple[float, int]:
             "right hand side not finite while probing the first step",
             ivp.r_start,
         )
-    d2 = math.sqrt(
-        sum(((f1[d] - f0[d]) / scale[d]) ** 2 for d in range(dim)) / dim
-    ) / h0
+    d2 = _rms([f1[d] - f0[d] for d in range(dim)], scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -279,10 +304,7 @@ def integrate(ivp: IvpSpec) -> DenseSolution:
         ok = True
         for s in range(1, 6):
             a = _A[s]
-            ys_stage = tuple(
-                y[d] + h * sum(a[j] * k[j][d] for j in range(s))
-                for d in range(dim)
-            )
+            ys_stage = tuple(y[d] + h * _dot(a, k, d) for d in range(dim))
             ks = _call_rhs(rhs, r + _C[s] * h, ys_stage, dim)
             n_evals += 1
             if not all(math.isfinite(c) for c in ks):
@@ -291,10 +313,7 @@ def integrate(ivp: IvpSpec) -> DenseSolution:
             k[s] = ks
         if ok:
             a = _A[6]
-            y_new = tuple(
-                y[d] + h * sum(a[j] * k[j][d] for j in range(6))
-                for d in range(dim)
-            )
+            y_new = tuple(y[d] + h * _dot(a, k, d) for d in range(dim))
             ok = all(math.isfinite(c) for c in y_new)
         if ok:
             k7 = _call_rhs(rhs, r + h, y_new, dim)
@@ -306,9 +325,7 @@ def integrate(ivp: IvpSpec) -> DenseSolution:
             continue
         k[6] = k7
 
-        err_vec = tuple(
-            h * sum(_E[j] * k[j][d] for j in range(7)) for d in range(dim)
-        )
+        err_vec = tuple(h * _dot(_E, k, d) for d in range(dim))
         err = _error_norm(err_vec, y, y_new, ivp.rel_tol, ivp.abs_tol)
         if not math.isfinite(err):
             h *= 0.25
@@ -319,13 +336,7 @@ def integrate(ivp: IvpSpec) -> DenseSolution:
         if err <= 1.0:
             # Accepted: freeze the interpolant for this interval.
             q_step = tuple(
-                (
-                    sum(k[i][d] * _P[i][0] for i in range(7)),
-                    sum(k[i][d] * _P[i][1] for i in range(7)),
-                    sum(k[i][d] * _P[i][2] for i in range(7)),
-                    sum(k[i][d] * _P[i][3] for i in range(7)),
-                )
-                for d in range(dim)
+                tuple(_dot(col, k, d) for col in _P_COLS) for d in range(dim)
             )
             coeffs.append(q_step)
             r_new = r_end if h >= (r_end - r) else r + h

@@ -21,23 +21,53 @@ around the constant equilibrium ``u = 1``:
 The angle never decreases, increases by one half-period per interior
 zero of ``u - 1``, and its terminal value is the quantity every root
 search in this package brackets and bisects on.
+
+Shots come in two kinds.  ``shoot(d, spec, cfg)`` integrates with the
+generic dense :func:`~plapshoot.odeint.integrate` and returns a sampled
+:class:`Trajectory` with a :class:`ShotSummary` (zero radii included);
+validated solutions, the ``plapshoot shoot`` command and anything that
+plots a profile take this kind.  ``shoot(d, spec, cfg, profile=False)``
+runs :func:`_shot_end`, a Dormand-Prince kernel unrolled for this
+three-component system that keeps only the end state, and returns a
+:class:`ShotEnd`; the scan and the bisection in :mod:`plapshoot.solver`
+take this kind.  Both kinds step through the same states, so they give
+the same terminal angle to the last bit.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import insort
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .config import SolverConfig
-from .errors import NearConstantShotError, SpecError
-from .odeint import IvpSpec, crossings, integrate
+from .errors import IntegrationError, NearConstantShotError, SpecError
+from .odeint import (
+    _A,
+    _BETA,
+    _C,
+    _E,
+    _EXPO,
+    _FAC_MAX,
+    _FAC_MIN,
+    _SAFETY,
+    IvpSpec,
+    _probe_first_step,
+    crossings,
+    integrate,
+)
 from .ptrig import PExponent, phi_p_inv, pi_p
 
 # A shot has collapsed onto the constant state once the squared
 # phase-plane radius falls below this floor: the angle is then no longer
 # trustworthy.
 RHO_FLOOR = 1e-12
+
+# Size of the uniform grid added to a profiled shot's accepted mesh, so
+# that plots stay faithful where steps are long.
+PROFILE_NODES = 400
 
 
 @dataclass(frozen=True)
@@ -216,14 +246,15 @@ class Trajectory:
 
     Nodes are the union of the integrator's accepted mesh and a uniform
     grid, so plots stay faithful even where steps are long.  ``rho_sq``
-    is recomputed algebraically from ``(u, v)`` at every node.
+    is recomputed algebraically from ``(u, v)`` at every node.  Columns
+    are ``array('d')``, a quarter of the memory of a list of floats.
     """
 
-    r: list[float]
-    u: list[float]
-    v: list[float]
-    theta: list[float]
-    rho_sq: list[float]
+    r: array
+    u: array
+    v: array
+    theta: array
+    rho_sq: array
 
 
 @dataclass(frozen=True)
@@ -240,6 +271,21 @@ class ShotSummary:
     min_u: float
     max_u: float
     n_steps: int
+
+
+class ShotEnd(NamedTuple):
+    """End state of one shot, all that a scan or a bisection reads.
+
+    Immutable like the dataclasses here, but a named tuple, which takes
+    a tenth of the time of a frozen dataclass to define at import.
+    """
+
+    d: float
+    theta_end: float
+    u_end: float
+    v_end: float
+    n_steps: int
+    n_rhs_evals: int
 
 
 def startup_state(d: float, spec: ProblemSpec, eps0: float) -> tuple[float, float, float]:
@@ -282,14 +328,18 @@ def _pow_abs(x: float, e: float) -> float:
         return math.inf
 
 
-def _make_rhs(spec: ProblemSpec, d: float):
+def _make_field(spec: ProblemSpec, d: float):
+    """Right hand side of a shot as ``field(r, u, v) -> (u', v', theta')``.
+
+    The angle does not feed back into the system, so it is not an
+    argument.
+    """
     p = spec.p
     pp = spec.exponent.pprime
     n = spec.dim
     g = spec.g
 
-    def rhs(r, y):
-        u, v, _ = y
+    def field(r, u, v):
         rn = r ** (n - 1) if n > 1 else 1.0
         w = v / rn
         fu = g.f(u, p)
@@ -302,23 +352,19 @@ def _make_rhs(spec: ProblemSpec, d: float):
         dth = rn * ((p - 1.0) * _pow_abs(w, pp) + um1 * fu) / rho2
         return (du, dv, dth)
 
-    return rhs
+    return field
 
 
 def _rho_sq(u: float, v: float, p: float, pp: float) -> float:
     return _pow_abs(u - 1.0, p) + (p - 1.0) * _pow_abs(v, pp)
 
 
-def shoot(
-    d: float, spec: ProblemSpec, cfg: SolverConfig | None = None
-) -> tuple[Trajectory, ShotSummary]:
-    """Integrate one shot from ``u = d`` across the whole domain.
+def _shot_start(d: float, spec: ProblemSpec, cfg: SolverConfig):
+    """Initial value problem of one shot, and its field.
 
-    Raises :class:`NearConstantShotError` if the phase-plane radius
-    collapses below ``RHO_FLOOR`` along the way, and
-    :class:`IntegrationError` if the integrator gives up.
+    Raises :class:`NearConstantShotError` if the start-up state already
+    lies under the collapse floor.
     """
-    cfg = cfg or SolverConfig()
     if spec.is_ball:
         eps0 = cfg.eps0_for(spec.r_outer)
         r0 = eps0
@@ -326,32 +372,198 @@ def shoot(
         eps0 = 0.0
         r0 = spec.domain.r_inner
     y0 = startup_state(d, spec, eps0)
+    rho2 = _rho_sq(y0[0], y0[1], spec.p, spec.exponent.pprime)
+    if rho2 < RHO_FLOOR:
+        raise NearConstantShotError(d, r0, rho2)
+    field = _make_field(spec, d)
+    ivp = IvpSpec(
+        rhs=lambda r, y: field(r, y[0], y[1]),
+        r_start=r0,
+        r_end=spec.r_outer,
+        y0=y0,
+        rel_tol=cfg.rel_tol,
+        abs_tol=cfg.abs_tol,
+    )
+    return ivp, field
+
+
+def _shot_end(d: float, spec: ProblemSpec, cfg: SolverConfig) -> ShotEnd:
+    """End state of one shot by Dormand-Prince 5(4), unrolled for this system.
+
+    Takes the steps :func:`~plapshoot.odeint.integrate` takes on the
+    same problem, with the same arithmetic in the same order, and raises
+    what it raises.  It keeps no dense output, skips the stage values of
+    the angle, which the field does not read, and drops the tableau's
+    zero terms, which can change only the sign of a zero.
+    """
+    ivp, field = _shot_start(d, spec, cfg)
+    isfinite = math.isfinite
+    (
+        _,
+        (a21,),
+        (a31, a32),
+        (a41, a42, a43),
+        (a51, a52, a53, a54),
+        (a61, a62, a63, a64, a65),
+        (a71, _, a73, a74, a75, a76),
+    ) = _A
+    _, c2, c3, c4, c5, c6, _ = _C
+    e1, _, e3, e4, e5, e6, e7 = _E
+    rel_tol = ivp.rel_tol
+    abs_tol = ivp.abs_tol
+    max_steps = ivp.max_steps
+    r_end = ivp.r_end
+
+    r = ivp.r_start
+    u, v, th = ivp.y0
+    k1u, k1v, k1t = field(r, u, v)
+    if not (isfinite(k1u) and isfinite(k1v) and isfinite(k1t)):
+        raise IntegrationError("right hand side not finite at the start", r)
+    h, extra = _probe_first_step(ivp, (k1u, k1v, k1t))
+    n_evals = 1 + extra
+    n_steps = 0
+    facold = 1e-4
+    step_rejected = False
+    attempts = 0
+
+    while r < r_end:
+        if attempts >= max_steps:
+            raise IntegrationError(f"exceeded max_steps={max_steps}", r)
+        attempts += 1
+        h = min(h, r_end - r)
+        if h <= max(abs(r) * 1e-15, 1e-300):
+            raise IntegrationError("step size underflow", r)
+
+        # Stages 2..6, then the candidate endpoint and its slope (k7).
+        # A non-finite value anywhere shrinks the step and retries.
+        k2u, k2v, k2t = field(
+            r + c2 * h, u + h * (a21 * k1u), v + h * (a21 * k1v)
+        )
+        n_evals += 1
+        ok = isfinite(k2u) and isfinite(k2v) and isfinite(k2t)
+        if ok:
+            k3u, k3v, k3t = field(
+                r + c3 * h,
+                u + h * (a31 * k1u + a32 * k2u),
+                v + h * (a31 * k1v + a32 * k2v),
+            )
+            n_evals += 1
+            ok = isfinite(k3u) and isfinite(k3v) and isfinite(k3t)
+        if ok:
+            k4u, k4v, k4t = field(
+                r + c4 * h,
+                u + h * (a41 * k1u + a42 * k2u + a43 * k3u),
+                v + h * (a41 * k1v + a42 * k2v + a43 * k3v),
+            )
+            n_evals += 1
+            ok = isfinite(k4u) and isfinite(k4v) and isfinite(k4t)
+        if ok:
+            k5u, k5v, k5t = field(
+                r + c5 * h,
+                u + h * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u),
+                v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v),
+            )
+            n_evals += 1
+            ok = isfinite(k5u) and isfinite(k5v) and isfinite(k5t)
+        if ok:
+            s6u = a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u
+            s6v = a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v
+            k6u, k6v, k6t = field(r + c6 * h, u + h * s6u, v + h * s6v)
+            n_evals += 1
+            ok = isfinite(k6u) and isfinite(k6v) and isfinite(k6t)
+        if ok:
+            u_new = u + h * (
+                a71 * k1u + a73 * k3u + a74 * k4u + a75 * k5u + a76 * k6u
+            )
+            v_new = v + h * (
+                a71 * k1v + a73 * k3v + a74 * k4v + a75 * k5v + a76 * k6v
+            )
+            th_new = th + h * (
+                a71 * k1t + a73 * k3t + a74 * k4t + a75 * k5t + a76 * k6t
+            )
+            ok = isfinite(u_new) and isfinite(v_new) and isfinite(th_new)
+        if ok:
+            k7u, k7v, k7t = field(r + h, u_new, v_new)
+            n_evals += 1
+            ok = isfinite(k7u) and isfinite(k7v) and isfinite(k7t)
+        if not ok:
+            h *= 0.25
+            step_rejected = True
+            continue
+
+        qu = h * (
+            e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u
+        ) / (abs_tol + rel_tol * max(abs(u), abs(u_new)))
+        qv = h * (
+            e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v
+        ) / (abs_tol + rel_tol * max(abs(v), abs(v_new)))
+        qt = h * (
+            e1 * k1t + e3 * k3t + e4 * k4t + e5 * k5t + e6 * k6t + e7 * k7t
+        ) / (abs_tol + rel_tol * max(abs(th), abs(th_new)))
+        err = math.sqrt((qu * qu + qv * qv + qt * qt) / 3)
+        if not isfinite(err):
+            h *= 0.25
+            step_rejected = True
+            continue
+
+        fac11 = err**_EXPO if err > 0 else 0.0
+        if err <= 1.0:
+            n_steps += 1
+            r_new = r_end if h >= (r_end - r) else r + h
+            fac = fac11 / facold**_BETA if err > 0 else 1.0 / _FAC_MAX
+            fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
+            h_new = h / fac
+            if step_rejected:
+                h_new = min(h_new, h)
+            facold = max(err, 1e-4)
+            step_rejected = False
+
+            r = r_new
+            u, v, th = u_new, v_new, th_new
+            k1u, k1v, k1t = k7u, k7v, k7t
+            h = h_new
+        else:
+            h = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
+            step_rejected = True
+
+    return ShotEnd(d, th, u, v, n_steps, n_evals)
+
+
+def shoot(
+    d: float,
+    spec: ProblemSpec,
+    cfg: SolverConfig | None = None,
+    *,
+    profile: bool = True,
+) -> tuple[Trajectory, ShotSummary] | ShotEnd:
+    """Integrate one shot from ``u = d`` across the whole domain.
+
+    Returns the sampled profile and its summary, or with
+    ``profile=False`` only the :class:`ShotEnd` that :func:`_shot_end`
+    computes, with the same terminal angle, end state and step count.
+    Raises :class:`NearConstantShotError` if the phase-plane radius
+    collapses below ``RHO_FLOOR`` along the way, and
+    :class:`IntegrationError` if the integrator gives up.
+    """
+    cfg = cfg or SolverConfig()
+    if not profile:
+        return _shot_end(d, spec, cfg)
+    ivp, _ = _shot_start(d, spec, cfg)
+    sol = integrate(ivp)
+    y0 = ivp.y0
     p = spec.p
     pp = spec.exponent.pprime
-    if _rho_sq(y0[0], y0[1], p, pp) < RHO_FLOOR:
-        raise NearConstantShotError(d, r0, _rho_sq(y0[0], y0[1], p, pp))
-
-    sol = integrate(
-        IvpSpec(
-            rhs=_make_rhs(spec, d),
-            r_start=r0,
-            r_end=spec.r_outer,
-            y0=y0,
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
-        )
-    )
 
     # Node set: accepted mesh plus a uniform grid for plotting.
     rs = list(sol.rs)
     span = sol.r_end - sol.r_start
-    for i in range(1, cfg.profile_nodes - 1):
-        insort(rs, sol.r_start + span * i / (cfg.profile_nodes - 1))
-    nodes_r: list[float] = []
-    nodes_u: list[float] = []
-    nodes_v: list[float] = []
-    nodes_th: list[float] = []
-    nodes_rho: list[float] = []
+    for i in range(1, PROFILE_NODES - 1):
+        insort(rs, sol.r_start + span * i / (PROFILE_NODES - 1))
+    nodes_r = array("d")
+    nodes_u = array("d")
+    nodes_v = array("d")
+    nodes_th = array("d")
+    nodes_rho = array("d")
     prev = None
     for r in rs:
         if r == prev:

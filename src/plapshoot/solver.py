@@ -6,7 +6,9 @@ half-periods (starting below the constant state) or ``j`` half-periods
 (starting above).  This module scans the terminal angle over a grid of
 ``d``, brackets the target levels, bisects each bracket down to a
 width of ``BISECT_TOL_D``, and re-validates every candidate with a full-accuracy
-shot before reporting it.
+shot before reporting it.  Scan and bisection shots read only the end
+state, so they run the end-state kernel; the validation shot samples
+the profile.
 
 Shots that collapse onto the constant state are recorded as gaps in
 the scan rather than failures: near ``d = 1`` the phase-plane radius
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import SolverConfig
 from .errors import NumericsError, SearchError, SpecError
@@ -97,15 +99,14 @@ def theta_scan(
 ) -> list[tuple[float, float]]:
     """Terminal angle over the scan grid, as ``(d, theta_end)`` pairs.
 
-    One shot per grid point, in grid order; shots that collapse or
-    fail give NaN.
+    One end-state shot (``shoot(..., profile=False)``) per grid point,
+    in grid order; shots that collapse or fail give NaN.
     """
     cfg = cfg or SolverConfig()
-    scan_cfg = replace(cfg, profile_nodes=2)
 
     def one(d: float) -> float:
         try:
-            return shoot(d, spec, scan_cfg)[1].theta_end
+            return shoot(d, spec, cfg, profile=False).theta_end
         except NumericsError:
             return math.nan
 
@@ -134,11 +135,9 @@ def _bisect_on_angle(
     t_lo: float,
     target: float,
 ) -> float:
-    scan_cfg = replace(cfg, profile_nodes=2)
-
     def side(d: float) -> float:
         try:
-            return shoot(d, spec, scan_cfg)[1].theta_end - target
+            return shoot(d, spec, cfg, profile=False).theta_end - target
         except NumericsError as exc:
             raise SearchError(
                 f"shot failed at d={d!r} while bisecting a bracket"

@@ -87,6 +87,14 @@ def test_eigen_annulus_flag(capsys):
     assert doc["lambda"] == pytest.approx(pi_p(2.5) ** 2.5, rel=1e-6)
 
 
+def test_radius_and_annulus_are_exclusive(capsys):
+    # Given both, the domain was once the annulus and --r went unread.
+    with pytest.raises(SystemExit) as exc:
+        run(["eigen", "--p", "2", "--k", "2", "--annulus", "1", "3", "--r", "5"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_shoot_out_file_matches_library(capsys, tmp_path):
     path = tmp_path / "shot.csv"
     doc = run_json(

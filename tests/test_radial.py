@@ -1,21 +1,32 @@
 """Shooting tests, anchored by a fixed-step reference integration."""
 
 import math
+from functools import partial
 
 import pytest
 
+from plapshoot import odeint, radial
 from plapshoot.config import SolverConfig
-from plapshoot.errors import NearConstantShotError, SpecError
+from plapshoot.errors import (
+    IntegrationError,
+    NearConstantShotError,
+    NumericsError,
+    SpecError,
+)
+from plapshoot.odeint import IvpSpec, integrate
 from plapshoot.ptrig import get_context, pi_p
 from plapshoot.radial import (
     Annulus,
     Ball,
     Nonlinearity,
     ProblemSpec,
+    ShotEnd,
+    _shot_start,
     f_eval,
     shoot,
     startup_state,
 )
+from plapshoot.solver import d_grid
 
 # Reference shot: p=2, N=1, R=1, g(s)=s^14, started from d=0.5.  Frozen
 # from a classical fixed-step RK4 run launched exactly at r=0 (regular
@@ -344,3 +355,108 @@ def test_config_grid_size_must_be_integer():
         with pytest.raises(SpecError):
             SolverConfig(d_grid_size=bad)
     assert SolverConfig(d_grid_size=16).d_grid_size == 16
+
+
+def _end_state_or_error(shot):
+    try:
+        return shot()
+    except NumericsError as exc:
+        return type(exc)
+
+
+def _compensated_sum(terms, start=0):
+    """The builtin ``sum`` of floats as Python 3.12 and later compute it."""
+    total = float(start)
+    comp = 0.0
+    for x in terms:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp
+
+
+SOLVE_CFG = SolverConfig(d_grid_size=400, rel_tol=1e-10, abs_tol=1e-12)
+SWEEP_CFG = SolverConfig(
+    d_grid_size=150, rel_tol=1e-9, abs_tol=1e-11, residual_tol=1e-6
+)
+P3_CFG = SolverConfig(d_grid_size=100)
+
+
+@pytest.mark.parametrize(
+    "spec, cfg, sides",
+    [
+        (ball_spec(q=100.0), SOLVE_CFG, ("lower", "upper")),
+        (ball_spec(p=1.8, radius=3.42, q=3.0), SWEEP_CFG, ("lower",)),
+        (ball_spec(q=12.0), SWEEP_CFG, ("lower",)),
+        (ball_spec(p=3.0, dim=3, q=4.0), P3_CFG, ("upper",)),
+        (
+            ProblemSpec(
+                p=2.5,
+                dim=2,
+                domain=Annulus(1.0, 2.0),
+                g=Nonlinearity(q=5.0, r_exp=3.0),
+            ),
+            P3_CFG,
+            ("lower", "upper"),
+        ),
+    ],
+    ids=["q100", "p1.8-R3.42", "q12-sweep", "p3-N3-upper", "annulus"],
+)
+def test_end_state_kernel_matches_full_shot(spec, cfg, sides, monkeypatch):
+    # Same steps, same arithmetic: the end state and the step count are
+    # equal as doubles, and a shot that fails fails with the same class.
+    # The dense path must not lean on the builtin ``sum``, which is
+    # compensated from Python 3.12 on; with it, nearly every shot here
+    # differed in its last bits.  The profile grid does not change the
+    # steps; two nodes save time.
+    monkeypatch.setattr(odeint, "sum", _compensated_sum, raising=False)
+    monkeypatch.setattr(radial, "PROFILE_NODES", 2)
+    for side in sides:
+        for d in d_grid(cfg, side):
+            full = _end_state_or_error(lambda: shoot(d, spec, cfg)[1])
+            end = _end_state_or_error(lambda: shoot(d, spec, cfg, profile=False))
+            if isinstance(full, type):
+                assert end is full, d
+                continue
+            assert isinstance(end, ShotEnd) and end.d == d
+            got = (end.theta_end, end.u_end, end.v_end, end.n_steps)
+            assert got == (full.theta_end, full.u_end, full.v_end, full.n_steps), d
+
+
+def test_end_state_kernel_counts_the_evaluations_of_integrate():
+    spec = ball_spec(q=100.0)
+    for d in (0.5, 0.99, 0.9999, 1.5, 20.0):
+        end = shoot(d, spec, SOLVE_CFG, profile=False)
+        sol = integrate(_shot_start(d, spec, SOLVE_CFG)[0])
+        assert (end.n_steps, end.n_rhs_evals) == (sol.n_steps, sol.n_rhs_evals)
+
+
+def test_end_state_kernel_keeps_the_integrator_checks(monkeypatch):
+    spec = ball_spec(q=15.0)
+
+    def messages():
+        out = []
+        for profile in (True, False):
+            with pytest.raises(IntegrationError) as exc:
+                shoot(0.5, spec, profile=profile)
+            out.append(str(exc.value))
+        assert out[0] == out[1]
+        return out[0]
+
+    with monkeypatch.context() as m:
+        m.setattr(radial, "IvpSpec", partial(IvpSpec, max_steps=5))
+        assert messages().startswith("exceeded max_steps=5")
+
+    # A field that is not finite from r = 0.5 on: every step into the
+    # wall shrinks by 4 until the step size underflows.
+    make_field = radial._make_field
+
+    def walled(spec, d):
+        field = make_field(spec, d)
+        return lambda r, u, v: field(r, u, v) if r < 0.5 else (math.inf,) * 3
+
+    monkeypatch.setattr(radial, "_make_field", walled)
+    assert messages().startswith("step size underflow")

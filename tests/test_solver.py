@@ -5,9 +5,10 @@ import math
 
 import pytest
 
+from plapshoot import radial
 from plapshoot.config import SolverConfig
 from plapshoot.eigen import eigen_angle
-from plapshoot.errors import SpecError
+from plapshoot.errors import NumericsError, SpecError
 from plapshoot.ptrig import pi_p
 from plapshoot.radial import Annulus, Ball, Nonlinearity, ProblemSpec, shoot
 from plapshoot.solver import (
@@ -74,6 +75,30 @@ def test_theta_scan_subcritical_stays_under_target():
     for d, th in scan:
         assert not math.isnan(th)
         assert pip - 1e-9 <= th < 2 * pip
+
+
+@pytest.mark.parametrize(
+    "spec, cfg, side",
+    [
+        (ball(q=100.0), CFG, "lower"),
+        (ball(p=3.0, dim=3, q=4.0), SolverConfig(d_grid_size=100), "upper"),
+    ],
+)
+def test_theta_scan_equals_old_loop(spec, cfg, side, monkeypatch):
+    # The loop as it was before scans ran on the end-state kernel:
+    # full shots with a two-node profile.
+    monkeypatch.setattr(radial, "PROFILE_NODES", 2)
+
+    def one(d):
+        try:
+            return shoot(d, spec, cfg)[1].theta_end
+        except NumericsError:
+            return math.nan
+
+    old = [(d, one(d)) for d in d_grid(cfg, side)]
+    new = theta_scan(spec, cfg, side)
+    assert [(d, t.hex()) for d, t in new] == [(d, t.hex()) for d, t in old]
+    assert any(math.isnan(t) for _, t in new)
 
 
 def test_no_solutions_below_onset():
