@@ -10,11 +10,13 @@ deterministic across processes.
 The dense output is what profiles and events build on: event
 location (:func:`crossings`) and profile sampling both evaluate the
 stored interpolants rather than re-integrating.  Shots that need a
-profile (validated solutions, the ``shoot`` command), the eigenvalue
-angles and the p-trig table run :func:`integrate`; the scan and
-bisection shots, which read only the end state, run the same steps
-through ``plapshoot.radial._shot_end``, which uses this module's
-tableau, controller constants and first-step probe.  :func:`bisect_bracket`
+profile (validated solutions, the ``shoot`` command), eigenfunction
+profiles and the p-trig table run :func:`integrate`.  Two end-state
+kernels run the same steps without dense output; they unroll only the
+stage sums and share this module's tableau, first-step probe and step
+control (:func:`_clip_step`, :func:`_next_step`): the scan and
+bisection shots go through ``plapshoot.radial._shot_end`` and the
+eigenvalue angles through ``plapshoot.eigen._angle_end``.  :func:`bisect_bracket`
 is the one bracketed search of the package; events, eigenvalues, roots
 in ``d`` and the sweeps in R and q all bisect through it.
 """
@@ -182,12 +184,29 @@ class DenseSolution:
             out.append(y_lo[d] + h * x * acc)
         return tuple(out)
 
+    def cells(self) -> list[tuple[float, ...]]:
+        """The interpolants flattened per mesh interval, for inline use.
+
+        Cell ``i`` is ``(rs[i], h, *ys[i], *coeffs[i][0], *coeffs[i][1],
+        ...)`` with ``h = rs[i+1] - rs[i]``: the left knot, the width,
+        the left values, then the four weights ``q`` of each component.
+        Inside the interval, with ``x = (r - rs[i]) / h``, component
+        ``d`` is ``y[d] + h * x * (q[0] + x * (q[1] + x * (q[2] + x *
+        q[3])))``, which is :meth:`eval`'s arithmetic in its order.
+        """
+        rs, ys = self.rs, self.ys
+        return [
+            (rs[i], rs[i + 1] - rs[i], *ys[i], *(w for q in qs for w in q))
+            for i, qs in enumerate(self.coeffs)
+        ]
+
 
 def _dot(w, k, d: int) -> float:
     """Sum of ``w[j] * k[j][d]`` over the weights ``w``, left to right.
 
     Not the builtin ``sum``, which compensates its rounding from Python
-    3.12 on: ``plapshoot.radial._shot_end`` adds left to right, and both
+    3.12 on: the end-state kernels ``plapshoot.radial._shot_end`` and
+    ``plapshoot.eigen._angle_end`` add left to right, and every path
     must take the same steps to the last bit on every version.
     """
     acc = 0.0
@@ -247,6 +266,45 @@ def _initial_step(ivp: IvpSpec, f0) -> tuple[float, int]:
     return min(100 * h0, h1, span), 1
 
 
+def _clip_step(
+    h: float, r: float, r_end: float, attempts: int, max_steps: int
+) -> float:
+    """Trial step size at ``r`` after ``attempts`` tries, cut to ``r_end``.
+
+    Raises :class:`IntegrationError` when the step budget is spent or
+    the step has underflowed.
+    """
+    if attempts >= max_steps:
+        raise IntegrationError(f"exceeded max_steps={max_steps}", r)
+    h = min(h, r_end - r)
+    if h <= max(abs(r) * 1e-15, 1e-300):
+        raise IntegrationError("step size underflow", r)
+    return h
+
+
+def _next_step(
+    err: float, h: float, facold: float, step_rejected: bool
+) -> tuple[bool, float, float, bool]:
+    """PI controller after a trial step of size ``h``.
+
+    ``err`` is the step's scaled error norm, ``inf`` when a stage was
+    not finite.  Returns ``(accepted, h_next, facold, step_rejected)``:
+    a non-finite ``err`` shrinks the step by 4, a rejected one by the
+    error's fifth root, and the step after a rejection does not grow.
+    """
+    if not math.isfinite(err):
+        return False, h * 0.25, facold, True
+    fac11 = err**_EXPO if err > 0 else 0.0
+    if err <= 1.0:
+        fac = fac11 / facold**_BETA if err > 0 else 1.0 / _FAC_MAX
+        fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
+        h_next = h / fac
+        if step_rejected:
+            h_next = min(h_next, h)
+        return True, h_next, max(err, 1e-4), False
+    return False, h / min(1.0 / _FAC_MIN, fac11 / _SAFETY), facold, True
+
+
 def _probe_first_step(ivp: IvpSpec, f0) -> tuple[float, int]:
     try:
         return _initial_step(ivp, f0)
@@ -288,14 +346,8 @@ def integrate(ivp: IvpSpec) -> DenseSolution:
     attempts = 0
 
     while r < r_end:
-        if attempts >= ivp.max_steps:
-            raise IntegrationError(
-                f"exceeded max_steps={ivp.max_steps}", r
-            )
+        h = _clip_step(h, r, r_end, attempts, ivp.max_steps)
         attempts += 1
-        h = min(h, r_end - r)
-        if h <= max(abs(r) * 1e-15, 1e-300):
-            raise IntegrationError("step size underflow", r)
 
         # Stages 2..6, then the candidate endpoint and its slope (k7).
         # A non-finite value anywhere means the trial step left the
@@ -319,45 +371,28 @@ def integrate(ivp: IvpSpec) -> DenseSolution:
             k7 = _call_rhs(rhs, r + h, y_new, dim)
             n_evals += 1
             ok = all(math.isfinite(c) for c in k7)
-        if not ok:
-            h *= 0.25
-            step_rejected = True
-            continue
-        k[6] = k7
+        if ok:
+            k[6] = k7
+            err_vec = tuple(h * _dot(_E, k, d) for d in range(dim))
+            err = _error_norm(err_vec, y, y_new, ivp.rel_tol, ivp.abs_tol)
+        else:
+            err = math.inf
 
-        err_vec = tuple(h * _dot(_E, k, d) for d in range(dim))
-        err = _error_norm(err_vec, y, y_new, ivp.rel_tol, ivp.abs_tol)
-        if not math.isfinite(err):
-            h *= 0.25
-            step_rejected = True
-            continue
-
-        fac11 = err ** _EXPO if err > 0 else 0.0
-        if err <= 1.0:
-            # Accepted: freeze the interpolant for this interval.
+        accepted, h_next, facold, step_rejected = _next_step(
+            err, h, facold, step_rejected
+        )
+        if accepted:
+            # Freeze the interpolant for this interval.
             q_step = tuple(
                 tuple(_dot(col, k, d) for col in _P_COLS) for d in range(dim)
             )
             coeffs.append(q_step)
-            r_new = r_end if h >= (r_end - r) else r + h
-            rs.append(r_new)
+            r = r_end if h >= (r_end - r) else r + h
+            rs.append(r)
             ys.append(y_new)
-
-            fac = fac11 / facold ** _BETA if err > 0 else 1.0 / _FAC_MAX
-            fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
-            h_new = h / fac
-            if step_rejected:
-                h_new = min(h_new, h)
-            facold = max(err, 1e-4)
-            step_rejected = False
-
-            r = r_new
             y = y_new
             k[0] = k7
-            h = h_new
-        else:
-            h = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
-            step_rejected = True
+        h = h_next
 
     return DenseSolution(rs=rs, ys=ys, coeffs=coeffs, n_rhs_evals=n_evals)
 

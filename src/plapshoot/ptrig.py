@@ -23,6 +23,7 @@ relative accuracy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -117,6 +118,8 @@ class PTrigContext:
                 f"quarter-period table for p={p} failed its endpoint check:"
                 f" C={c_end:.3e}, S-S_max={s_end - self.sin_p_max:.3e}"
             )
+        # The table per interval, which _quarter_pair evaluates inline.
+        self._cells = self._quarter.cells()
         self.eval_tol = self._measure_eval_tol()
 
     def _series_pair(self, t: float) -> tuple[float, float]:
@@ -132,11 +135,21 @@ class PTrigContext:
 
     def _quarter_pair(self, t: float) -> tuple[float, float]:
         # t is an angle folded into [0, pi_p/2]; fold arithmetic can
-        # land a few ulp outside, which the table eval clamps.
+        # land a few ulp outside, which is clamped.  Past the series
+        # this is DenseSolution.eval of the table through its cells,
+        # without the range checks: t lies inside the mesh.
         if t <= self._delta:
             return self._series_pair(max(t, 0.0))
-        c, s = self._quarter.eval(min(t, self.half_pi_p))
-        return (c, s)
+        if t >= self.half_pi_p:
+            return self._quarter.y_end
+        r0, h, c0, s0, c1, c2, c3, c4, s1, s2, s3, s4 = self._cells[
+            bisect_right(self._quarter.rs, t) - 1
+        ]
+        x = (t - r0) / h
+        return (
+            c0 + h * x * (c1 + x * (c2 + x * (c3 + x * c4))),
+            s0 + h * x * (s1 + x * (s2 + x * (s3 + x * s4))),
+        )
 
     def pair(self, theta: float) -> tuple[float, float]:
         """``(cos_p(theta), sin_p(theta))`` for any finite angle."""

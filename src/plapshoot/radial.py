@@ -46,14 +46,11 @@ from .config import SolverConfig
 from .errors import IntegrationError, NearConstantShotError, SpecError
 from .odeint import (
     _A,
-    _BETA,
     _C,
     _E,
-    _EXPO,
-    _FAC_MAX,
-    _FAC_MIN,
-    _SAFETY,
     IvpSpec,
+    _clip_step,
+    _next_step,
     _probe_first_step,
     crossings,
     integrate,
@@ -427,12 +424,8 @@ def _shot_end(d: float, spec: ProblemSpec, cfg: SolverConfig) -> ShotEnd:
     attempts = 0
 
     while r < r_end:
-        if attempts >= max_steps:
-            raise IntegrationError(f"exceeded max_steps={max_steps}", r)
+        h = _clip_step(h, r, r_end, attempts, max_steps)
         attempts += 1
-        h = min(h, r_end - r)
-        if h <= max(abs(r) * 1e-15, 1e-300):
-            raise IntegrationError("step size underflow", r)
 
         # Stages 2..6, then the candidate endpoint and its slope (k7).
         # A non-finite value anywhere shrinks the step and retries.
@@ -486,45 +479,29 @@ def _shot_end(d: float, spec: ProblemSpec, cfg: SolverConfig) -> ShotEnd:
             k7u, k7v, k7t = field(r + h, u_new, v_new)
             n_evals += 1
             ok = isfinite(k7u) and isfinite(k7v) and isfinite(k7t)
-        if not ok:
-            h *= 0.25
-            step_rejected = True
-            continue
+        if ok:
+            qu = h * (
+                e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u
+            ) / (abs_tol + rel_tol * max(abs(u), abs(u_new)))
+            qv = h * (
+                e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v
+            ) / (abs_tol + rel_tol * max(abs(v), abs(v_new)))
+            qt = h * (
+                e1 * k1t + e3 * k3t + e4 * k4t + e5 * k5t + e6 * k6t + e7 * k7t
+            ) / (abs_tol + rel_tol * max(abs(th), abs(th_new)))
+            err = math.sqrt((qu * qu + qv * qv + qt * qt) / 3)
+        else:
+            err = math.inf
 
-        qu = h * (
-            e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u
-        ) / (abs_tol + rel_tol * max(abs(u), abs(u_new)))
-        qv = h * (
-            e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v
-        ) / (abs_tol + rel_tol * max(abs(v), abs(v_new)))
-        qt = h * (
-            e1 * k1t + e3 * k3t + e4 * k4t + e5 * k5t + e6 * k6t + e7 * k7t
-        ) / (abs_tol + rel_tol * max(abs(th), abs(th_new)))
-        err = math.sqrt((qu * qu + qv * qv + qt * qt) / 3)
-        if not isfinite(err):
-            h *= 0.25
-            step_rejected = True
-            continue
-
-        fac11 = err**_EXPO if err > 0 else 0.0
-        if err <= 1.0:
+        accepted, h_next, facold, step_rejected = _next_step(
+            err, h, facold, step_rejected
+        )
+        if accepted:
             n_steps += 1
-            r_new = r_end if h >= (r_end - r) else r + h
-            fac = fac11 / facold**_BETA if err > 0 else 1.0 / _FAC_MAX
-            fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
-            h_new = h / fac
-            if step_rejected:
-                h_new = min(h_new, h)
-            facold = max(err, 1e-4)
-            step_rejected = False
-
-            r = r_new
+            r = r_end if h >= (r_end - r) else r + h
             u, v, th = u_new, v_new, th_new
             k1u, k1v, k1t = k7u, k7v, k7t
-            h = h_new
-        else:
-            h = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
-            step_rejected = True
+        h = h_next
 
     return ShotEnd(d, th, u, v, n_steps, n_evals)
 

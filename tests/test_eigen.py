@@ -1,6 +1,7 @@
 """Eigenvalue tests against closed-form and special-function oracles."""
 
 import math
+from functools import partial
 
 import pytest
 from scipy.optimize import brentq
@@ -9,8 +10,9 @@ from scipy.special import jn_zeros
 import plapshoot.eigen as eigen_mod
 from plapshoot.config import SolverConfig
 from plapshoot.eigen import EigenResult, eigen_angle, eigenfunction, eigenvalue
-from plapshoot.errors import SearchError, SpecError
-from plapshoot.ptrig import get_context, pi_p
+from plapshoot.errors import IntegrationError, SearchError, SpecError
+from plapshoot.odeint import IvpSpec, integrate
+from plapshoot.ptrig import PTrigContext, get_context, pi_p
 from plapshoot.radial import Annulus, Ball, ProblemSpec
 
 
@@ -186,3 +188,113 @@ def test_loose_config_still_close():
     cfg = SolverConfig(rel_tol=1e-8, abs_tol=1e-10)
     res = eigenvalue(3, geom(), cfg)
     assert res.lam == pytest.approx((2 * math.pi) ** 2, rel=1e-5)
+
+
+def _old_eigen_angle(lam, spec, cfg=None):
+    # eigen_angle as it was before it ran its own kernel: the same
+    # right hand side through the dense integrator.  IvpSpec is looked
+    # up on the eigen module so that a patch there reaches both paths.
+    cfg = cfg or SolverConfig()
+    p = spec.p
+    pp = spec.exponent.pprime
+    n = spec.dim
+    ctx = get_context(p)
+    pip = ctx.pi_p
+    if spec.is_ball:
+        eps0 = cfg.eps0_for(spec.r_outer)
+        r0 = eps0
+        th0 = pip + lam * eps0**n / n
+    else:
+        r0 = spec.domain.r_inner
+        th0 = pip
+
+    def rhs(r, y):
+        c, s = ctx.pair(y[0])
+        if n > 1:
+            stretch = (abs(s) * r ** (-(n - 1) / p)) ** pp
+        else:
+            stretch = abs(s) ** pp
+        return ((p - 1.0) * stretch + lam * abs(c) ** p * r ** (n - 1),)
+
+    sol = integrate(
+        eigen_mod.IvpSpec(
+            rhs=rhs,
+            r_start=r0,
+            r_end=spec.r_outer,
+            y0=(th0,),
+            rel_tol=cfg.rel_tol,
+            abs_tol=cfg.abs_tol,
+        )
+    )
+    return sol.y_end[0]
+
+
+def _angle_or_error(angle, lam, spec, cfg=None):
+    try:
+        return angle(lam, spec, cfg)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+KERNEL_SPECS = [
+    geom(p=1.5),
+    geom(p=1.8, dim=2, radius=3.42),
+    geom(p=2.0, dim=3),
+    geom(p=2.5, dim=2, radius=0.5),
+    geom(p=3.0, dim=3, radius=2.0),
+    geom(p=2.0, dim=2, domain=Annulus(0.5, 2.0)),
+    geom(p=3.0, domain=Annulus(1.0, 1.5)),
+]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_angle_kernel_matches_integrate(spec):
+    # Same steps, same arithmetic: the terminal angle is equal as a
+    # double, and a run that fails fails with the same class and
+    # message.  Besides zero and a geometric ladder, lam sits on and
+    # within 1e-10 and 1e-6 (relative) of the eigenvalues k = 2 and 3;
+    # on the annulus 1e307 makes the first-step probe divide by zero.
+    lams = [0.0] + [0.1 * 4.0**j for j in range(8)]
+    for k in (2, 3):
+        lam_k = eigenvalue(k, spec).lam
+        lams += [lam_k * (1.0 + t) for t in (-1e-6, -1e-10, 0.0, 1e-10, 1e-6)]
+    if not spec.is_ball:
+        lams.append(1e307)
+    for lam in lams:
+        new = _angle_or_error(eigen_angle, lam, spec)
+        old = _angle_or_error(_old_eigen_angle, lam, spec)
+        assert new == old, (lam, new, old)
+
+
+def test_angle_kernel_keeps_the_integrator_checks(monkeypatch):
+    spec = geom()
+
+    def outcome(lam):
+        out = [_angle_or_error(f, lam, spec) for f in (eigen_angle, _old_eigen_angle)]
+        assert out[0] == out[1]
+        return out[0]
+
+    with monkeypatch.context() as m:
+        m.setattr(eigen_mod, "IvpSpec", partial(IvpSpec, max_steps=5))
+        cls, message = outcome(10.0)
+        assert cls is IntegrationError
+        assert message.startswith("exceeded max_steps=5")
+
+    # Past the angle pi + 0.5 the class-level pair returns a cosine of
+    # 1.3e154, so the right hand side is close to the largest double:
+    # at lam = 1 a stage angle overflows and pair rejects it; at lam = 10
+    # every step into the wall shrinks by 4 until the step underflows.
+    pair = PTrigContext.pair
+    wall = math.pi + 0.5
+
+    def walled(ctx, theta):
+        c, s = pair(ctx, theta)
+        return (1.3e154, s) if theta > wall else (c, s)
+
+    monkeypatch.setattr(PTrigContext, "pair", walled)
+    cls, message = outcome(1.0)
+    assert cls is SpecError
+    assert message.startswith("angle must be finite")
+    cls, message = outcome(10.0)
+    assert cls is IntegrationError
+    assert message.startswith("step size underflow")

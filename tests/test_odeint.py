@@ -73,6 +73,24 @@ def test_dense_output_between_knots():
         assert sol.eval(mid)[0] == pytest.approx(math.exp(mid), rel=1e-9)
 
 
+def test_cells_evaluate_like_eval():
+    # The documented cell formula gives eval's values to the bit at
+    # knots and at points inside every interval.
+    sol = integrate(rotation_ivp())
+    cells = sol.cells()
+    assert len(cells) == sol.n_steps
+    for i, (r0, h, *rest) in enumerate(cells):
+        y, q = rest[:2], [rest[2 + 4 * d : 6 + 4 * d] for d in range(2)]
+        for frac in (0.0, 0.1, 0.5, 0.9):
+            r = sol.rs[i] + frac * (sol.rs[i + 1] - sol.rs[i])
+            x = (r - r0) / h
+            got = tuple(
+                y[d] + h * x * (q[d][0] + x * (q[d][1] + x * (q[d][2] + x * q[d][3])))
+                for d in range(2)
+            )
+            assert got == sol.eval(r), (i, frac)
+
+
 def test_dense_output_out_of_range():
     sol = integrate(exp_ivp())
     with pytest.raises(SpecError):

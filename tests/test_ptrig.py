@@ -1,6 +1,7 @@
 """Generalized trig tests, including a closed-form inverse-beta oracle."""
 
 import math
+import random
 
 import pytest
 from scipy.special import betaincinv
@@ -200,3 +201,52 @@ def test_pair_rejects_non_finite_angle():
         ctx.pair(float("nan"))
     with pytest.raises(SpecError):
         ctx.pair(float("inf"))
+
+
+def _pair_by_eval(ctx, theta):
+    # PTrigContext.pair as it was before it evaluated its table inline:
+    # the same fold, with the quarter period read through
+    # DenseSolution.eval.
+    if not math.isfinite(theta):
+        raise SpecError(f"angle must be finite, got {theta!r}")
+
+    def quarter(t):
+        if t <= ctx._delta:
+            return ctx._series_pair(max(t, 0.0))
+        c, s = ctx._quarter.eval(min(t, ctx.half_pi_p))
+        return (c, s)
+
+    two = 2.0 * ctx.pi_p
+    t = math.fmod(theta, two)
+    if t < 0.0:
+        t += two
+    if t >= ctx.pi_p:
+        sign = -1.0
+        t -= ctx.pi_p
+    else:
+        sign = 1.0
+    if t > ctx.half_pi_p:
+        c, s = quarter(ctx.pi_p - t)
+        c = -c
+    else:
+        c, s = quarter(t)
+    return (sign * c, sign * s)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+def test_pair_equals_dense_eval(p):
+    ctx = get_context(p)
+    rng = random.Random(0)
+    thetas = [rng.uniform(-6.0 * ctx.pi_p, 6.0 * ctx.pi_p) for _ in range(20_000)]
+    # The series cutoff, the quarter and half periods, whole periods,
+    # one ulp on either side of each, and every knot of the table.
+    edges = [0.0, ctx._delta, ctx.half_pi_p, ctx.pi_p, *ctx._quarter.rs]
+    edges += [k * 2.0 * ctx.pi_p for k in range(1, 6)]
+    for t in list(edges):
+        edges += [math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+    thetas += edges + [-t for t in edges]
+    for theta in thetas:
+        assert ctx.pair(theta) == _pair_by_eval(ctx, theta), theta
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SpecError):
+            ctx.pair(bad)
