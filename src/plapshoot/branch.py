@@ -21,7 +21,7 @@ from .config import SolverConfig
 from .errors import SearchError, SpecError
 from .odeint import bisect_bracket
 from .radial import Nonlinearity, ProblemSpec
-from .solver import _records_for_side, find_solutions
+from .solver import _records_for_side, _theta_end, find_solutions
 
 logger = logging.getLogger(__name__)
 
@@ -153,10 +153,13 @@ def bifurcation_onset(
     """Exponent q at which the branch with this zero count appears.
 
     Requires a finite nonzero phase limit, so p = 2: only there does
-    the branch detach at a finite exponent.  Bisects q on "a validated
-    lower-side solution with the requested zero count exists" to a
-    relative width of 1e-3; raises :class:`SearchError` when the
-    endpoints do not straddle the onset.
+    the branch detach at a finite exponent.  Bisects q, to a relative
+    width of 1e-9, on the sign of h(q) = theta_end(1 - 1e-5; q) -
+    (zeros+1) pi_p, the angle of one shot near the constant state, and
+    confirms the result by solving at q (1 + 1e-3), which must give a
+    validated solution, and at q (1 - 1e-3), which must not.  Raises
+    :class:`SearchError` when h does not change sign between the
+    endpoints or the confirmation fails.
     """
     cfg = cfg or SolverConfig()
     spec._require_g()
@@ -173,25 +176,21 @@ def bifurcation_onset(
     hi = q_hi if q_hi is not None else 200.0
     if not floor < lo < hi:
         raise SpecError(f"need {floor} < q_lo < q_hi, got ({lo!r}, {hi!r})")
+    target = (zeros + 1) * spec.pi_p
 
-    def pred(q: float) -> bool:
+    def h(q: float) -> float:
         spec_q = _spec_with_param(spec, "q", q)
-        return bool(_records_for_side(spec_q, cfg, "lower", [zeros]))
+        return _theta_end(1.0 - 1e-5, spec_q, cfg) - target
 
-    if pred(lo):
-        raise SearchError(
-            f"solutions with {zeros} zeros already exist at q={lo}; "
-            "lower the starting exponent"
-        )
-    if not pred(hi):
-        raise SearchError(
-            f"no solutions with {zeros} zeros up to q={hi}; "
-            "raise the ending exponent"
-        )
-    return bisect_bracket(
-        lambda q: 1.0 if pred(q) else -1.0,
-        lo,
-        hi,
-        -1.0,
-        lambda lo, hi: hi - lo <= 1e-3 * lo,
+    if not h(lo) < 0.0:
+        raise SearchError(f"{zeros}-zero branch already exists at q_lo={lo}")
+    if not h(hi) > 0.0:
+        raise SearchError(f"no {zeros}-zero branch up to q_hi={hi}")
+    q_star = bisect_bracket(h, lo, hi, -1.0, lambda a, b: b - a <= 1e-9 * a)
+    above, below = (
+        _records_for_side(_spec_with_param(spec, "q", q), cfg, "lower", [zeros])
+        for q in (q_star * (1.0 + 1e-3), q_star * (1.0 - 1e-3))
     )
+    if not above or below:
+        raise SearchError(f"onset q={q_star!r} not confirmed by solves")
+    return q_star

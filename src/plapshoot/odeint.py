@@ -251,6 +251,8 @@ def _initial_step(ivp: IvpSpec, f0) -> tuple[float, int]:
     d1 = _rms(f0, scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
+    if not h0 > 0.0:
+        raise IntegrationError("first step guess underflowed", ivp.r_start)
     y1 = tuple(y0[d] + h0 * f0[d] for d in range(dim))
     f1 = _call_rhs(ivp.rhs, ivp.r_start + h0, y1, dim)
     if not all(math.isfinite(c) for c in f1):
@@ -408,11 +410,10 @@ def bisect_bracket(
 
     ``side_lo`` is ``side`` at ``lo``, or any number of the same sign:
     only signs are compared, so ``side`` may rise or fall across the
-    bracket and may be a plus-or-minus-one predicate.  The endpoint
-    whose sign ``side(mid)`` shares moves to ``mid``.  The search stops
-    when ``done(lo, hi)`` holds, when ``lo`` and ``hi`` are adjacent
-    doubles, or after 200 halvings; an exact zero of ``side`` is
-    returned at once.
+    bracket.  The endpoint whose sign ``side(mid)`` shares moves to
+    ``mid``.  The search stops when ``done(lo, hi)`` holds, when ``lo``
+    and ``hi`` are adjacent doubles, or after 200 halvings; an exact
+    zero of ``side`` is returned at once.
     """
     lo_negative = side_lo < 0.0
     for _ in range(_BISECT_MAX_ITERS):

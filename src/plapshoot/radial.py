@@ -360,7 +360,8 @@ def _shot_start(d: float, spec: ProblemSpec, cfg: SolverConfig):
     """Initial value problem of one shot, and its field.
 
     Raises :class:`NearConstantShotError` if the start-up state already
-    lies under the collapse floor.
+    lies under the collapse floor, and :class:`IntegrationError` if it
+    is not finite (``f(d)`` overflows at large ``d`` and ``q``).
     """
     if spec.is_ball:
         eps0 = cfg.eps0_for(spec.r_outer)
@@ -369,6 +370,8 @@ def _shot_start(d: float, spec: ProblemSpec, cfg: SolverConfig):
         eps0 = 0.0
         r0 = spec.domain.r_inner
     y0 = startup_state(d, spec, eps0)
+    if not all(math.isfinite(c) for c in y0):
+        raise IntegrationError("start-up state not finite", r0)
     rho2 = _rho_sq(y0[0], y0[1], spec.p, spec.exponent.pprime)
     if rho2 < RHO_FLOOR:
         raise NearConstantShotError(d, r0, rho2)

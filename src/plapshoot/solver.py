@@ -94,6 +94,16 @@ def d_grid(cfg: SolverConfig, side: str = "lower") -> list[float]:
     return sorted(pts)
 
 
+def _theta_end(
+    d: float, spec: ProblemSpec, cfg: SolverConfig, failed: float = math.nan
+) -> float:
+    """End-state terminal angle from ``d``; ``failed`` if the shot fails."""
+    try:
+        return shoot(d, spec, cfg, profile=False).theta_end
+    except NumericsError:
+        return failed
+
+
 def theta_scan(
     spec: ProblemSpec, cfg: SolverConfig | None = None, side: str = "lower"
 ) -> list[tuple[float, float]]:
@@ -103,14 +113,7 @@ def theta_scan(
     in grid order; shots that collapse or fail give NaN.
     """
     cfg = cfg or SolverConfig()
-
-    def one(d: float) -> float:
-        try:
-            return shoot(d, spec, cfg, profile=False).theta_end
-        except NumericsError:
-            return math.nan
-
-    return [(d, one(d)) for d in d_grid(cfg, side)]
+    return [(d, _theta_end(d, spec, cfg)) for d in d_grid(cfg, side)]
 
 
 def _brackets(
@@ -252,6 +255,22 @@ def find_solutions(
     return records
 
 
+def _max_theta_end(spec: ProblemSpec, cfg: SolverConfig) -> float:
+    """Golden-section max of theta_end over d; failed shots count as -inf."""
+    a, b = D_MIN, D_MAX
+    x = a + (math.sqrt(5.0) - 1.0) / 2.0 * (b - a)
+    t_x = _theta_end(x, spec, cfg, -math.inf)
+    while b - a > 1e-6:
+        y = a + b - x
+        t_y = _theta_end(y, spec, cfg, -math.inf)
+        if t_y > t_x:
+            a, b = (x, b) if y > x else (a, x)
+            x, t_x = y, t_y
+        else:
+            a, b = (a, y) if y > x else (y, b)
+    return t_x
+
+
 def rstar(
     k: int,
     spec: ProblemSpec,
@@ -263,10 +282,12 @@ def rstar(
     Only meaningful in the regime where the terminal angle of shots
     near the constant state flattens out (p < 2): there, solutions with
     k interior zeros exist precisely beyond a threshold radius.  The
-    domain shape of ``spec`` is kept (annuli keep their radius ratio)
-    and the outer radius is bisected on the predicate "the scanned
-    angle exceeds (k+1) half-periods somewhere".  The result has
-    relative uncertainty below about 1e-3.
+    domain shape of ``spec`` is kept (annuli keep their radius ratio),
+    and R is bisected, to a relative width of 1.5e-3, on the sign of
+    g(R) = max_d theta_end(d; R) - (k+1) pi_p, the maximum taken by
+    golden section.  That assumes one peak in d, which a scan at the
+    returned R confirms (one local maximum, none of its nodes above the
+    golden one), or :class:`SearchError` is raised.
     """
     cfg = cfg or SolverConfig()
     if not (isinstance(k, int) and k >= 1):
@@ -276,38 +297,29 @@ def rstar(
             "threshold radius requires a vanishing phase limit (p < 2);"
             f" this problem has c1={spec.c1!r}"
         )
-    pip = pi_p(spec.p)
-    target = (k + 1) * pip
+    target = (k + 1) * pi_p(spec.p)
 
-    def pred(r_outer: float) -> bool:
-        scan = theta_scan(spec.with_outer_radius(r_outer), cfg, "lower")
-        best = max(
-            (t for _, t in scan if not math.isnan(t)), default=-math.inf
-        )
-        return best > target
+    def g(r_outer: float) -> float:
+        return _max_theta_end(spec.with_outer_radius(r_outer), cfg) - target
 
+    # Halve R while g > 0 there, or double it while g <= 0.
     r0 = spec.r_outer
-    if pred(r0):
-        hi, lo = r0, 0.5 * r0
-        while pred(lo):
-            hi, lo = lo, 0.5 * lo
-            if lo < 1e-6 * r0:
-                raise SearchError(
-                    f"{k}-zero solutions persist down to R={lo!r};"
-                    " no threshold in range"
-                )
-    else:
-        lo, hi = r0, 2.0 * r0
-        while not pred(hi):
-            lo, hi = hi, 2.0 * hi
-            if hi > r_cap:
-                raise SearchError(
-                    f"no {k}-zero solutions found up to outer radius {r_cap}"
-                )
-    return bisect_bracket(
-        lambda r: 1.0 if pred(r) else -1.0,
-        lo,
-        hi,
-        -1.0,
-        lambda lo, hi: hi - lo <= 1.5e-3 * lo,
-    )
+    step = 0.5 if g(r0) > 0.0 else 2.0
+    r, r_next = r0, step * r0
+    while (g(r_next) > 0.0) == (step < 1.0):
+        r, r_next = r_next, step * r_next
+        if not 1e-6 * r0 <= r_next <= max(r0, r_cap):
+            raise SearchError(
+                f"no threshold for {k}-zero solutions between outer radii"
+                f" {1e-6 * r0!r} and {r_cap!r}"
+            )
+    lo, hi = sorted((r, r_next))
+    r_hat = bisect_bracket(g, lo, hi, -1.0, lambda a, b: b - a <= 1.5e-3 * a)
+    spec_hat = spec.with_outer_radius(r_hat)
+    scan = theta_scan(spec_hat, cfg)
+    ts = [-math.inf] + [t for _, t in scan if not math.isnan(t)] + [-math.inf]
+    rises = [b > a for a, b in zip(ts, ts[1:]) if a != b]
+    peaks = sum(up and not nxt for up, nxt in zip(rises, rises[1:]))
+    if peaks != 1 or max(ts) > _max_theta_end(spec_hat, cfg):
+        raise SearchError(f"theta_end at R={r_hat!r} is not single-peaked")
+    return r_hat

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from plapshoot import branch
 from plapshoot.branch import BranchTable, bifurcation_onset, branch_sweep
 from plapshoot.config import SolverConfig
 from plapshoot.errors import SearchError, SpecError
@@ -118,3 +119,32 @@ def test_onset_endpoints_must_straddle():
         bifurcation_onset(ball(), 1, cfg, q_lo=20.0, q_hi=50.0)
     with pytest.raises(SearchError):
         bifurcation_onset(ball(), 1, cfg, q_lo=2.1, q_hi=3.0)
+
+
+@pytest.mark.parametrize(
+    "zeros, radius, q_hi, onset",
+    [
+        (1, 1.0, 50.0, 2.0 + math.pi**2),
+        (2, 1.0, 80.0, 2.0 + 4.0 * math.pi**2),
+        (1, 2.0, 50.0, 2.0 + (math.pi / 2.0) ** 2),
+    ],
+)
+def test_onset_lands_on_the_eigenvalue_crossing(zeros, radius, q_hi, onset):
+    cfg = SolverConfig(
+        d_grid_size=150, rel_tol=1e-9, abs_tol=1e-11, residual_tol=1e-6
+    )
+    q_star = bifurcation_onset(
+        ball(radius=radius), zeros, cfg, q_lo=2.1, q_hi=q_hi
+    )
+    assert q_star == pytest.approx(onset, rel=1e-6)
+
+
+@pytest.mark.parametrize("found", [False, True])
+def test_onset_confirmation_failure_raises(found, monkeypatch):
+    # No solution just above the onset, or one just below it.
+    monkeypatch.setattr(
+        branch, "_records_for_side", lambda *args: ["record"] if found else []
+    )
+    cfg = SolverConfig(d_grid_size=40, rel_tol=1e-9, abs_tol=1e-11)
+    with pytest.raises(SearchError, match="not confirmed"):
+        bifurcation_onset(ball(), 1, cfg, q_lo=2.1, q_hi=50.0)

@@ -199,6 +199,19 @@ def test_branch_rejects_short_sweep(capsys):
     assert rc == 2
 
 
+def test_solve_upper_side_at_large_q(capsys):
+    # The start-up state overflows at the top of the upper grid; those
+    # shots are scan gaps and the solve still succeeds.
+    doc = run_json(
+        capsys,
+        [
+            "solve", "--p", "2", "--g", "pow:400", "--sides", "upper",
+            "--max-zeros", "1", "--grid", "40",
+        ],
+    )
+    assert [sol["zeros"] for sol in doc["solutions"]] == [1]
+
+
 def test_rstar_cli(capsys):
     doc = run_json(
         capsys,

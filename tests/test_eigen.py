@@ -10,7 +10,12 @@ from scipy.special import jn_zeros
 import plapshoot.eigen as eigen_mod
 from plapshoot.config import SolverConfig
 from plapshoot.eigen import EigenResult, eigen_angle, eigenfunction, eigenvalue
-from plapshoot.errors import IntegrationError, SearchError, SpecError
+from plapshoot.errors import (
+    IntegrationError,
+    NumericsError,
+    SearchError,
+    SpecError,
+)
 from plapshoot.odeint import IvpSpec, integrate
 from plapshoot.ptrig import PTrigContext, get_context, pi_p
 from plapshoot.radial import Annulus, Ball, ProblemSpec
@@ -175,6 +180,20 @@ def _old_eigenvalue_lam(k, spec):
 def test_eigenvalue_equals_old_loop():
     spec = geom(p=3.0)
     assert eigenvalue(3, spec).lam == _old_eigenvalue_lam(3, spec)
+
+
+@pytest.mark.parametrize(
+    "p, dim, domain",
+    [(2.0, 1, Annulus(1.0, 1.5)), (3.0, 2, Annulus(0.5, 2.0))],
+)
+def test_angle_at_huge_lambda_is_finite_or_a_numerics_error(p, dim, domain):
+    # The first-step guess underflows to zero here; the probe must fall
+    # back instead of dividing by it.
+    try:
+        theta = eigen_angle(1e307, geom(p=p, dim=dim, domain=domain))
+    except NumericsError:
+        return
+    assert math.isfinite(theta)
 
 
 def test_eigenvalue_rejects_bad_k():

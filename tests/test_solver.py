@@ -5,10 +5,11 @@ import math
 
 import pytest
 
-from plapshoot import radial
+from plapshoot import radial, solver
 from plapshoot.config import SolverConfig
 from plapshoot.eigen import eigen_angle
-from plapshoot.errors import NumericsError, SpecError
+from plapshoot.errors import NumericsError, SearchError, SpecError
+from plapshoot.odeint import bisect_bracket
 from plapshoot.ptrig import pi_p
 from plapshoot.radial import Annulus, Ball, Nonlinearity, ProblemSpec, shoot
 from plapshoot.solver import (
@@ -204,6 +205,98 @@ def test_rstar_requires_vanishing_phase_limit():
         rstar(1, ball(p=2.0, q=5.0), CFG_COARSE)
     with pytest.raises(SpecError):
         rstar(1, ball(p=3.0, q=5.0), CFG_COARSE)
+
+
+def _old_rstar(k, spec, cfg, r_cap=1e4):
+    # rstar as it was before it searched the maximum terminal angle:
+    # bisection of the outer radius on "some scan node exceeds (k+1)
+    # half-periods", kept to pin the result bit for bit.
+    target = (k + 1) * pi_p(spec.p)
+
+    def pred(r_outer):
+        scan = theta_scan(spec.with_outer_radius(r_outer), cfg, "lower")
+        return max(t for _, t in scan if not math.isnan(t)) > target
+
+    r0 = spec.r_outer
+    if pred(r0):
+        hi, lo = r0, 0.5 * r0
+        while pred(lo):
+            hi, lo = lo, 0.5 * lo
+    else:
+        lo, hi = r0, 2.0 * r0
+        while not pred(hi):
+            lo, hi = hi, 2.0 * hi
+    return bisect_bracket(
+        lambda r: 1.0 if pred(r) else -1.0,
+        lo,
+        hi,
+        -1.0,
+        lambda lo, hi: hi - lo <= 1.5e-3 * lo,
+    )
+
+
+@pytest.mark.parametrize(
+    "k, domain",
+    [(1, Ball(1.0)), (2, Ball(1.0)), (1, Annulus(0.1, 1.0))],
+)
+def test_rstar_equals_old_predicate_loop(k, domain):
+    spec = ProblemSpec(p=1.8, dim=1, domain=domain, g=Nonlinearity(q=3.0))
+    cfg = SolverConfig(d_grid_size=150)
+    assert rstar(k, spec, cfg) == _old_rstar(k, spec, cfg)
+
+
+class _FakeEnd:
+    def __init__(self, theta_end):
+        self.theta_end = theta_end
+
+
+def test_rstar_rejects_two_humps(monkeypatch):
+    # theta_end peaks at d = 0.3 and, a little lower, at d = 0.8; its
+    # maximum reaches 2 pi_p at R = 1.5.  The golden-section search
+    # follows one hump, and the confirming scan sees both.
+    pip = pi_p(1.8)
+
+    def fake_shoot(d, spec, cfg=None, *, profile=True):
+        hump = max(math.exp(-50.0 * (d - 0.3) ** 2),
+                   0.9 * math.exp(-50.0 * (d - 0.8) ** 2))
+        return _FakeEnd(2.0 * pip * spec.r_outer / 1.5 * hump)
+
+    monkeypatch.setattr(solver, "shoot", fake_shoot)
+    with pytest.raises(SearchError, match="not single-peaked"):
+        rstar(1, ball(p=1.8, q=3.0), SolverConfig(d_grid_size=40))
+
+
+def test_rstar_runs_one_scan_and_routes_every_shot(monkeypatch):
+    counts = {"shoot": 0, "scan": 0, "kernel": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "shoot", counted("shoot", solver.shoot))
+    monkeypatch.setattr(
+        solver, "theta_scan", counted("scan", solver.theta_scan)
+    )
+    monkeypatch.setattr(
+        radial, "_shot_end", counted("kernel", radial._shot_end)
+    )
+    rstar(1, ball(p=1.8, q=3.0), SolverConfig(d_grid_size=40))
+    assert counts["scan"] == 1
+    assert counts["shoot"] == counts["kernel"] > 40
+
+
+def test_upper_scan_survives_startup_overflow():
+    # At q = 200, d**199 overflows for the top upper-grid nodes; those
+    # shots are gaps, not a crash.
+    cfg = SolverConfig(d_grid_size=40)
+    scan = theta_scan(ball(q=200.0), cfg, "upper")
+    assert [d for d, _ in scan] == d_grid(cfg, "upper")
+    assert math.isnan(scan[-1][1])
+    assert not math.isnan(scan[len(scan) // 2][1])
+    with pytest.raises(NumericsError, match="start-up state not finite"):
+        shoot(D_MAX_UPPER, ball(q=200.0), cfg, profile=False)
 
 
 def test_find_solutions_validates_arguments():
