@@ -94,38 +94,30 @@ def branch_sweep(
         raise SpecError("parameter values must be finite")
     spec._require_g()
 
-    per_param: list[tuple[float, list]] = []
+    rows: list[BranchPoint] = []
+    prev_ds: dict[tuple[int, str], list[float]] = {}
     for value in sorted(values):
         recs = find_solutions(
             _spec_with_param(spec, param_name, value), cfg, max_zeros, sides
         )
-        per_param.append((value, recs))
-
-    rows: list[BranchPoint] = []
-    for zeros in range(1, max_zeros + 1):
-        for side in sides:
-            prev_ds: list[float] = []
-            for value, recs in per_param:
-                ds = [r.d for r in recs if r.zeros == zeros and r.side == side]
-                for rec in recs:
-                    if rec.zeros != zeros or rec.side != side:
-                        continue
-                    fold = bool(prev_ds) and all(
-                        abs(rec.d - pd) > _FOLD_JUMP for pd in prev_ds
-                    )
-                    rows.append(
-                        BranchPoint(
-                            param=value,
-                            d=rec.d,
-                            side=side,
-                            zeros=zeros,
-                            theta_end=rec.theta_end,
-                            residual=rec.residual,
-                            fold=fold,
-                        )
-                    )
-                if ds:
-                    prev_ds = ds
+        ds: dict[tuple[int, str], list[float]] = {}
+        for rec in recs:
+            family = (rec.zeros, rec.side)
+            prev = prev_ds.get(family, [])
+            fold = bool(prev) and all(abs(rec.d - pd) > _FOLD_JUMP for pd in prev)
+            rows.append(
+                BranchPoint(
+                    param=value,
+                    d=rec.d,
+                    side=rec.side,
+                    zeros=rec.zeros,
+                    theta_end=rec.theta_end,
+                    residual=rec.residual,
+                    fold=fold,
+                )
+            )
+            ds.setdefault(family, []).append(rec.d)
+        prev_ds.update(ds)
     rows.sort(key=lambda row: (row.zeros, row.side, row.param, row.d))
     return BranchTable(
         param_name=param_name,
@@ -171,7 +163,7 @@ def bifurcation_onset(
             "onset in q requires a finite nonzero phase limit (p = 2);"
             f" this problem has c1={c1!r}"
         )
-    floor = spec.p if spec.g.r_exp is None else max(spec.p, spec.g.r_exp)
+    floor = spec.g.r_exp_for(spec.p)
     lo = q_lo if q_lo is not None else floor + 0.05
     hi = q_hi if q_hi is not None else 200.0
     if not floor < lo < hi:

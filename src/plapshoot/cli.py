@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -163,16 +164,7 @@ def cmd_shoot(args) -> int:
         "dim": spec.dim,
         "domain": repr(spec.domain),
         "g": spec.g.label(),
-        "d": summ.d,
-        "theta_start": summ.theta_start,
-        "theta_end": summ.theta_end,
-        "u_end": summ.u_end,
-        "v_end": summ.v_end,
-        "zeros": summ.zeros,
-        "zero_radii": list(summ.zero_radii),
-        "min_u": summ.min_u,
-        "max_u": summ.max_u,
-        "n_steps": summ.n_steps,
+        **dataclasses.asdict(summ),
     }
     _write_table(args, ["r", "u", "v", "theta", "rho_sq"], rows, summary)
     return 0
@@ -196,8 +188,7 @@ def _record_doc(rec) -> dict:
 def cmd_solve(args) -> int:
     spec = _spec_from(args)
     cfg = _config_from(args)
-    sides = tuple(s.strip() for s in args.sides.split(",") if s.strip())
-    records = find_solutions(spec, cfg, max_zeros=args.max_zeros, sides=sides)
+    records = find_solutions(spec, cfg, max_zeros=args.max_zeros, sides=args.sides)
     if args.out is not None:
         for i, rec in enumerate(records):
             path = f"{args.out}-{rec.side}-j{rec.zeros}-{i}.csv"
@@ -214,7 +205,7 @@ def cmd_solve(args) -> int:
             "dim": spec.dim,
             "domain": repr(spec.domain),
             "g": spec.g.label(),
-            "sides": list(sides),
+            "sides": list(args.sides),
             "max_zeros": args.max_zeros,
             "n_solutions": len(records),
             "solutions": [_record_doc(rec) for rec in records],
@@ -280,7 +271,6 @@ def _branch_svg(table: BranchTable, path: str) -> None:
 def cmd_branch(args) -> int:
     spec = _spec_from(args)
     cfg = _config_from(args)
-    sides = tuple(s.strip() for s in args.sides.split(",") if s.strip())
     if args.steps < 2:
         raise SpecError("--steps must be at least 2")
     values = [
@@ -288,7 +278,7 @@ def cmd_branch(args) -> int:
         for i in range(args.steps)
     ]
     table = branch_sweep(
-        spec, args.param, values, cfg, max_zeros=args.max_zeros, sides=sides
+        spec, args.param, values, cfg, max_zeros=args.max_zeros, sides=args.sides
     )
     if args.svg is not None:
         _branch_svg(table, args.svg)
@@ -361,6 +351,23 @@ def _add_problem(sp, with_grid=True):
         )
 
 
+def _sides(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+def _add_search(sp, verb: str):
+    """The flags find_solutions reads besides the problem."""
+    sp.add_argument(
+        "--max-zeros", type=int, default=3, help=f"largest zero count to {verb}"
+    )
+    sp.add_argument(
+        "--sides",
+        type=_sides,
+        default="lower,upper",
+        help="comma-separated shot sides to search",
+    )
+
+
 def _add_table_output(sp):
     """The flags _write_table reads."""
     sp.add_argument(
@@ -425,14 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write each solution profile to OUT-<side>-j<zeros>-<i>.csv",
     )
     sp.add_argument("--g", required=True, help="pow:<q> or combo:<q>,<r>")
-    sp.add_argument(
-        "--max-zeros", type=int, default=3, help="largest zero count to search"
-    )
-    sp.add_argument(
-        "--sides",
-        default="lower,upper",
-        help="comma-separated shot sides to search",
-    )
+    _add_search(sp, "search")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser(
@@ -449,14 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--start", type=float, required=True, help="sweep start")
     sp.add_argument("--stop", type=float, required=True, help="sweep stop")
     sp.add_argument("--steps", type=int, default=11, help="sweep length")
-    sp.add_argument(
-        "--max-zeros", type=int, default=3, help="largest zero count to track"
-    )
-    sp.add_argument(
-        "--sides",
-        default="lower,upper",
-        help="comma-separated shot sides to search",
-    )
+    _add_search(sp, "track")
     sp.add_argument("--svg", default=None, help="also draw the table to this SVG")
     sp.set_defaults(func=cmd_branch)
 

@@ -40,7 +40,7 @@ from .odeint import (
     integrate,
 )
 from .ptrig import get_context, phi_p, phi_p_inv
-from .radial import ProblemSpec
+from .radial import PROFILE_NODES, ProblemSpec
 
 # The bisection bracket for eigenvalues is grown by doubling until the
 # angle overshoots; past this multiple of R^-p something is wrong.
@@ -241,14 +241,13 @@ def eigenfunction(
     lam: float,
     spec: ProblemSpec,
     cfg: SolverConfig | None = None,
-    n_nodes: int = 400,
 ) -> tuple[list[float], list[float], list[float]]:
     """Radial eigenfunction profile ``(r, w, flux)`` at parameter ``lam``.
 
     Integrates the amplitude equation in Cartesian form, normalized to
-    ``w = -1`` with zero slope at the inner end; useful for inspecting
-    the profile behind an :class:`EigenResult`.  The flux column is
-    ``r^(N-1) phi_p(w')``.
+    ``w = -1`` with zero slope at the inner end, and samples it at
+    ``PROFILE_NODES`` evenly spaced radii; useful for inspecting the
+    profile behind an :class:`EigenResult`.  The flux is ``r^(N-1) phi_p(w')``.
     """
     if not (math.isfinite(lam) and lam >= 0.0):
         raise SpecError(f"lam must be finite and >= 0, got {lam!r}")
@@ -283,7 +282,8 @@ def eigenfunction(
             abs_tol=cfg.abs_tol,
         )
     )
-    rs = [r0 + (spec.r_outer - r0) * i / (n_nodes - 1) for i in range(n_nodes)]
+    span = spec.r_outer - r0
+    rs = [r0 + span * i / (PROFILE_NODES - 1) for i in range(PROFILE_NODES)]
     ws = []
     fluxes = []
     for r in rs:

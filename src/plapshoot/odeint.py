@@ -85,6 +85,9 @@ _FAC_MAX = 10.0
 # width reaches adjacent doubles in about 60.
 _BISECT_MAX_ITERS = 200
 
+# crossings bisects to this width relative to max(1, |r|).
+_CROSSING_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class IvpSpec:
@@ -436,17 +439,17 @@ def crossings(
     sol: DenseSolution,
     component: int,
     levels: Sequence[float],
-    refine_tol: float = 1e-12,
 ) -> list[tuple[float, float, int]]:
     """Locate where one solution component crosses the given levels.
 
     Returns ``(r, level, direction)`` triples sorted by ``r``, with
     ``direction`` +1 for an upward crossing and -1 for a downward one.
     Each mesh interval is searched per level by bisecting the dense
-    interpolant with :func:`bisect_bracket`, so crossings are found even
-    where accepted steps are long, as long as the component meets each
-    level at most once per step.  A crossing sitting exactly on an
-    interior knot is reported once.
+    interpolant with :func:`bisect_bracket` to a width of 1e-12 times
+    ``max(1, |r|)``, so crossings are found even where accepted steps
+    are long, as long as the component meets each level at most once
+    per step.  A crossing sitting exactly on an interior knot is
+    reported once.
     """
     if not 0 <= component < len(sol.ys[0]):
         raise SpecError(f"component {component} out of range")
@@ -468,7 +471,7 @@ def crossings(
                 continue
             if ga * gb > 0.0:
                 continue
-            tol = refine_tol * max(1.0, abs(rs[i + 1]))
+            tol = _CROSSING_TOL * max(1.0, abs(rs[i + 1]))
             r = bisect_bracket(
                 lambda r: sol.eval(r)[component] - level,
                 rs[i],

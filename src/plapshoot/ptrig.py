@@ -81,8 +81,8 @@ class PTrigContext:
 
     Build through :func:`get_context`, which caches per ``p``; direct
     construction integrates the defining system at tight tolerance and
-    is comparatively expensive.  ``eval_tol`` is a measured bound on
-    the identity defect of values returned by :meth:`pair`.
+    is comparatively expensive.  The table is checked only at its end,
+    where ``cos_p`` must vanish and ``sin_p`` reach its maximum.
     """
 
     def __init__(self, p: float):
@@ -120,7 +120,6 @@ class PTrigContext:
             )
         # The table per interval, which _quarter_pair evaluates inline.
         self._cells = self._quarter.cells()
-        self.eval_tol = self._measure_eval_tol()
 
     def _series_pair(self, t: float) -> tuple[float, float]:
         # Two-term expansions around the C = 1, S = 0 corner.
@@ -170,17 +169,6 @@ class PTrigContext:
         else:
             c, s = self._quarter_pair(t)
         return (sign * c, sign * s)
-
-    def _measure_eval_tol(self) -> float:
-        p = self.exponent.p
-        pp = self.exponent.pprime
-        worst = 0.0
-        n = 257
-        for i in range(n):
-            c, s = self.pair(2.0 * self.pi_p * i / (n - 1))
-            defect = abs((p - 1.0) * abs(s) ** pp + abs(c) ** p - 1.0)
-            worst = max(worst, defect)
-        return max(10.0 * worst, 1e-13)
 
 
 @lru_cache(maxsize=64)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -106,12 +105,11 @@ class Annulus:
 class Nonlinearity:
     """Reaction term ``g`` of the problem, described by its exponents.
 
-    Two families are supported.  The pure power ``g(s) = s^(q-1)``
-    requires ``q > p``; the combination
-    ``g(s) = s^(q-1) + s^(p-1) - s^(r-1)`` requires ``p <= r < q``.
-    Both make ``f(s) = g(s) - s^(p-1)`` vanish exactly at the constant
-    state ``s = 1`` and give it the sign of ``s - 1`` elsewhere, which
-    is what keeps the phase angle monotone.
+    ``g(s) = s^(q-1) + s^(p-1) - s^(r-1)`` with ``p <= r < q``; unset
+    ``r_exp`` means r = p, the paper's pure power ``g(s) = s^(q-1)``.
+    Then ``f(s) = g(s) - s^(p-1) = s^(q-1) - s^(r-1)`` vanishes exactly
+    at the constant state ``s = 1`` and has the sign of ``s - 1``
+    elsewhere, which is what keeps the phase angle monotone.
     """
 
     q: float
@@ -127,18 +125,17 @@ class Nonlinearity:
                 f"exponent r must be finite and > 1, got {self.r_exp!r}"
             )
 
+    def r_exp_for(self, p: float) -> float:
+        """The exponent r of ``f``: ``r_exp``, or p for the pure power."""
+        return p if self.r_exp is None else self.r_exp
+
     def validate_for(self, p: float) -> None:
-        if self.r_exp is None:
-            if not self.q > p:
-                raise SpecError(
-                    f"pure power needs q > p, got q={self.q!r}, p={p!r}"
-                )
-        else:
-            if not p <= self.r_exp < self.q:
-                raise SpecError(
-                    f"power combination needs p <= r < q, got p={p!r},"
-                    f" r={self.r_exp!r}, q={self.q!r}"
-                )
+        r = self.r_exp_for(p)
+        if not p <= r < self.q:
+            raise SpecError(
+                f"reaction needs p <= r < q (r = p for a pure power), got"
+                f" p={p!r}, r={r!r}, q={self.q!r}"
+            )
 
     def f(self, s: float, p: float) -> float:
         """``g(s) - s^(p-1)``, extended by zero to ``s < 0``.
@@ -148,17 +145,14 @@ class Nonlinearity:
         """
         if s <= 0.0:
             return 0.0
+        r = p if self.r_exp is None else self.r_exp  # r_exp_for, in the hot loop
         try:
-            if self.r_exp is None:
-                return s ** (self.q - 1.0) - s ** (p - 1.0)
-            return s ** (self.q - 1.0) - s ** (self.r_exp - 1.0)
+            return s ** (self.q - 1.0) - s ** (r - 1.0)
         except OverflowError:
             return math.inf
 
     def fprime_at_one(self, p: float) -> float:
-        if self.r_exp is None:
-            return self.q - p
-        return self.q - self.r_exp
+        return self.q - self.r_exp_for(p)
 
     def label(self) -> str:
         if self.r_exp is None:
@@ -535,20 +529,17 @@ def shoot(
     pp = spec.exponent.pprime
 
     # Node set: accepted mesh plus a uniform grid for plotting.
-    rs = list(sol.rs)
     span = sol.r_end - sol.r_start
-    for i in range(1, PROFILE_NODES - 1):
-        insort(rs, sol.r_start + span * i / (PROFILE_NODES - 1))
+    rs = set(sol.rs).union(
+        sol.r_start + span * i / (PROFILE_NODES - 1)
+        for i in range(1, PROFILE_NODES - 1)
+    )
     nodes_r = array("d")
     nodes_u = array("d")
     nodes_v = array("d")
     nodes_th = array("d")
     nodes_rho = array("d")
-    prev = None
-    for r in rs:
-        if r == prev:
-            continue
-        prev = r
+    for r in sorted(rs):
         u, v, th = sol.eval(r)
         nodes_r.append(r)
         nodes_u.append(u)

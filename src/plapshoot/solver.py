@@ -235,10 +235,10 @@ def find_solutions(
     """All validated solutions with 1..max_zeros interior zeros.
 
     Scans each requested side once, then brackets and bisects every
-    target angle.  Candidates that fail re-validation (wrong zero
-    count, poor Neumann residual, loss of positivity) are logged and
-    dropped rather than reported.  Records are sorted by zero count,
-    then side, then ``d``.
+    target angle; ``sides`` must be nonempty and without repeats.
+    Candidates that fail re-validation (wrong zero count, poor Neumann
+    residual, loss of positivity) are logged and dropped rather than
+    reported.  Records are sorted by zero count, then side, then ``d``.
     """
     cfg = cfg or SolverConfig()
     if not (isinstance(max_zeros, int) and max_zeros >= 1):
@@ -246,6 +246,8 @@ def find_solutions(
     for side in sides:
         if side not in _SIDES:
             raise SpecError(f"side must be one of {_SIDES}, got {side!r}")
+    if not sides or len(set(sides)) != len(sides):
+        raise SpecError(f"need one or more distinct sides, got {sides!r}")
     records = []
     for side in sides:
         records.extend(

@@ -1,6 +1,7 @@
 """Branch tables under q and R sweeps, fold flags, and onset location."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -148,3 +149,100 @@ def test_onset_confirmation_failure_raises(found, monkeypatch):
     cfg = SolverConfig(d_grid_size=40, rel_tol=1e-9, abs_tol=1e-11)
     with pytest.raises(SearchError, match="not confirmed"):
         bifurcation_onset(ball(), 1, cfg, q_lo=2.1, q_hi=50.0)
+
+
+
+def _old_rows(per_param, max_zeros, sides):
+    """The family-by-family triple loop branch_sweep used to run."""
+    rows = []
+    for zeros in range(1, max_zeros + 1):
+        for side in sides:
+            prev_ds = []
+            for value, recs in per_param:
+                ds = [r.d for r in recs if r.zeros == zeros and r.side == side]
+                for rec in recs:
+                    if rec.zeros != zeros or rec.side != side:
+                        continue
+                    fold = bool(prev_ds) and all(
+                        abs(rec.d - pd) > 0.2 for pd in prev_ds
+                    )
+                    rows.append(
+                        branch.BranchPoint(
+                            param=value,
+                            d=rec.d,
+                            side=side,
+                            zeros=zeros,
+                            theta_end=rec.theta_end,
+                            residual=rec.residual,
+                            fold=fold,
+                        )
+                    )
+                if ds:
+                    prev_ds = ds
+    rows.sort(key=lambda row: (row.zeros, row.side, row.param, row.d))
+    return rows
+
+
+def test_branch_rows_equal_old_triple_loop_on_a_fold(monkeypatch):
+    # R = 3.0 has no 1-zero root (the family is missing there), and the
+    # outer root at R = 4.0 is a fold.
+    per_param = []
+    real = branch.find_solutions
+
+    def spy(spec, cfg, max_zeros, sides):
+        recs = real(spec, cfg, max_zeros, sides)
+        per_param.append((spec.r_outer, recs))
+        return recs
+
+    monkeypatch.setattr(branch, "find_solutions", spy)
+    table = branch_sweep(
+        ball(p=1.8, q=3.0), "R", [4.0, 3.0, 3.5], CFG_COARSE, max_zeros=1,
+        sides=("lower",),
+    )
+    assert [value for value, _ in per_param] == [3.0, 3.5, 4.0]
+    assert per_param[0][1] == []
+    assert any(row.fold for row in table.rows)
+    assert table.rows == _old_rows(per_param, 1, ("lower",))
+
+
+def test_branch_rows_equal_old_triple_loop_on_fake_records(monkeypatch):
+    # Two sides and two zero counts; the 2-zero family vanishes at q = 5
+    # and comes back at q = 6, where it compares with q = 4; a fold at
+    # q = 5; two roots of one family at one value.
+    def rec(d, side, zeros):
+        return SimpleNamespace(
+            d=d, side=side, zeros=zeros, theta_end=10.0 * d, residual=d / 1e9
+        )
+
+    by_q = {
+        3.0: [rec(0.5, "lower", 1), rec(0.8, "lower", 2), rec(1.5, "upper", 1)],
+        4.0: [rec(0.55, "lower", 1), rec(0.9, "lower", 2)],
+        5.0: [rec(0.1, "lower", 1), rec(0.6, "lower", 1), rec(1.9, "upper", 1)],
+        6.0: [rec(0.95, "lower", 2), rec(0.3, "lower", 2), rec(1.95, "upper", 1)],
+    }
+    monkeypatch.setattr(branch, "find_solutions", lambda spec, *_: by_q[spec.g.q])
+    table = branch_sweep(
+        ball(p=2.0), "q", [6.0, 4.0, 5.0, 3.0], CFG, max_zeros=2,
+        sides=("lower", "upper"),
+    )
+    assert [row.fold for row in table.rows].count(True) == 3
+    assert table.rows == _old_rows(sorted(by_q.items()), 2, ("lower", "upper"))
+
+
+def test_branch_sweep_rejects_repeated_or_no_sides():
+    for sides in ((), ("lower", "lower")):
+        with pytest.raises(SpecError, match="distinct sides"):
+            branch_sweep(ball(), "q", [12.0], CFG, max_zeros=1, sides=sides)
+
+
+@pytest.mark.parametrize("r_exp", [None, 2.0, 2.5])
+def test_onset_default_q_lo_sits_above_the_lower_exponent(r_exp):
+    # The default q_lo is r + 0.05, with r = p for the pure power; a
+    # q_hi under it is rejected before any shot, naming both ends.
+    spec = ProblemSpec(
+        p=2.0, dim=1, domain=Ball(1.0), g=Nonlinearity(q=4.0, r_exp=r_exp)
+    )
+    floor = 2.0 if r_exp is None else r_exp
+    with pytest.raises(SpecError) as exc:
+        bifurcation_onset(spec, 1, CFG, q_hi=floor + 0.01)
+    assert f"need {floor} < q_lo < q_hi, got ({floor + 0.05!r}," in str(exc.value)

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,14 @@ import pytest
 from plapshoot.cli import build_parser, run
 from plapshoot.config import SolverConfig
 from plapshoot.ptrig import get_context, pi_p
-from plapshoot.radial import Annulus, Ball, Nonlinearity, ProblemSpec, shoot
+from plapshoot.radial import (
+    Annulus,
+    Ball,
+    Nonlinearity,
+    ProblemSpec,
+    ShotSummary,
+    shoot,
+)
 from plapshoot.solver import rstar
 
 
@@ -142,6 +150,35 @@ def test_bad_side_exits_two(capsys):
     )
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "branch"])
+@pytest.mark.parametrize("sides", [",", "lower,lower", " upper , upper"])
+def test_repeated_or_no_sides_exit_two(capsys, command, sides):
+    argv = [command, "--p", "2", "--g", "pow:15", "--sides", sides]
+    if command == "branch":
+        argv += ["--start", "12", "--stop", "20", "--steps", "2"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "distinct sides" in err
+
+
+def test_sides_flag_is_split_once():
+    parse = build_parser().parse_args
+    base = ["--p", "2", "--g", "pow:15"]
+    args = parse(["solve", *base, "--sides", " upper, ,lower"])
+    assert args.sides == ("upper", "lower")
+    assert parse(["solve", *base]).sides == ("lower", "upper")
+    args = parse(["branch", *base, "--start", "1", "--stop", "2"])
+    assert args.sides == ("lower", "upper")
+
+
+def test_shoot_json_keys_are_the_problem_then_the_summary(capsys):
+    doc = run_json(capsys, ["shoot", "--p", "2", "--g", "pow:15", "--d", "0.5"])
+    problem = ["p", "dim", "domain", "g"]
+    summary = [f.name for f in dataclasses.fields(ShotSummary)]
+    assert list(doc) == problem + summary + ["header", "rows"]
 
 
 def test_solve_reports_and_dumps_profiles(capsys, tmp_path):

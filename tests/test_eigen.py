@@ -18,7 +18,7 @@ from plapshoot.errors import (
 )
 from plapshoot.odeint import IvpSpec, integrate
 from plapshoot.ptrig import PTrigContext, get_context, pi_p
-from plapshoot.radial import Annulus, Ball, ProblemSpec
+from plapshoot.radial import PROFILE_NODES, Annulus, Ball, ProblemSpec
 
 
 def geom(p=2.0, dim=1, radius=1.0, domain=None):
@@ -128,6 +128,13 @@ def test_annulus_2d_sane():
     res = eigenvalue(2, geom(dim=2, domain=Annulus(1.0, 2.0)))
     assert res.lam > 0.0
     assert res.residual <= 1e-8 * math.pi
+
+
+def test_eigenfunction_samples_the_profile_nodes():
+    rs, ws, fluxes = eigenfunction(1.0, geom(domain=Annulus(0.5, 2.0)))
+    assert len(rs) == len(ws) == len(fluxes) == PROFILE_NODES == 400
+    assert rs == [0.5 + 1.5 * i / (PROFILE_NODES - 1) for i in range(400)]
+    assert rs[-1] == 2.0
 
 
 def test_eigenfunction_profile_p2():

@@ -1,6 +1,7 @@
 """Shooting tests, anchored by a fixed-step reference integration."""
 
 import math
+from bisect import insort
 from functools import partial
 
 import pytest
@@ -460,3 +461,46 @@ def test_end_state_kernel_keeps_the_integrator_checks(monkeypatch):
 
     monkeypatch.setattr(radial, "_make_field", walled)
     assert messages().startswith("step size underflow")
+
+
+def _accepts(g, p):
+    try:
+        g.validate_for(p)
+    except SpecError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_pure_power_is_the_combination_with_r_equal_p(p):
+    # s <= 0, both sides of the constant state, and s whose top power
+    # overflows to inf.
+    s_grid = [-1.0, -0.0, 0.0, 1e-300, 0.25, 1.0 - 1e-12, 1.0, 1.7, 1e10, 1e300]
+    for q in (p + 1e-9, p + 0.5, 15.0, 100.0):
+        pure, combo = Nonlinearity(q), Nonlinearity(q, r_exp=p)
+        assert pure.r_exp_for(p) == p
+        assert [pure.f(s, p) for s in s_grid] == [combo.f(s, p) for s in s_grid]
+        assert pure.fprime_at_one(p) == combo.fprime_at_one(p) == q - p
+    assert Nonlinearity(100.0).f(1e300, p) == math.inf
+    for q in (p - 0.4, p, p + 1e-9, p + 0.5):
+        pure, combo = Nonlinearity(q), Nonlinearity(q, r_exp=p)
+        assert _accepts(pure, p) == _accepts(combo, p) == (q > p)
+    assert Nonlinearity(4.0).label() == "pow:4"
+    assert Nonlinearity(4.0, r_exp=p).label() == f"combo:4,{p:g}"
+
+
+def test_profile_nodes_are_the_mesh_and_the_uniform_grid():
+    # The node set equals the sorted-insertion loop it replaced: the
+    # accepted mesh merged with the interior uniform nodes, no repeats.
+    annulus = ProblemSpec(
+        p=1.8, dim=1, domain=Annulus(0.2, 1.0), g=Nonlinearity(4.0, r_exp=2.5)
+    )
+    for spec, d in ((ball_spec(q=15.0), 0.5), (annulus, 1.3)):
+        traj, _ = shoot(d, spec)
+        sol = integrate(_shot_start(d, spec, SolverConfig())[0])
+        rs = list(sol.rs)
+        span = sol.r_end - sol.r_start
+        for i in range(1, radial.PROFILE_NODES - 1):
+            insort(rs, sol.r_start + span * i / (radial.PROFILE_NODES - 1))
+        old = [r for k, r in enumerate(rs) if k == 0 or r != rs[k - 1]]
+        assert list(traj.r) == old

@@ -306,6 +306,17 @@ def test_find_solutions_validates_arguments():
         find_solutions(ball(), CFG, sides=("sideways",))
 
 
+@pytest.mark.parametrize(
+    "sides", [(), ("lower", "lower"), ("upper", "lower", "upper")]
+)
+def test_find_solutions_rejects_repeated_or_no_sides(sides, monkeypatch):
+    # Rejected before any scan: a repeated side would scan twice and
+    # report every root twice.
+    monkeypatch.setattr(solver, "_records_for_side", None)
+    with pytest.raises(SpecError, match="distinct sides"):
+        find_solutions(ball(), CFG, max_zeros=1, sides=sides)
+
+
 def test_annulus_solutions_exist_when_wide_enough():
     # A comfortably wide annulus carries one-zero solutions for p < 2.
     spec = ProblemSpec(
