@@ -236,16 +236,23 @@ class Trajectory:
     """Sampled radial profile of one shot.
 
     Nodes are the union of the integrator's accepted mesh and a uniform
-    grid, so plots stay faithful even where steps are long.  ``rho_sq``
-    is recomputed algebraically from ``(u, v)`` at every node.  Columns
+    grid, so plots stay faithful even where steps are long.  Columns
     are ``array('d')``, a quarter of the memory of a list of floats.
+    ``rho_sq`` is not stored: each read computes it algebraically from
+    ``(u, v)`` and the exponent ``p`` at every node.
     """
 
     r: array
     u: array
     v: array
     theta: array
-    rho_sq: array
+    p: float
+
+    @property
+    def rho_sq(self) -> array:
+        p = self.p
+        pp = p / (p - 1.0)  # PExponent.pprime
+        return array("d", (_rho_sq(u, v, p, pp) for u, v in zip(self.u, self.v)))
 
 
 @dataclass(frozen=True)
@@ -525,8 +532,6 @@ def shoot(
     ivp, _ = _shot_start(d, spec, cfg)
     sol = integrate(ivp)
     y0 = ivp.y0
-    p = spec.p
-    pp = spec.exponent.pprime
 
     # Node set: accepted mesh plus a uniform grid for plotting.
     span = sol.r_end - sol.r_start
@@ -538,15 +543,13 @@ def shoot(
     nodes_u = array("d")
     nodes_v = array("d")
     nodes_th = array("d")
-    nodes_rho = array("d")
     for r in sorted(rs):
         u, v, th = sol.eval(r)
         nodes_r.append(r)
         nodes_u.append(u)
         nodes_v.append(v)
         nodes_th.append(th)
-        nodes_rho.append(_rho_sq(u, v, p, pp))
-    traj = Trajectory(nodes_r, nodes_u, nodes_v, nodes_th, nodes_rho)
+    traj = Trajectory(nodes_r, nodes_u, nodes_v, nodes_th, spec.p)
 
     # The angle is monotone, so interior zeros of u - 1 are counted by
     # how many odd quarter-period levels the angle sweeps through.

@@ -10,6 +10,16 @@ shot before reporting it.  Scan and bisection shots read only the end
 state, so they run the end-state kernel; the validation shot samples
 the profile.
 
+A scan node only has to tell which side of each target level it lies
+on, so :func:`find_solutions` scans at the coarser tolerances
+``SCAN_REL_TOL`` and ``SCAN_ABS_TOL`` and shoots again, at the
+configured ones, only the nodes whose coarse angle lies within
+``SCAN_MARGIN`` half-periods of a target.  The coarse angle errs by far
+less than that margin, so every node keeps its sign against every
+target, the brackets are those of a full-accuracy scan, and bisection
+and validation, which run at the configured tolerances, return the same
+roots.  The public :func:`theta_scan` runs at the tolerances it is given.
+
 Shots that collapse onto the constant state are recorded as gaps in
 the scan rather than failures: near ``d = 1`` the phase-plane radius
 legitimately falls under the floor (most visibly for p > 2), and the
@@ -20,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import SolverConfig
 from .errors import NumericsError, SearchError, SpecError
@@ -44,6 +54,15 @@ REFINE_FRACTION = 0.5
 # terminal angle lies within this many half-periods of its target.
 BISECT_TOL_D = 1e-12
 PHASE_TOL_FACTOR = 1e-8
+
+# Scan tolerances of find_solutions (never tighter than the configured
+# ones), and the margin in half-periods within which a coarse node is
+# shot again.  The margin must exceed the coarse angle error, which the
+# tests keep under a quarter of it on balls and an annulus, p = 1.5..3,
+# q up to 1000.
+SCAN_REL_TOL = 1e-7
+SCAN_ABS_TOL = 1e-9
+SCAN_MARGIN = 1.0 / 64.0
 
 
 @dataclass(frozen=True)
@@ -200,6 +219,32 @@ def _validated_record(
     )
 
 
+def _scan_for_targets(
+    spec: ProblemSpec, cfg: SolverConfig, side: str, targets: list[float]
+) -> list[tuple[float, float]]:
+    """``theta_scan`` at the coarse tolerances, exact near the targets.
+
+    Nodes whose coarse angle lies within ``SCAN_MARGIN`` half-periods of
+    a target are shot again at ``cfg``'s tolerances; collapsed and
+    failed nodes stay gaps.
+    """
+    coarse = replace(
+        cfg,
+        rel_tol=max(cfg.rel_tol, SCAN_REL_TOL),
+        abs_tol=max(cfg.abs_tol, SCAN_ABS_TOL),
+    )
+    scan = theta_scan(spec, coarse, side)
+    if coarse == cfg:
+        return scan
+    margin = SCAN_MARGIN * pi_p(spec.p)
+    return [
+        (d, _theta_end(d, spec, cfg))
+        if any(abs(t - target) <= margin for target in targets)
+        else (d, t)
+        for d, t in scan
+    ]
+
+
 def _records_for_side(
     spec: ProblemSpec,
     cfg: SolverConfig,
@@ -208,10 +253,10 @@ def _records_for_side(
 ) -> list[SolutionRecord]:
     pip = pi_p(spec.p)
     phase_tol = PHASE_TOL_FACTOR * pip
-    scan = theta_scan(spec, cfg, side)
+    targets = [(j + 1) * pip if side == "lower" else j * pip for j in zero_counts]
+    scan = _scan_for_targets(spec, cfg, side, targets)
     records = []
-    for j in zero_counts:
-        target = (j + 1) * pip if side == "lower" else j * pip
+    for j, target in zip(zero_counts, targets):
         for d_a, d_b, t_a, _ in _brackets(scan, target):
             try:
                 d_root = _bisect_on_angle(spec, cfg, d_a, d_b, t_a, target)
@@ -234,8 +279,10 @@ def find_solutions(
 ) -> list[SolutionRecord]:
     """All validated solutions with 1..max_zeros interior zeros.
 
-    Scans each requested side once, then brackets and bisects every
-    target angle; ``sides`` must be nonempty and without repeats.
+    Scans each requested side once, at coarse tolerances with nodes
+    near a target re-shot at ``cfg``'s, then brackets and bisects every
+    target angle; ``sides`` must be a nonempty tuple or list of side
+    names without repeats.
     Candidates that fail re-validation (wrong zero count, poor Neumann
     residual, loss of positivity) are logged and dropped rather than
     reported.  Records are sorted by zero count, then side, then ``d``.
@@ -243,6 +290,11 @@ def find_solutions(
     cfg = cfg or SolverConfig()
     if not (isinstance(max_zeros, int) and max_zeros >= 1):
         raise SpecError(f"max_zeros must be an integer >= 1, got {max_zeros!r}")
+    if isinstance(sides, str):
+        raise SpecError(
+            f"sides must be a tuple of side names such as ('lower',),"
+            f" got the string {sides!r}"
+        )
     for side in sides:
         if side not in _SIDES:
             raise SpecError(f"side must be one of {_SIDES}, got {side!r}")

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from plapshoot import branch
+from plapshoot import branch, solver
 from plapshoot.branch import BranchTable, bifurcation_onset, branch_sweep
 from plapshoot.config import SolverConfig
 from plapshoot.errors import SearchError, SpecError
@@ -181,6 +181,12 @@ def _old_rows(per_param, max_zeros, sides):
                     prev_ds = ds
     rows.sort(key=lambda row: (row.zeros, row.side, row.param, row.d))
     return rows
+
+
+def test_branch_sweep_rejects_a_bare_string_for_sides(monkeypatch):
+    monkeypatch.setattr(solver, "_records_for_side", None)
+    with pytest.raises(SpecError, match="tuple"):
+        branch_sweep(ball(), "q", [15.0], CFG, max_zeros=1, sides="upper")
 
 
 def test_branch_rows_equal_old_triple_loop_on_a_fold(monkeypatch):

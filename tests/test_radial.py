@@ -1,5 +1,6 @@
 """Shooting tests, anchored by a fixed-step reference integration."""
 
+import dataclasses
 import math
 from bisect import insort
 from functools import partial
@@ -22,6 +23,8 @@ from plapshoot.radial import (
     Nonlinearity,
     ProblemSpec,
     ShotEnd,
+    Trajectory,
+    _rho_sq,
     _shot_start,
     f_eval,
     shoot,
@@ -487,6 +490,21 @@ def test_pure_power_is_the_combination_with_r_equal_p(p):
         assert _accepts(pure, p) == _accepts(combo, p) == (q > p)
     assert Nonlinearity(4.0).label() == "pow:4"
     assert Nonlinearity(4.0, r_exp=p).label() == f"combo:4,{p:g}"
+
+
+def test_rho_sq_is_computed_from_the_stored_columns():
+    # Not a stored column (it was a fifth of each trajectory's arrays),
+    # but the same bits as the value the shot used to store per node.
+    assert "rho_sq" not in [f.name for f in dataclasses.fields(Trajectory)]
+    for spec, d in ((ball_spec(q=15.0), 0.5), (ball_spec(p=2.5, dim=2, q=5.0), 1.4)):
+        traj, _ = shoot(d, spec)
+        sol = integrate(_shot_start(d, spec, SolverConfig())[0])
+        pp = spec.exponent.pprime
+        stored = []
+        for r in traj.r:
+            u, v, _ = sol.eval(r)
+            stored.append(_rho_sq(u, v, spec.p, pp))
+        assert [x.hex() for x in traj.rho_sq] == [x.hex() for x in stored]
 
 
 def test_profile_nodes_are_the_mesh_and_the_uniform_grid():

@@ -8,7 +8,12 @@ import pytest
 from plapshoot import radial, solver
 from plapshoot.config import SolverConfig
 from plapshoot.eigen import eigen_angle
-from plapshoot.errors import NumericsError, SearchError, SpecError
+from plapshoot.errors import (
+    NearConstantShotError,
+    NumericsError,
+    SearchError,
+    SpecError,
+)
 from plapshoot.odeint import bisect_bracket
 from plapshoot.ptrig import pi_p
 from plapshoot.radial import Annulus, Ball, Nonlinearity, ProblemSpec, shoot
@@ -17,6 +22,7 @@ from plapshoot.solver import (
     D_MAX_UPPER,
     D_MIN,
     D_MIN_UPPER,
+    SCAN_MARGIN,
     d_grid,
     find_solutions,
     rstar,
@@ -315,6 +321,88 @@ def test_find_solutions_rejects_repeated_or_no_sides(sides, monkeypatch):
     monkeypatch.setattr(solver, "_records_for_side", None)
     with pytest.raises(SpecError, match="distinct sides"):
         find_solutions(ball(), CFG, max_zeros=1, sides=sides)
+
+
+def test_find_solutions_rejects_a_bare_string_for_sides(monkeypatch):
+    # A string is a sequence of one-letter sides; it would be reported
+    # as the unknown side 'l' instead of the missing tuple.
+    monkeypatch.setattr(solver, "_records_for_side", None)
+    with pytest.raises(SpecError, match=r"tuple .*'lower'"):
+        find_solutions(ball(), CFG, max_zeros=1, sides="lower")
+
+
+@pytest.mark.parametrize(
+    "spec, grid",
+    [
+        (ball(q=100.0), 400),
+        (ball(q=1000.0), 200),
+        (ball(p=3.0, dim=3, q=4.0), 200),
+        (ProblemSpec(p=1.5, dim=2, domain=Ball(3.0), g=Nonlinearity(q=3.0)), 200),
+        (
+            ProblemSpec(
+                p=2.5, dim=2, domain=Annulus(0.5, 2.0), g=Nonlinearity(q=6.0)
+            ),
+            200,
+        ),
+    ],
+)
+def test_coarse_scan_gives_the_full_scan_roots(spec, grid, monkeypatch):
+    # The same search with the scan tolerances lowered to cfg's is the
+    # full-accuracy scan: its records must be equal, field for field.
+    # The two runs' scans are compared too: same gaps, and a coarse
+    # angle error well inside the re-shooting margin.
+    cfg = SolverConfig(d_grid_size=grid)
+    scans = []
+
+    def recorded(spec, cfg, side):
+        scan = theta_scan(spec, cfg, side)
+        scans.append(scan)
+        return scan
+
+    monkeypatch.setattr(solver, "theta_scan", recorded)
+    coarse = find_solutions(spec, cfg, sides=("lower", "upper"))
+    monkeypatch.setattr(solver, "SCAN_REL_TOL", cfg.rel_tol)
+    monkeypatch.setattr(solver, "SCAN_ABS_TOL", cfg.abs_tol)
+    full = find_solutions(spec, cfg, sides=("lower", "upper"))
+    assert full and coarse == full
+
+    worst = 0.0
+    for coarse_scan, full_scan in zip(scans[:2], scans[2:]):
+        assert [d for d, _ in coarse_scan] == [d for d, _ in full_scan]
+        gaps = [math.isnan(t) for _, t in coarse_scan]
+        assert gaps == [math.isnan(t) for _, t in full_scan]
+        worst = max(
+            [worst]
+            + [abs(a - b) for (_, a), (_, b) in zip(coarse_scan, full_scan)
+               if not math.isnan(a)]
+        )
+    assert 0.0 < worst <= SCAN_MARGIN * spec.pi_p / 4.0
+
+
+def test_only_nodes_near_a_target_are_shot_again(monkeypatch):
+    # Lower side at p = 2: the targets are 2 pi, 3 pi and 4 pi.  One node
+    # lands inside the margin below 2 pi, one just outside it, one
+    # collapses; nothing crosses a target, so no bisection follows.
+    cfg = SolverConfig(d_grid_size=40)
+    grid = d_grid(cfg)
+    margin = SCAN_MARGIN * math.pi
+    inside, outside, gap = grid[10], grid[20], grid[30]
+    calls = []
+
+    def fake_shoot(d, spec, cfg=None, *, profile=True):
+        calls.append((d, cfg))
+        if d == gap:
+            raise NearConstantShotError(d, 0.5, 1e-13)
+        if d == inside:
+            return _FakeEnd(2.0 * math.pi - 0.5 * margin)
+        if d == outside:
+            return _FakeEnd(2.0 * math.pi - 1.5 * margin)
+        return _FakeEnd(1.5 * math.pi)
+
+    monkeypatch.setattr(solver, "shoot", fake_shoot)
+    assert find_solutions(ball(), cfg, max_zeros=3, sides=("lower",)) == []
+    scan_cfg = SolverConfig(d_grid_size=40, rel_tol=1e-7, abs_tol=1e-9)
+    assert calls == [(d, scan_cfg) for d in grid] + [(inside, cfg)]
 
 
 def test_annulus_solutions_exist_when_wide_enough():
