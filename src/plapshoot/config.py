@@ -6,8 +6,9 @@ five values callers choose: ``d_grid_size``, ``rel_tol``, ``abs_tol``,
 ``residual_tol`` and ``eps0``.  Fixed constants (scan range, bisection
 width, the scan's coarse tolerances ``SCAN_REL_TOL`` and
 ``SCAN_ABS_TOL`` and its re-shooting margin ``SCAN_MARGIN``, collapse
-floor, profile sampling) live in the module that reads each.  Defaults are chosen so that phase angles come out well below the
-validation tolerances used when roots are accepted.
+floor, profile sampling) live in the module that reads each.  Defaults
+are chosen so that phase angles come out well below the validation
+tolerances used when roots are accepted.
 """
 
 from __future__ import annotations

@@ -10,15 +10,12 @@ shot before reporting it.  Scan and bisection shots read only the end
 state, so they run the end-state kernel; the validation shot samples
 the profile.
 
-A scan node only has to tell which side of each target level it lies
-on, so :func:`find_solutions` scans at the coarser tolerances
-``SCAN_REL_TOL`` and ``SCAN_ABS_TOL`` and shoots again, at the
-configured ones, only the nodes whose coarse angle lies within
-``SCAN_MARGIN`` half-periods of a target.  The coarse angle errs by far
-less than that margin, so every node keeps its sign against every
-target, the brackets are those of a full-accuracy scan, and bisection
-and validation, which run at the configured tolerances, return the same
-roots.  The public :func:`theta_scan` runs at the tolerances it is given.
+Brackets read only which side of each target a scan node lies on, so
+:func:`find_solutions` scans at the coarse tolerances ``SCAN_REL_TOL``
+and ``SCAN_ABS_TOL`` and shoots again, at the configured ones, only the
+nodes within ``SCAN_MARGIN`` half-periods of a target.  The coarse error
+is far below that margin, so the brackets, and the roots bisected from
+them at the configured tolerances, are those of a full-accuracy scan.
 
 Shots that collapse onto the constant state are recorded as gaps in
 the scan rather than failures: near ``d = 1`` the phase-plane radius
@@ -56,10 +53,8 @@ BISECT_TOL_D = 1e-12
 PHASE_TOL_FACTOR = 1e-8
 
 # Scan tolerances of find_solutions (never tighter than the configured
-# ones), and the margin in half-periods within which a coarse node is
-# shot again.  The margin must exceed the coarse angle error, which the
-# tests keep under a quarter of it on balls and an annulus, p = 1.5..3,
-# q up to 1000.
+# ones), and the margin in half-periods, well above the coarse angle
+# error, within which a coarse node is shot again.
 SCAN_REL_TOL = 1e-7
 SCAN_ABS_TOL = 1e-9
 SCAN_MARGIN = 1.0 / 64.0
@@ -222,12 +217,7 @@ def _validated_record(
 def _scan_for_targets(
     spec: ProblemSpec, cfg: SolverConfig, side: str, targets: list[float]
 ) -> list[tuple[float, float]]:
-    """``theta_scan`` at the coarse tolerances, exact near the targets.
-
-    Nodes whose coarse angle lies within ``SCAN_MARGIN`` half-periods of
-    a target are shot again at ``cfg``'s tolerances; collapsed and
-    failed nodes stay gaps.
-    """
+    """``theta_scan`` at the coarse tolerances, re-shot at ``cfg``'s near a target."""
     coarse = replace(
         cfg,
         rel_tol=max(cfg.rel_tol, SCAN_REL_TOL),
@@ -279,10 +269,9 @@ def find_solutions(
 ) -> list[SolutionRecord]:
     """All validated solutions with 1..max_zeros interior zeros.
 
-    Scans each requested side once, at coarse tolerances with nodes
-    near a target re-shot at ``cfg``'s, then brackets and bisects every
-    target angle; ``sides`` must be a nonempty tuple or list of side
-    names without repeats.
+    Scans each requested side once, then brackets and bisects every
+    target angle; ``sides`` must be a nonempty tuple of side names
+    without repeats.
     Candidates that fail re-validation (wrong zero count, poor Neumann
     residual, loss of positivity) are logged and dropped rather than
     reported.  Records are sorted by zero count, then side, then ``d``.
