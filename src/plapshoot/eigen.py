@@ -15,10 +15,12 @@ of half-periods across the domain.  The k-th eigenvalue (k = 1 is the
 constant eigenfunction, lam = 0) is found by bisecting lam against the
 terminal angle, which is strictly increasing in lam.
 
-The angle runs through :func:`_angle_end`, a Dormand-Prince kernel
-unrolled for its one component that keeps only the end value; it takes
-the steps :func:`~plapshoot.odeint.integrate` would, to the last bit.
-Only :func:`eigenfunction` runs the dense ``integrate``.
+The angle runs through :func:`_angle_end`, the Dormand-Prince stage
+sums unrolled for its one component and keeping only the end value.
+It steps through :func:`~plapshoot.odeint._march`, the step loop of
+:func:`~plapshoot.odeint.integrate`, so it takes the steps
+``integrate`` would, to the last bit.  Only :func:`eigenfunction` runs
+the dense ``integrate``.
 """
 
 from __future__ import annotations
@@ -27,15 +29,13 @@ import math
 from dataclasses import dataclass
 
 from .config import SolverConfig
-from .errors import IntegrationError, SearchError, SpecError
+from .errors import SearchError, SpecError
 from .odeint import (
     _A,
     _C,
     _E,
     IvpSpec,
-    _clip_step,
-    _next_step,
-    _probe_first_step,
+    _march,
     bisect_bracket,
     integrate,
 )
@@ -113,11 +113,12 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
 def _angle_end(ivp: IvpSpec, field) -> float:
     """End value of the one-component ``ivp`` by Dormand-Prince 5(4).
 
-    ``field(r, th)`` is the scalar form of ``ivp.rhs``.  Takes the steps
-    :func:`~plapshoot.odeint.integrate` takes on the same problem, with
-    the same arithmetic in the same order, and raises what it raises,
-    but keeps no dense output and drops the tableau's zero terms, which
-    can change only the sign of a zero.
+    ``field(r, th)`` is the scalar form of ``ivp.rhs``.  Runs
+    :func:`~plapshoot.odeint._march`, the step loop of
+    :func:`~plapshoot.odeint.integrate`, with the stage sums written out
+    in the same order, so it takes the same steps and raises what
+    ``integrate`` raises, but keeps no dense output and drops the
+    tableau's zero terms, which can change only the sign of a zero.
     """
     isfinite = math.isfinite
     (
@@ -133,69 +134,43 @@ def _angle_end(ivp: IvpSpec, field) -> float:
     e1, _, e3, e4, e5, e6, e7 = _E
     rel_tol = ivp.rel_tol
     abs_tol = ivp.abs_tol
-    max_steps = ivp.max_steps
-    r_end = ivp.r_end
 
-    r = ivp.r_start
-    (th,) = ivp.y0
-    k1 = field(r, th)
-    if not isfinite(k1):
-        raise IntegrationError("right hand side not finite at the start", r)
-    h, _ = _probe_first_step(ivp, (k1,))
-    facold = 1e-4
-    step_rejected = False
-    attempts = 0
-
-    while r < r_end:
-        h = _clip_step(h, r, r_end, attempts, max_steps)
-        attempts += 1
-
+    def trial(r, h, y, k):
         # Stages 2..6, then the candidate endpoint and its slope (k7).
-        # A non-finite value anywhere shrinks the step and retries.
+        (th,), (k1,) = y, k
         k2 = field(r + c2 * h, th + h * (a21 * k1))
-        ok = isfinite(k2)
-        if ok:
-            k3 = field(r + c3 * h, th + h * (a31 * k1 + a32 * k2))
-            ok = isfinite(k3)
-        if ok:
-            k4 = field(r + c4 * h, th + h * (a41 * k1 + a42 * k2 + a43 * k3))
-            ok = isfinite(k4)
-        if ok:
-            k5 = field(
-                r + c5 * h,
-                th + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4),
-            )
-            ok = isfinite(k5)
-        if ok:
-            k6 = field(
-                r + c6 * h,
-                th + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5),
-            )
-            ok = isfinite(k6)
-        if ok:
-            th_new = th + h * (a71 * k1 + a73 * k3 + a74 * k4 + a75 * k5 + a76 * k6)
-            ok = isfinite(th_new)
-        if ok:
-            k7 = field(r + h, th_new)
-            ok = isfinite(k7)
-        if ok:
-            q = h * (
-                e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7
-            ) / (abs_tol + rel_tol * max(abs(th), abs(th_new)))
-            err = math.sqrt(q * q)
-        else:
-            err = math.inf
-
-        accepted, h_next, facold, step_rejected = _next_step(
-            err, h, facold, step_rejected
+        if not isfinite(k2):
+            return math.inf, None, None, 1
+        k3 = field(r + c3 * h, th + h * (a31 * k1 + a32 * k2))
+        if not isfinite(k3):
+            return math.inf, None, None, 2
+        k4 = field(r + c4 * h, th + h * (a41 * k1 + a42 * k2 + a43 * k3))
+        if not isfinite(k4):
+            return math.inf, None, None, 3
+        k5 = field(
+            r + c5 * h,
+            th + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4),
         )
-        if accepted:
-            r = r_end if h >= (r_end - r) else r + h
-            th = th_new
-            k1 = k7
-        h = h_next
+        if not isfinite(k5):
+            return math.inf, None, None, 4
+        k6 = field(
+            r + c6 * h,
+            th + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5),
+        )
+        if not isfinite(k6):
+            return math.inf, None, None, 5
+        th_new = th + h * (a71 * k1 + a73 * k3 + a74 * k4 + a75 * k5 + a76 * k6)
+        if not isfinite(th_new):
+            return math.inf, None, None, 5
+        k7 = field(r + h, th_new)
+        if not isfinite(k7):
+            return math.inf, None, None, 6
+        q = h * (
+            e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7
+        ) / (abs_tol + rel_tol * max(abs(th), abs(th_new)))
+        return math.sqrt(q * q), (th_new,), (k7,), 6
 
-    return th
+    return _march(ivp, trial)[0][0]
 
 
 def eigenvalue(k: int, spec: ProblemSpec, cfg: SolverConfig | None = None) -> EigenResult:

@@ -7,18 +7,21 @@ systems in this package are tiny (two to four components), the right
 hand sides are scalar math, and repeated runs must be bit-for-bit
 deterministic across processes.
 
+Every Dormand-Prince path of the package runs one step loop,
+:func:`_march`, and supplies only the stage sums of a trial step:
+:func:`integrate` the generic ones, keeping a dense interpolant per
+accepted step, and two end-state kernels unrolled ones, keeping only the
+end state (``plapshoot.radial._shot_end`` for the scan and bisection
+shots, ``plapshoot.eigen._angle_end`` for the eigenvalue angles).
+
 The dense output is what profiles and events build on: event
 location (:func:`crossings`) and profile sampling both evaluate the
 stored interpolants rather than re-integrating.  Shots that need a
 profile (validated solutions, the ``shoot`` command), eigenfunction
-profiles and the p-trig table run :func:`integrate`.  Two end-state
-kernels run the same steps without dense output; they unroll only the
-stage sums and share this module's tableau, first-step probe and step
-control (:func:`_clip_step`, :func:`_next_step`): the scan and
-bisection shots go through ``plapshoot.radial._shot_end`` and the
-eigenvalue angles through ``plapshoot.eigen._angle_end``.  :func:`bisect_bracket`
-is the one bracketed search of the package; events, eigenvalues, roots
-in ``d`` and the sweeps in R and q all bisect through it.
+profiles and the p-trig table run :func:`integrate`.
+:func:`bisect_bracket` is the one bracketed search of the package;
+events, eigenvalues, roots in ``d`` and the sweeps in R and q all
+bisect through it.
 """
 
 from __future__ import annotations
@@ -74,12 +77,14 @@ _P = (
 )
 _P_COLS = tuple(zip(*_P))
 
-# PI controller constants (classic dopri5 settings).
+# PI controller constants (classic dopri5 settings).  A step is
+# divided by a factor in [_FAC_LO, _FAC_HI]: it grows by at most 10
+# and shrinks by at most 5.
 _SAFETY = 0.9
 _BETA = 0.04
 _EXPO = 0.2 - 0.75 * _BETA
-_FAC_MIN = 0.2
-_FAC_MAX = 10.0
+_FAC_LO = 1.0 / 10.0
+_FAC_HI = 1.0 / 0.2
 
 # Halvings after which bisect_bracket gives up.  A bracket of ordinary
 # width reaches adjacent doubles in about 60.
@@ -128,15 +133,19 @@ class IvpSpec:
 class DenseSolution:
     """Accepted mesh plus a quartic interpolant on every interval.
 
-    ``coeffs[i]`` holds, for each component, the four polynomial
-    weights of the interpolant on ``[rs[i], rs[i+1]]``; see
-    :meth:`eval`.  Instances are built by :func:`integrate` and treated
-    as immutable afterwards.
+    ``cells[i]`` is ``(rs[i], h, *ys[i], *q_0, *q_1, ...)`` with ``h =
+    rs[i+1] - rs[i]`` and ``q_d`` the four polynomial weights of
+    component ``d`` on ``[rs[i], rs[i+1]]``.  Inside the interval, with
+    ``x = (r - rs[i]) / h``, component ``d`` is ``y[d] + h * x * (q[0] +
+    x * (q[1] + x * (q[2] + x * q[3])))``: that is :meth:`eval`, and
+    ``plapshoot.ptrig`` unpacks the cells and writes it out inline.
+    Instances are built by :func:`integrate` and treated as immutable
+    afterwards.
     """
 
     rs: list[float]
     ys: list[tuple[float, ...]]
-    coeffs: list[tuple[tuple[float, float, float, float], ...]]
+    cells: list[tuple[float, ...]]
     n_rhs_evals: int = field(default=0, compare=False)
 
     @property
@@ -167,41 +176,20 @@ class DenseSolution:
         if r == rs[-1]:
             return self.ys[-1]
         slack = 1e-12 * max(1.0, abs(rs[0]), abs(rs[-1]))
-        if r < rs[0] - slack or r > rs[-1] + slack:
+        if not rs[0] - slack <= r <= rs[-1] + slack:
             raise SpecError(
                 f"r={r!r} outside solution range [{rs[0]!r}, {rs[-1]!r}]"
             )
         r = min(max(r, rs[0]), rs[-1])
-        i = bisect_right(rs, r) - 1
-        if i >= len(self.coeffs):
-            i = len(self.coeffs) - 1
-        h = rs[i + 1] - rs[i]
-        x = (r - rs[i]) / h
-        y_lo = self.ys[i]
+        cell = self.cells[min(bisect_right(rs, r), len(self.cells)) - 1]
+        r_lo, h = cell[0], cell[1]
+        x = (r - r_lo) / h
+        dim = len(self.ys[0])
         out = []
-        for d, q in enumerate(self.coeffs[i]):
-            acc = q[3]
-            acc = q[2] + x * acc
-            acc = q[1] + x * acc
-            acc = q[0] + x * acc
-            out.append(y_lo[d] + h * x * acc)
+        for d in range(dim):
+            q0, q1, q2, q3 = cell[2 + dim + 4 * d : 6 + dim + 4 * d]
+            out.append(cell[2 + d] + h * x * (q0 + x * (q1 + x * (q2 + x * q3))))
         return tuple(out)
-
-    def cells(self) -> list[tuple[float, ...]]:
-        """The interpolants flattened per mesh interval, for inline use.
-
-        Cell ``i`` is ``(rs[i], h, *ys[i], *coeffs[i][0], *coeffs[i][1],
-        ...)`` with ``h = rs[i+1] - rs[i]``: the left knot, the width,
-        the left values, then the four weights ``q`` of each component.
-        Inside the interval, with ``x = (r - rs[i]) / h``, component
-        ``d`` is ``y[d] + h * x * (q[0] + x * (q[1] + x * (q[2] + x *
-        q[3])))``, which is :meth:`eval`'s arithmetic in its order.
-        """
-        rs, ys = self.rs, self.ys
-        return [
-            (rs[i], rs[i + 1] - rs[i], *ys[i], *(w for q in qs for w in q))
-            for i, qs in enumerate(self.coeffs)
-        ]
 
 
 def _dot(w, k, d: int) -> float:
@@ -244,8 +232,13 @@ def _call_rhs(rhs, r, y, dim) -> tuple[float, ...]:
     return f
 
 
-def _initial_step(ivp: IvpSpec, f0) -> tuple[float, int]:
-    """Cheap two-evaluation guess for the first step size."""
+def _initial_step(ivp: IvpSpec, f0) -> float:
+    """Cheap two-evaluation guess for the first step size.
+
+    Costs one rhs evaluation at a probe point.  If the guess underflows
+    or the probe is not finite (or raises :class:`IntegrationError`),
+    the first step is 1e-6 of the interval instead.
+    """
     y0 = ivp.y0
     dim = len(y0)
     span = ivp.r_end - ivp.r_start
@@ -254,68 +247,93 @@ def _initial_step(ivp: IvpSpec, f0) -> tuple[float, int]:
     d1 = _rms(f0, scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
-    if not h0 > 0.0:
-        raise IntegrationError("first step guess underflowed", ivp.r_start)
-    y1 = tuple(y0[d] + h0 * f0[d] for d in range(dim))
-    f1 = _call_rhs(ivp.rhs, ivp.r_start + h0, y1, dim)
+    f1 = (math.nan,)  # a failed probe
+    if h0 > 0.0:
+        y1 = tuple(y0[d] + h0 * f0[d] for d in range(dim))
+        try:
+            f1 = _call_rhs(ivp.rhs, ivp.r_start + h0, y1, dim)
+        except IntegrationError:
+            pass
     if not all(math.isfinite(c) for c in f1):
-        raise IntegrationError(
-            "right hand side not finite while probing the first step",
-            ivp.r_start,
-        )
+        # The guess underflowed or the probe point exploded; start
+        # conservatively instead.
+        return 1e-6 * span
     d2 = _rms([f1[d] - f0[d] for d in range(dim)], scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span), 1
+    return min(100 * h0, h1, span)
 
 
-def _clip_step(
-    h: float, r: float, r_end: float, attempts: int, max_steps: int
-) -> float:
-    """Trial step size at ``r`` after ``attempts`` tries, cut to ``r_end``.
+def _march(ivp: IvpSpec, trial, keep=None) -> tuple[tuple[float, ...], int, int]:
+    """The Dormand-Prince step loop over ``ivp``: every path runs this.
 
-    Raises :class:`IntegrationError` when the step budget is spent or
-    the step has underflowed.
+    ``trial(r, h, y, k1)`` makes one trial step of size ``h`` from the
+    state ``y`` at ``r``, whose slope is ``k1``, and returns ``(err,
+    y_new, k7, evals)``: the scaled error norm (``inf`` when a stage or
+    the endpoint was not finite), the endpoint, its slope, and the rhs
+    evaluations made.  Each accepted step calls ``keep(r_new, y_new)``
+    when given, while ``trial``'s stages are still those of the step.
+    Returns ``(y_end, n_steps, n_rhs_evals)``.
+
+    Raises :class:`IntegrationError` when the rhs is not finite at the
+    start, the step budget is spent or the step size underflows.
     """
-    if attempts >= max_steps:
-        raise IntegrationError(f"exceeded max_steps={max_steps}", r)
-    h = min(h, r_end - r)
-    if h <= max(abs(r) * 1e-15, 1e-300):
-        raise IntegrationError("step size underflow", r)
-    return h
+    r = ivp.r_start
+    r_end = ivp.r_end
+    y = ivp.y0
+    k1 = _call_rhs(ivp.rhs, r, y, len(y))
+    if not all(math.isfinite(c) for c in k1):
+        raise IntegrationError("right hand side not finite at the start", r)
+    if ivp.first_step is not None:
+        h = min(ivp.first_step, r_end - r)
+        n_evals = 1
+    else:
+        h = _initial_step(ivp, k1)
+        n_evals = 2
+    max_steps = ivp.max_steps
+    facold = 1e-4
+    step_rejected = False
+    attempts = n_steps = 0
 
+    # Comparisons stand in for min and max on this path: same values,
+    # without a builtin call per step.
+    while r < r_end:
+        if attempts >= max_steps:
+            raise IntegrationError(f"exceeded max_steps={max_steps}", r)
+        attempts += 1
+        if r_end - r < h:
+            h = r_end - r
+        if h <= 1e-300 or h <= abs(r) * 1e-15:
+            raise IntegrationError("step size underflow", r)
+        err, y_new, k7, evals = trial(r, h, y, k1)
+        n_evals += evals
 
-def _next_step(
-    err: float, h: float, facold: float, step_rejected: bool
-) -> tuple[bool, float, float, bool]:
-    """PI controller after a trial step of size ``h``.
+        # PI controller.  A non-finite error shrinks the step by 4, a
+        # rejected one by the error's fifth root, and the step after a
+        # rejection does not grow.
+        if err <= 1.0:
+            fac = (err**_EXPO / facold**_BETA if err > 0 else _FAC_LO) / _SAFETY
+            fac = _FAC_LO if fac < _FAC_LO else _FAC_HI if fac > _FAC_HI else fac
+            r = r_end if h >= (r_end - r) else r + h
+            y = y_new
+            k1 = k7
+            n_steps += 1
+            if keep is not None:
+                keep(r, y)
+            h_next = h / fac
+            h = min(h_next, h) if step_rejected else h_next
+            facold = err if err > 1e-4 else 1e-4
+            step_rejected = False
+        elif err < math.inf:
+            h = h / min(_FAC_HI, err**_EXPO / _SAFETY)
+            step_rejected = True
+        else:
+            h = h * 0.25
+            step_rejected = True
 
-    ``err`` is the step's scaled error norm, ``inf`` when a stage was
-    not finite.  Returns ``(accepted, h_next, facold, step_rejected)``:
-    a non-finite ``err`` shrinks the step by 4, a rejected one by the
-    error's fifth root, and the step after a rejection does not grow.
-    """
-    if not math.isfinite(err):
-        return False, h * 0.25, facold, True
-    fac11 = err**_EXPO if err > 0 else 0.0
-    if err <= 1.0:
-        fac = fac11 / facold**_BETA if err > 0 else 1.0 / _FAC_MAX
-        fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
-        h_next = h / fac
-        if step_rejected:
-            h_next = min(h_next, h)
-        return True, h_next, max(err, 1e-4), False
-    return False, h / min(1.0 / _FAC_MIN, fac11 / _SAFETY), facold, True
-
-
-def _probe_first_step(ivp: IvpSpec, f0) -> tuple[float, int]:
-    try:
-        return _initial_step(ivp, f0)
-    except IntegrationError:
-        # The probe point exploded; start conservatively instead.
-        return 1e-6 * (ivp.r_end - ivp.r_start), 1
+    return y, n_steps, n_evals
 
 
 def integrate(ivp: IvpSpec) -> DenseSolution:
@@ -327,79 +345,50 @@ def integrate(ivp: IvpSpec) -> DenseSolution:
     """
     rhs = ivp.rhs
     dim = len(ivp.y0)
-    r_end = ivp.r_end
+    rel_tol = ivp.rel_tol
+    abs_tol = ivp.abs_tol
+    k = [()] * 7
 
-    r = ivp.r_start
-    y = ivp.y0
-    f = _call_rhs(rhs, r, y, dim)
-    if not all(math.isfinite(c) for c in f):
-        raise IntegrationError("right hand side not finite at the start", r)
-    n_evals = 1
-
-    if ivp.first_step is not None:
-        h = min(ivp.first_step, r_end - r)
-    else:
-        h, extra = _probe_first_step(ivp, f)
-        n_evals += extra
-
-    rs = [r]
-    ys = [y]
-    coeffs: list[tuple[tuple[float, float, float, float], ...]] = []
-    k = [f] + [(0.0,) * dim] * 6
-    facold = 1e-4
-    step_rejected = False
-    attempts = 0
-
-    while r < r_end:
-        h = _clip_step(h, r, r_end, attempts, ivp.max_steps)
-        attempts += 1
-
+    def trial(r, h, y, k1):
         # Stages 2..6, then the candidate endpoint and its slope (k7).
         # A non-finite value anywhere means the trial step left the
-        # region where the right hand side makes sense; shrink and
-        # retry rather than give up.
-        ok = True
+        # region where the right hand side makes sense; the step loop
+        # shrinks it and retries rather than give up.
+        k[0] = k1
         for s in range(1, 6):
             a = _A[s]
             ys_stage = tuple(y[d] + h * _dot(a, k, d) for d in range(dim))
             ks = _call_rhs(rhs, r + _C[s] * h, ys_stage, dim)
-            n_evals += 1
             if not all(math.isfinite(c) for c in ks):
-                ok = False
-                break
+                return math.inf, None, None, s
             k[s] = ks
-        if ok:
-            a = _A[6]
-            y_new = tuple(y[d] + h * _dot(a, k, d) for d in range(dim))
-            ok = all(math.isfinite(c) for c in y_new)
-        if ok:
-            k7 = _call_rhs(rhs, r + h, y_new, dim)
-            n_evals += 1
-            ok = all(math.isfinite(c) for c in k7)
-        if ok:
-            k[6] = k7
-            err_vec = tuple(h * _dot(_E, k, d) for d in range(dim))
-            err = _error_norm(err_vec, y, y_new, ivp.rel_tol, ivp.abs_tol)
-        else:
-            err = math.inf
+        a = _A[6]
+        y_new = tuple(y[d] + h * _dot(a, k, d) for d in range(dim))
+        if not all(math.isfinite(c) for c in y_new):
+            return math.inf, None, None, 5
+        k7 = _call_rhs(rhs, r + h, y_new, dim)
+        if not all(math.isfinite(c) for c in k7):
+            return math.inf, None, None, 6
+        k[6] = k7
+        err_vec = tuple(h * _dot(_E, k, d) for d in range(dim))
+        return _error_norm(err_vec, y, y_new, rel_tol, abs_tol), y_new, k7, 6
 
-        accepted, h_next, facold, step_rejected = _next_step(
-            err, h, facold, step_rejected
+    rs = [ivp.r_start]
+    ys = [ivp.y0]
+    cells: list[tuple[float, ...]] = []
+
+    def keep(r, y):
+        # Freeze the interpolant for this interval.
+        r_lo = rs[-1]
+        cells.append(
+            (r_lo, r - r_lo, *ys[-1],
+             *(_dot(col, k, d) for d in range(dim) for col in _P_COLS))
         )
-        if accepted:
-            # Freeze the interpolant for this interval.
-            q_step = tuple(
-                tuple(_dot(col, k, d) for col in _P_COLS) for d in range(dim)
-            )
-            coeffs.append(q_step)
-            r = r_end if h >= (r_end - r) else r + h
-            rs.append(r)
-            ys.append(y_new)
-            y = y_new
-            k[0] = k7
-        h = h_next
+        rs.append(r)
+        ys.append(y)
 
-    return DenseSolution(rs=rs, ys=ys, coeffs=coeffs, n_rhs_evals=n_evals)
+    n_evals = _march(ivp, trial, keep)[2]
+    return DenseSolution(rs=rs, ys=ys, cells=cells, n_rhs_evals=n_evals)
 
 
 def bisect_bracket(

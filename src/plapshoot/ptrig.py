@@ -119,7 +119,7 @@ class PTrigContext:
                 f" C={c_end:.3e}, S-S_max={s_end - self.sin_p_max:.3e}"
             )
         # The table per interval, which _quarter_pair evaluates inline.
-        self._cells = self._quarter.cells()
+        self._cells = self._quarter.cells
 
     def _series_pair(self, t: float) -> tuple[float, float]:
         # Two-term expansions around the C = 1, S = 0 corner.

@@ -27,11 +27,12 @@ generic dense :func:`~plapshoot.odeint.integrate` and returns a sampled
 :class:`Trajectory` with a :class:`ShotSummary` (zero radii included);
 validated solutions, the ``plapshoot shoot`` command and anything that
 plots a profile take this kind.  ``shoot(d, spec, cfg, profile=False)``
-runs :func:`_shot_end`, a Dormand-Prince kernel unrolled for this
-three-component system that keeps only the end state, and returns a
+runs :func:`_shot_end`, the Dormand-Prince stage sums unrolled for this
+three-component system and keeping only the end state, and returns a
 :class:`ShotEnd`; the scan and the bisection in :mod:`plapshoot.solver`
-take this kind.  Both kinds step through the same states, so they give
-the same terminal angle to the last bit.
+take this kind.  Both kinds step through
+:func:`~plapshoot.odeint._march`, the one step loop of the package, and
+the same states, so they give the same terminal angle to the last bit.
 """
 
 from __future__ import annotations
@@ -48,9 +49,7 @@ from .odeint import (
     _C,
     _E,
     IvpSpec,
-    _clip_step,
-    _next_step,
-    _probe_first_step,
+    _march,
     crossings,
     integrate,
 )
@@ -391,11 +390,13 @@ def _shot_start(d: float, spec: ProblemSpec, cfg: SolverConfig):
 def _shot_end(d: float, spec: ProblemSpec, cfg: SolverConfig) -> ShotEnd:
     """End state of one shot by Dormand-Prince 5(4), unrolled for this system.
 
-    Takes the steps :func:`~plapshoot.odeint.integrate` takes on the
-    same problem, with the same arithmetic in the same order, and raises
-    what it raises.  It keeps no dense output, skips the stage values of
-    the angle, which the field does not read, and drops the tableau's
-    zero terms, which can change only the sign of a zero.
+    Runs :func:`~plapshoot.odeint._march`, the step loop of
+    :func:`~plapshoot.odeint.integrate`, with the stage sums of this
+    system written out in the same order, so it takes the same steps and
+    raises what ``integrate`` raises.  It keeps no dense output, skips
+    the stage values of the angle, which the field does not read, and
+    drops the tableau's zero terms, which can change only the sign of a
+    zero.
     """
     ivp, field = _shot_start(d, spec, cfg)
     isfinite = math.isfinite
@@ -412,101 +413,70 @@ def _shot_end(d: float, spec: ProblemSpec, cfg: SolverConfig) -> ShotEnd:
     e1, _, e3, e4, e5, e6, e7 = _E
     rel_tol = ivp.rel_tol
     abs_tol = ivp.abs_tol
-    max_steps = ivp.max_steps
-    r_end = ivp.r_end
 
-    r = ivp.r_start
-    u, v, th = ivp.y0
-    k1u, k1v, k1t = field(r, u, v)
-    if not (isfinite(k1u) and isfinite(k1v) and isfinite(k1t)):
-        raise IntegrationError("right hand side not finite at the start", r)
-    h, extra = _probe_first_step(ivp, (k1u, k1v, k1t))
-    n_evals = 1 + extra
-    n_steps = 0
-    facold = 1e-4
-    step_rejected = False
-    attempts = 0
-
-    while r < r_end:
-        h = _clip_step(h, r, r_end, attempts, max_steps)
-        attempts += 1
-
+    def trial(r, h, y, k1):
         # Stages 2..6, then the candidate endpoint and its slope (k7).
-        # A non-finite value anywhere shrinks the step and retries.
+        u, v, th = y
+        k1u, k1v, k1t = k1
         k2u, k2v, k2t = field(
             r + c2 * h, u + h * (a21 * k1u), v + h * (a21 * k1v)
         )
-        n_evals += 1
-        ok = isfinite(k2u) and isfinite(k2v) and isfinite(k2t)
-        if ok:
-            k3u, k3v, k3t = field(
-                r + c3 * h,
-                u + h * (a31 * k1u + a32 * k2u),
-                v + h * (a31 * k1v + a32 * k2v),
-            )
-            n_evals += 1
-            ok = isfinite(k3u) and isfinite(k3v) and isfinite(k3t)
-        if ok:
-            k4u, k4v, k4t = field(
-                r + c4 * h,
-                u + h * (a41 * k1u + a42 * k2u + a43 * k3u),
-                v + h * (a41 * k1v + a42 * k2v + a43 * k3v),
-            )
-            n_evals += 1
-            ok = isfinite(k4u) and isfinite(k4v) and isfinite(k4t)
-        if ok:
-            k5u, k5v, k5t = field(
-                r + c5 * h,
-                u + h * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u),
-                v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v),
-            )
-            n_evals += 1
-            ok = isfinite(k5u) and isfinite(k5v) and isfinite(k5t)
-        if ok:
-            s6u = a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u
-            s6v = a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v
-            k6u, k6v, k6t = field(r + c6 * h, u + h * s6u, v + h * s6v)
-            n_evals += 1
-            ok = isfinite(k6u) and isfinite(k6v) and isfinite(k6t)
-        if ok:
-            u_new = u + h * (
-                a71 * k1u + a73 * k3u + a74 * k4u + a75 * k5u + a76 * k6u
-            )
-            v_new = v + h * (
-                a71 * k1v + a73 * k3v + a74 * k4v + a75 * k5v + a76 * k6v
-            )
-            th_new = th + h * (
-                a71 * k1t + a73 * k3t + a74 * k4t + a75 * k5t + a76 * k6t
-            )
-            ok = isfinite(u_new) and isfinite(v_new) and isfinite(th_new)
-        if ok:
-            k7u, k7v, k7t = field(r + h, u_new, v_new)
-            n_evals += 1
-            ok = isfinite(k7u) and isfinite(k7v) and isfinite(k7t)
-        if ok:
-            qu = h * (
-                e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u
-            ) / (abs_tol + rel_tol * max(abs(u), abs(u_new)))
-            qv = h * (
-                e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v
-            ) / (abs_tol + rel_tol * max(abs(v), abs(v_new)))
-            qt = h * (
-                e1 * k1t + e3 * k3t + e4 * k4t + e5 * k5t + e6 * k6t + e7 * k7t
-            ) / (abs_tol + rel_tol * max(abs(th), abs(th_new)))
-            err = math.sqrt((qu * qu + qv * qv + qt * qt) / 3)
-        else:
-            err = math.inf
-
-        accepted, h_next, facold, step_rejected = _next_step(
-            err, h, facold, step_rejected
+        if not (isfinite(k2u) and isfinite(k2v) and isfinite(k2t)):
+            return math.inf, None, None, 1
+        k3u, k3v, k3t = field(
+            r + c3 * h,
+            u + h * (a31 * k1u + a32 * k2u),
+            v + h * (a31 * k1v + a32 * k2v),
         )
-        if accepted:
-            n_steps += 1
-            r = r_end if h >= (r_end - r) else r + h
-            u, v, th = u_new, v_new, th_new
-            k1u, k1v, k1t = k7u, k7v, k7t
-        h = h_next
+        if not (isfinite(k3u) and isfinite(k3v) and isfinite(k3t)):
+            return math.inf, None, None, 2
+        k4u, k4v, k4t = field(
+            r + c4 * h,
+            u + h * (a41 * k1u + a42 * k2u + a43 * k3u),
+            v + h * (a41 * k1v + a42 * k2v + a43 * k3v),
+        )
+        if not (isfinite(k4u) and isfinite(k4v) and isfinite(k4t)):
+            return math.inf, None, None, 3
+        k5u, k5v, k5t = field(
+            r + c5 * h,
+            u + h * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u),
+            v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v),
+        )
+        if not (isfinite(k5u) and isfinite(k5v) and isfinite(k5t)):
+            return math.inf, None, None, 4
+        s6u = a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u
+        s6v = a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v
+        k6u, k6v, k6t = field(r + c6 * h, u + h * s6u, v + h * s6v)
+        if not (isfinite(k6u) and isfinite(k6v) and isfinite(k6t)):
+            return math.inf, None, None, 5
+        u_new = u + h * (
+            a71 * k1u + a73 * k3u + a74 * k4u + a75 * k5u + a76 * k6u
+        )
+        v_new = v + h * (
+            a71 * k1v + a73 * k3v + a74 * k4v + a75 * k5v + a76 * k6v
+        )
+        th_new = th + h * (
+            a71 * k1t + a73 * k3t + a74 * k4t + a75 * k5t + a76 * k6t
+        )
+        if not (isfinite(u_new) and isfinite(v_new) and isfinite(th_new)):
+            return math.inf, None, None, 5
+        k7 = field(r + h, u_new, v_new)
+        k7u, k7v, k7t = k7
+        if not (isfinite(k7u) and isfinite(k7v) and isfinite(k7t)):
+            return math.inf, None, None, 6
+        qu = h * (
+            e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u
+        ) / (abs_tol + rel_tol * max(abs(u), abs(u_new)))
+        qv = h * (
+            e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v
+        ) / (abs_tol + rel_tol * max(abs(v), abs(v_new)))
+        qt = h * (
+            e1 * k1t + e3 * k3t + e4 * k4t + e5 * k5t + e6 * k6t + e7 * k7t
+        ) / (abs_tol + rel_tol * max(abs(th), abs(th_new)))
+        err = math.sqrt((qu * qu + qv * qv + qt * qt) / 3)
+        return err, (u_new, v_new, th_new), k7, 6
 
+    (u, v, th), n_steps, n_evals = _march(ivp, trial)
     return ShotEnd(d, th, u, v, n_steps, n_evals)
 
 

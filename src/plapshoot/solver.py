@@ -335,6 +335,8 @@ def rstar(
     cfg = cfg or SolverConfig()
     if not (isinstance(k, int) and k >= 1):
         raise SpecError(f"zero count must be an integer >= 1, got {k!r}")
+    if not (math.isfinite(r_cap) and r_cap > 0.0):
+        raise SpecError(f"r_cap must be finite and > 0, got {r_cap!r}")
     if spec.c1 != 0.0:
         raise SpecError(
             "threshold radius requires a vanishing phase limit (p < 2);"

@@ -236,6 +236,13 @@ def test_branch_rejects_short_sweep(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("r_cap", ["nan", "-5"])
+def test_rstar_bad_r_cap_exits_two(capsys, r_cap):
+    argv = ["rstar", "--p", "1.8", "--g", "pow:3", "--k", "1", "--r-cap", r_cap]
+    assert run(argv) == 2
+    assert "r_cap must be finite and > 0" in capsys.readouterr().err
+
+
 def test_solve_upper_side_at_large_q(capsys):
     # The start-up state overflows at the top of the upper grid; those
     # shots are scan gaps and the solve still succeeds.

@@ -77,7 +77,7 @@ def test_cells_evaluate_like_eval():
     # The documented cell formula gives eval's values to the bit at
     # knots and at points inside every interval.
     sol = integrate(rotation_ivp())
-    cells = sol.cells()
+    cells = sol.cells
     assert len(cells) == sol.n_steps
     for i, (r0, h, *rest) in enumerate(cells):
         y, q = rest[:2], [rest[2 + 4 * d : 6 + 4 * d] for d in range(2)]
@@ -97,6 +97,9 @@ def test_dense_output_out_of_range():
         sol.eval(-0.5)
     with pytest.raises(SpecError):
         sol.eval(1.5)
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SpecError):
+            sol.eval(r)
 
 
 def test_bit_determinism():
@@ -104,7 +107,7 @@ def test_bit_determinism():
     b = integrate(rotation_ivp())
     assert a.rs == b.rs
     assert a.ys == b.ys
-    assert a.coeffs == b.coeffs
+    assert a.cells == b.cells
 
 
 def test_tolerance_scaling():

@@ -293,6 +293,13 @@ def test_rstar_runs_one_scan_and_routes_every_shot(monkeypatch):
     assert counts["shoot"] == counts["kernel"] > 40
 
 
+@pytest.mark.parametrize("r_cap", [math.nan, -5.0, 0.0, math.inf])
+def test_rstar_rejects_a_bad_r_cap_before_any_shot(r_cap, monkeypatch):
+    monkeypatch.setattr(solver, "shoot", None)
+    with pytest.raises(SpecError, match="r_cap must be finite and > 0"):
+        rstar(1, ball(p=1.8, q=3.0), SolverConfig(d_grid_size=40), r_cap=r_cap)
+
+
 def test_upper_scan_survives_startup_overflow():
     # At q = 200, d**199 overflows for the top upper-grid nodes; those
     # shots are gaps, not a crash.
