@@ -27,7 +27,8 @@ class SolverConfig:
     least 16).  ``rel_tol`` and ``abs_tol`` are the integrator's error
     tolerances.  ``residual_tol`` bounds the relative terminal flux of a
     validated solution.  ``eps0`` overrides the startup radius on balls;
-    when ``None`` it is ``1e-8`` times the outer radius.
+    when ``None`` it is ``1e-8`` times the outer radius.  Each value
+    given must be a positive finite number.
     """
 
     d_grid_size: int = 2000
@@ -41,12 +42,13 @@ class SolverConfig:
             raise SpecError(
                 f"d_grid_size must be an integer >= 16, got {self.d_grid_size!r}"
             )
-        for name in ("residual_tol", "rel_tol", "abs_tol"):
+        given = ("residual_tol", "rel_tol", "abs_tol")
+        if self.eps0 is not None:
+            given += ("eps0",)
+        for name in given:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and 0.0 < v and math.isfinite(v)):
                 raise SpecError(f"{name} must be a positive finite number")
-        if self.eps0 is not None and not self.eps0 > 0.0:
-            raise SpecError("eps0 must be positive when given")
 
     def eps0_for(self, r_outer: float) -> float:
         """Startup radius for a ball of the given outer radius."""

@@ -89,15 +89,16 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
 
     pair = ctx.pair
     pm1 = p - 1.0
-    r_expo = -(n - 1) / p
+    nm1 = n - 1
+    r_expo = -nm1 / p
 
     def field(r, th):
+        # For N = 1 the weight r^(N-1) is 1.0, and dropping a product
+        # with 1.0 keeps the bits.
         c, s = pair(th)
-        if n > 1:
-            stretch = (abs(s) * r**r_expo) ** pp
-        else:
-            stretch = abs(s) ** pp
-        return pm1 * stretch + lam * abs(c) ** p * r ** (n - 1)
+        if nm1:
+            return pm1 * (abs(s) * r**r_expo) ** pp + lam * abs(c) ** p * r**nm1
+        return pm1 * abs(s) ** pp + lam * abs(c) ** p
 
     ivp = IvpSpec(
         rhs=lambda r, y: (field(r, y[0]),),

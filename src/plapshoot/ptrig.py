@@ -83,6 +83,9 @@ class PTrigContext:
     construction integrates the defining system at tight tolerance and
     is comparatively expensive.  The table is checked only at its end,
     where ``cos_p`` must vanish and ``sin_p`` reach its maximum.
+    :meth:`pair` folds an angle into the quarter period and evaluates
+    the table's quartic on that interval inline, as
+    ``DenseSolution.eval`` would, in one call per look-up.
     """
 
     def __init__(self, p: float):
@@ -118,7 +121,9 @@ class PTrigContext:
                 f"quarter-period table for p={p} failed its endpoint check:"
                 f" C={c_end:.3e}, S-S_max={s_end - self.sin_p_max:.3e}"
             )
-        # The table per interval, which _quarter_pair evaluates inline.
+        # The mesh and the table per interval, which pair evaluates
+        # inline.
+        self._rs = self._quarter.rs
         self._cells = self._quarter.cells
 
     def _series_pair(self, t: float) -> tuple[float, float]:
@@ -132,43 +137,42 @@ class PTrigContext:
         s = t - (p - 1.0) * tq * t / (pp * (pp + 1.0))
         return (c, s)
 
-    def _quarter_pair(self, t: float) -> tuple[float, float]:
-        # t is an angle folded into [0, pi_p/2]; fold arithmetic can
-        # land a few ulp outside, which is clamped.  Past the series
-        # this is DenseSolution.eval of the table through its cells,
-        # without the range checks: t lies inside the mesh.
-        if t <= self._delta:
-            return self._series_pair(max(t, 0.0))
-        if t >= self.half_pi_p:
-            return self._quarter.y_end
-        r0, h, c0, s0, c1, c2, c3, c4, s1, s2, s3, s4 = self._cells[
-            bisect_right(self._quarter.rs, t) - 1
-        ]
-        x = (t - r0) / h
-        return (
-            c0 + h * x * (c1 + x * (c2 + x * (c3 + x * c4))),
-            s0 + h * x * (s1 + x * (s2 + x * (s3 + x * s4))),
-        )
-
     def pair(self, theta: float) -> tuple[float, float]:
         """``(cos_p(theta), sin_p(theta))`` for any finite angle."""
         if not math.isfinite(theta):
             raise SpecError(f"angle must be finite, got {theta!r}")
-        two = 2.0 * self.pi_p
+        pi_p = self.pi_p
+        two = 2.0 * pi_p
         t = math.fmod(theta, two)
         if t < 0.0:
             t += two
-        if t >= self.pi_p:
+        if t >= pi_p:
             sign = -1.0
-            t -= self.pi_p
+            t -= pi_p
         else:
             sign = 1.0
-        if t > self.half_pi_p:
-            c, s = self._quarter_pair(self.pi_p - t)
-            c = -c
+        half = self.half_pi_p
+        if t > half:
+            t = pi_p - t
+            sign_c = -sign
         else:
-            c, s = self._quarter_pair(t)
-        return (sign * c, sign * s)
+            sign_c = sign
+        # t is now folded into [0, pi_p/2]; fold arithmetic can land a
+        # few ulp outside, which is clamped.  Past the series this is
+        # DenseSolution.eval of the table through its cells, without
+        # the range checks: t lies inside the mesh.
+        if t <= self._delta:
+            c, s = self._series_pair(max(t, 0.0))
+        elif t >= half:
+            c, s = self._quarter.y_end
+        else:
+            r0, h, c0, s0, c1, c2, c3, c4, s1, s2, s3, s4 = self._cells[
+                bisect_right(self._rs, t) - 1
+            ]
+            x = (t - r0) / h
+            c = c0 + h * x * (c1 + x * (c2 + x * (c3 + x * c4)))
+            s = s0 + h * x * (s1 + x * (s2 + x * (s3 + x * s4)))
+        return (sign_c * c, sign * s)
 
 
 @lru_cache(maxsize=64)

@@ -33,6 +33,14 @@ three-component system and keeping only the end state, and returns a
 take this kind.  Both kinds step through
 :func:`~plapshoot.odeint._march`, the one step loop of the package, and
 the same states, so they give the same terminal angle to the last bit.
+
+Both kinds evaluate one field, built once per shot by
+:func:`_make_field`.  It calls the reaction closure of
+:meth:`Nonlinearity.f_for`, the one definition of ``f`` in the package,
+writes its powers inline, and for N = 1 skips the flux weight
+``r^(N-1) = 1``; every value it returns is the one the formulas above
+give, to the last bit.  A start-up state already under the collapse
+floor is caught by the field's first evaluation, like any later one.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .config import SolverConfig
 from .errors import IntegrationError, NearConstantShotError, SpecError
@@ -109,6 +117,9 @@ class Nonlinearity:
     Then ``f(s) = g(s) - s^(p-1) = s^(q-1) - s^(r-1)`` vanishes exactly
     at the constant state ``s = 1`` and has the sign of ``s - 1``
     elsewhere, which is what keeps the phase angle monotone.
+    :meth:`f_for` is the one definition of ``f``: it returns ``f`` for
+    one exponent p as a closure, which a shot's field binds once;
+    :meth:`f` evaluates it at one point.
     """
 
     q: float
@@ -136,19 +147,30 @@ class Nonlinearity:
                 f" p={p!r}, r={r!r}, q={self.q!r}"
             )
 
-    def f(self, s: float, p: float) -> float:
-        """``g(s) - s^(p-1)``, extended by zero to ``s < 0``.
+    def f_for(self, p: float) -> Callable[[float], float]:
+        """``f(s) = g(s) - s^(p-1) = s^(q-1) - s^(r-1)`` as a function of s.
 
-        Overflow saturates to +inf (the top exponent dominates), which
-        the integrator treats as a step into forbidden territory.
+        The exponents ``q - 1`` and ``r - 1`` are bound in the closure.
+        ``f`` is extended by zero to ``s <= 0``.  Overflow saturates to
+        +inf (the top exponent dominates), which the integrator treats
+        as a step into forbidden territory.
         """
-        if s <= 0.0:
-            return 0.0
-        r = p if self.r_exp is None else self.r_exp  # r_exp_for, in the hot loop
-        try:
-            return s ** (self.q - 1.0) - s ** (r - 1.0)
-        except OverflowError:
-            return math.inf
+        qm1 = self.q - 1.0
+        rm1 = self.r_exp_for(p) - 1.0
+
+        def f(s: float) -> float:
+            if s <= 0.0:
+                return 0.0
+            try:
+                return s**qm1 - s**rm1
+            except OverflowError:
+                return math.inf
+
+        return f
+
+    def f(self, s: float, p: float) -> float:
+        """``f(s)`` for the exponent p: see :meth:`f_for`."""
+        return self.f_for(p)(s)
 
     def fprime_at_one(self, p: float) -> float:
         return self.q - self.r_exp_for(p)
@@ -329,25 +351,46 @@ def _make_field(spec: ProblemSpec, d: float):
     """Right hand side of a shot as ``field(r, u, v) -> (u', v', theta')``.
 
     The angle does not feed back into the system, so it is not an
-    argument.
+    argument.  For N = 1 the flux weight ``r^(N-1)`` is 1.0, so the field
+    skips the products with it and reuses ``|v|^p'`` of ``rho^2`` in the
+    angle's rate; both are exact.  ``|u - 1|^p`` and ``|v|^p'`` saturate
+    to inf like :func:`_pow_abs`.  An overflow in a power of
+    ``|v| / r^(N-1)`` returns a non-finite triple at once: the formula
+    would give a non-finite component too, and every caller tests only
+    whether all three are finite.
     """
     p = spec.p
     pp = spec.exponent.pprime
-    n = spec.dim
-    g = spec.g
+    pm1 = p - 1.0
+    ppm1 = pp - 1.0
+    nm1 = spec.dim - 1
+    f = spec.g.f_for(p)
+    copysign = math.copysign
+    inf = math.inf
 
     def field(r, u, v):
-        rn = r ** (n - 1) if n > 1 else 1.0
-        w = v / rn
-        fu = g.f(u, p)
+        if nm1:
+            rn = r**nm1
+            w = v / rn
+        else:
+            w = v
+        fu = f(u)
         um1 = u - 1.0
-        rho2 = _pow_abs(um1, p) + (p - 1.0) * _pow_abs(v, pp)
+        try:
+            vpp = abs(v) ** pp
+            rho2 = abs(um1) ** p + pm1 * vpp
+        except OverflowError:
+            vpp = _pow_abs(v, pp)
+            rho2 = _pow_abs(um1, p) + pm1 * vpp
         if rho2 < RHO_FLOOR:
             raise NearConstantShotError(d, r, rho2)
-        du = math.copysign(_pow_abs(w, pp - 1.0), w) if w != 0.0 else 0.0
-        dv = -rn * fu
-        dth = rn * ((p - 1.0) * _pow_abs(w, pp) + um1 * fu) / rho2
-        return (du, dv, dth)
+        try:
+            du = copysign(abs(w) ** ppm1, w) if w != 0.0 else 0.0
+            if nm1:
+                return (du, -rn * fu, rn * (pm1 * abs(w) ** pp + um1 * fu) / rho2)
+        except OverflowError:
+            return (inf, inf, inf)
+        return (du, -fu, (pm1 * vpp + um1 * fu) / rho2)
 
     return field
 
@@ -359,9 +402,11 @@ def _rho_sq(u: float, v: float, p: float, pp: float) -> float:
 def _shot_start(d: float, spec: ProblemSpec, cfg: SolverConfig):
     """Initial value problem of one shot, and its field.
 
-    Raises :class:`NearConstantShotError` if the start-up state already
-    lies under the collapse floor, and :class:`IntegrationError` if it
-    is not finite (``f(d)`` overflows at large ``d`` and ``q``).
+    Raises :class:`IntegrationError` if the start-up state is not finite
+    (``f(d)`` overflows at large ``d`` and ``q``).  A start-up state
+    already under the collapse floor raises
+    :class:`NearConstantShotError` at the field's first evaluation, in
+    the step loop of either kind of shot.
     """
     if spec.is_ball:
         eps0 = cfg.eps0_for(spec.r_outer)
@@ -372,9 +417,6 @@ def _shot_start(d: float, spec: ProblemSpec, cfg: SolverConfig):
     y0 = startup_state(d, spec, eps0)
     if not all(math.isfinite(c) for c in y0):
         raise IntegrationError("start-up state not finite", r0)
-    rho2 = _rho_sq(y0[0], y0[1], spec.p, spec.exponent.pprime)
-    if rho2 < RHO_FLOOR:
-        raise NearConstantShotError(d, r0, rho2)
     field = _make_field(spec, d)
     ivp = IvpSpec(
         rhs=lambda r, y: field(r, y[0], y[1]),

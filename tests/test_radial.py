@@ -6,6 +6,8 @@ from bisect import insort
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plapshoot import odeint, radial
 from plapshoot.config import SolverConfig
@@ -331,9 +333,17 @@ def test_annulus_shot():
 
 def test_rho_floor_triggers_near_constant_error():
     spec = ball_spec(p=3.0, q=5.0)
-    # |d-1|^3 = 1e-15 sits below the default floor of 1e-12.
-    with pytest.raises(NearConstantShotError):
-        shoot(1.0 - 1e-5, spec)
+    # |d-1|^3 = 1e-15 sits below the default floor of 1e-12.  Both kinds
+    # of shot raise it at the start-up radius, with the start-up rho^2.
+    d = 1.0 - 1e-5
+    eps0 = SolverConfig().eps0_for(spec.r_outer)
+    u0, v0, _ = startup_state(d, spec, eps0)
+    rho2 = _rho_sq(u0, v0, spec.p, spec.exponent.pprime)
+    for profile in (True, False):
+        with pytest.raises(NearConstantShotError) as exc:
+            shoot(d, spec, profile=profile)
+        err = exc.value
+        assert (err.d, err.r, err.rho_sq.hex()) == (d, eps0, rho2.hex())
     # One decade further out the shot is fine.
     traj, summ = shoot(1.0 - 1e-3, spec)
     assert math.isfinite(summ.theta_end)
@@ -350,6 +360,14 @@ def test_config_validation():
     cfg = SolverConfig(eps0=1e-6)
     assert cfg.eps0_for(2.0) == 1e-6
     assert SolverConfig().eps0_for(2.0) == pytest.approx(2e-8)
+
+
+@pytest.mark.parametrize("eps0", [math.inf, math.nan, 0.0, -1.0])
+def test_config_rejects_a_bad_eps0(eps0):
+    # An infinite eps0 used to pass until the first shot; nan was
+    # refused as "must be positive".
+    with pytest.raises(SpecError, match="eps0 must be a positive finite number"):
+        SolverConfig(eps0=eps0)
 
 
 def test_config_grid_size_must_be_integer():
@@ -522,3 +540,109 @@ def test_profile_nodes_are_the_mesh_and_the_uniform_grid():
             insort(rs, sol.r_start + span * i / (radial.PROFILE_NODES - 1))
         old = [r for k, r in enumerate(rs) if k == 0 or r != rs[k - 1]]
         assert list(traj.r) == old
+
+
+# The shot field as it was before N = 1 skipped the flux weight and
+# powers were written inline, copied verbatim: the reference for
+# test_field_matches_the_reference_field.
+
+
+def _ref_pow_abs(x: float, e: float) -> float:
+    """``|x|**e`` saturating to inf instead of raising on overflow."""
+    try:
+        return abs(x) ** e
+    except OverflowError:
+        return math.inf
+
+
+def _ref_f(self, s: float, p: float) -> float:
+    """``g(s) - s^(p-1)``, extended by zero to ``s < 0``.
+
+    Overflow saturates to +inf (the top exponent dominates), which
+    the integrator treats as a step into forbidden territory.
+    """
+    if s <= 0.0:
+        return 0.0
+    r = p if self.r_exp is None else self.r_exp  # r_exp_for, in the hot loop
+    try:
+        return s ** (self.q - 1.0) - s ** (r - 1.0)
+    except OverflowError:
+        return math.inf
+
+
+def _ref_make_field(spec: ProblemSpec, d: float):
+    """Right hand side of a shot as ``field(r, u, v) -> (u', v', theta')``.
+
+    The angle does not feed back into the system, so it is not an
+    argument.
+    """
+    p = spec.p
+    pp = spec.exponent.pprime
+    n = spec.dim
+    g = spec.g
+
+    def field(r, u, v):
+        rn = r ** (n - 1) if n > 1 else 1.0
+        w = v / rn
+        fu = _ref_f(g, u, p)
+        um1 = u - 1.0
+        rho2 = _ref_pow_abs(um1, p) + (p - 1.0) * _ref_pow_abs(v, pp)
+        if rho2 < radial.RHO_FLOOR:
+            raise NearConstantShotError(d, r, rho2)
+        du = math.copysign(_ref_pow_abs(w, pp - 1.0), w) if w != 0.0 else 0.0
+        dv = -rn * fu
+        dth = rn * ((p - 1.0) * _ref_pow_abs(w, pp) + um1 * fu) / rho2
+        return (du, dv, dth)
+
+    return field
+
+
+def _field_outcome(field, r, u, v):
+    # What a caller can tell apart: the exception, the bits of a finite
+    # triple, or only that some component is not finite.
+    try:
+        out = field(r, u, v)
+    except Exception as exc:
+        return ("raised", type(exc), exc.args, repr(vars(exc)))
+    if all(math.isfinite(c) for c in out):
+        return ("finite", tuple(c.hex() for c in out))
+    return ("not finite",)
+
+
+_EXTREMES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e-300, -1e-300,
+    1e150, -1e150, 1e300, -1e300, math.nan, math.inf, -math.inf, 1.0,
+]
+_STATE = st.one_of(
+    st.sampled_from(_EXTREMES),
+    st.floats(-10.0, 10.0),
+    st.floats(1.0 - 1e-5, 1.0 + 1e-5),
+)
+
+
+@st.composite
+def _field_cases(draw):
+    p = draw(st.floats(1.1, 4.0))
+    q = p + draw(st.floats(1e-3, 100.0))
+    # None is the pure power; else r in [p, q).
+    frac = draw(st.one_of(st.none(), st.floats(0.0, 0.99)))
+    r_exp = None if frac is None else p + frac * (q - p)
+    dim = draw(st.sampled_from([1, 2, 3]))
+    spec = ProblemSpec(p=p, dim=dim, domain=Ball(4.0), g=Nonlinearity(q, r_exp=r_exp))
+    d = draw(st.floats(0.0, 3.0))
+    r = draw(st.floats(0.0, 4.0, exclude_min=True))
+    return spec, d, r, draw(_STATE), draw(_STATE)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(_field_cases())
+def test_field_matches_the_reference_field(case):
+    spec, d, r, u, v = case
+    assert _field_outcome(radial._make_field(spec, d), r, u, v) == _field_outcome(
+        _ref_make_field(spec, d), r, u, v
+    )
+    f = spec.g.f_for(spec.p)
+    for s in (u, v):
+        a, b = f(s), _ref_f(spec.g, s, spec.p)
+        assert a.hex() == b.hex() or (math.isnan(a) and math.isnan(b))
+        assert spec.g.f(s, spec.p).hex() == a.hex() or math.isnan(a)
