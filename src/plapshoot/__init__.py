@@ -29,7 +29,6 @@ from .radial import (
     ShotEnd,
     ShotSummary,
     Trajectory,
-    f_eval,
     shoot,
     startup_state,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "eigen_angle",
     "eigenfunction",
     "eigenvalue",
-    "f_eval",
     "find_solutions",
     "get_context",
     "integrate",

@@ -15,12 +15,12 @@ of half-periods across the domain.  The k-th eigenvalue (k = 1 is the
 constant eigenfunction, lam = 0) is found by bisecting lam against the
 terminal angle, which is strictly increasing in lam.
 
-The angle runs through :func:`_angle_end`, the Dormand-Prince stage
-sums unrolled for its one component and keeping only the end value.
-It steps through :func:`~plapshoot.odeint._march`, the step loop of
-:func:`~plapshoot.odeint.integrate`, so it takes the steps
-``integrate`` would, to the last bit.  Only :func:`eigenfunction` runs
-the dense ``integrate``.
+The angle runs through :func:`~plapshoot.odeint.end_state`, with the
+stage sums generated from the Dormand-Prince tableau for its one
+component and a field that returns the slope as a float.  It keeps only
+the end value and takes the steps
+:func:`~plapshoot.odeint.integrate` would, to the last bit.  Only
+:func:`eigenfunction` runs the dense ``integrate``.
 """
 
 from __future__ import annotations
@@ -30,15 +30,7 @@ from dataclasses import dataclass
 
 from .config import SolverConfig
 from .errors import SearchError, SpecError
-from .odeint import (
-    _A,
-    _C,
-    _E,
-    IvpSpec,
-    _march,
-    bisect_bracket,
-    integrate,
-)
+from .odeint import IvpSpec, bisect_bracket, end_state, integrate
 from .ptrig import get_context, phi_p, phi_p_inv
 from .radial import PROFILE_NODES, ProblemSpec
 
@@ -108,70 +100,7 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol,
     )
-    return _angle_end(ivp, field)
-
-
-def _angle_end(ivp: IvpSpec, field) -> float:
-    """End value of the one-component ``ivp`` by Dormand-Prince 5(4).
-
-    ``field(r, th)`` is the scalar form of ``ivp.rhs``.  Runs
-    :func:`~plapshoot.odeint._march`, the step loop of
-    :func:`~plapshoot.odeint.integrate`, with the stage sums written out
-    in the same order, so it takes the same steps and raises what
-    ``integrate`` raises, but keeps no dense output and drops the
-    tableau's zero terms, which can change only the sign of a zero.
-    """
-    isfinite = math.isfinite
-    (
-        _,
-        (a21,),
-        (a31, a32),
-        (a41, a42, a43),
-        (a51, a52, a53, a54),
-        (a61, a62, a63, a64, a65),
-        (a71, _, a73, a74, a75, a76),
-    ) = _A
-    _, c2, c3, c4, c5, c6, _ = _C
-    e1, _, e3, e4, e5, e6, e7 = _E
-    rel_tol = ivp.rel_tol
-    abs_tol = ivp.abs_tol
-
-    def trial(r, h, y, k):
-        # Stages 2..6, then the candidate endpoint and its slope (k7).
-        (th,), (k1,) = y, k
-        k2 = field(r + c2 * h, th + h * (a21 * k1))
-        if not isfinite(k2):
-            return math.inf, None, None, 1
-        k3 = field(r + c3 * h, th + h * (a31 * k1 + a32 * k2))
-        if not isfinite(k3):
-            return math.inf, None, None, 2
-        k4 = field(r + c4 * h, th + h * (a41 * k1 + a42 * k2 + a43 * k3))
-        if not isfinite(k4):
-            return math.inf, None, None, 3
-        k5 = field(
-            r + c5 * h,
-            th + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4),
-        )
-        if not isfinite(k5):
-            return math.inf, None, None, 4
-        k6 = field(
-            r + c6 * h,
-            th + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5),
-        )
-        if not isfinite(k6):
-            return math.inf, None, None, 5
-        th_new = th + h * (a71 * k1 + a73 * k3 + a74 * k4 + a75 * k5 + a76 * k6)
-        if not isfinite(th_new):
-            return math.inf, None, None, 5
-        k7 = field(r + h, th_new)
-        if not isfinite(k7):
-            return math.inf, None, None, 6
-        q = h * (
-            e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7
-        ) / (abs_tol + rel_tol * max(abs(th), abs(th_new)))
-        return math.sqrt(q * q), (th_new,), (k7,), 6
-
-    return _march(ivp, trial)[0][0]
+    return end_state(ivp, field, 1, scalar=True)[0][0]
 
 
 def eigenvalue(k: int, spec: ProblemSpec, cfg: SolverConfig | None = None) -> EigenResult:

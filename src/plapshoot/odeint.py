@@ -10,9 +10,10 @@ deterministic across processes.
 Every Dormand-Prince path of the package runs one step loop,
 :func:`_march`, and supplies only the stage sums of a trial step:
 :func:`integrate` the generic ones, keeping a dense interpolant per
-accepted step, and two end-state kernels unrolled ones, keeping only the
-end state (``plapshoot.radial._shot_end`` for the scan and bisection
-shots, ``plapshoot.eigen._angle_end`` for the eigenvalue angles).
+accepted step, and :func:`end_state` unrolled ones, keeping only the end
+state.  :func:`_end_trial` generates those from the tableau, once per
+kind of field: the scan and bisection shots of ``plapshoot.radial`` and
+the eigenvalue angles of ``plapshoot.eigen`` are its two kinds.
 
 The dense output is what profiles and events build on: event
 location (:func:`crossings`) and profile sampling both evaluate the
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import IntegrationError, SpecError
@@ -110,7 +112,6 @@ class IvpSpec:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 1_000_000
-    first_step: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.r_start) and math.isfinite(self.r_end)):
@@ -125,8 +126,6 @@ class IvpSpec:
             raise SpecError("tolerances must be positive")
         if self.max_steps < 1:
             raise SpecError("max_steps must be at least 1")
-        if self.first_step is not None and not 0 < self.first_step:
-            raise SpecError("first_step must be positive when given")
 
 
 @dataclass
@@ -196,9 +195,8 @@ def _dot(w, k, d: int) -> float:
     """Sum of ``w[j] * k[j][d]`` over the weights ``w``, left to right.
 
     Not the builtin ``sum``, which compensates its rounding from Python
-    3.12 on: the end-state kernels ``plapshoot.radial._shot_end`` and
-    ``plapshoot.eigen._angle_end`` add left to right, and every path
-    must take the same steps to the last bit on every version.
+    3.12 on: the trial steps of :func:`end_state` add left to right, and
+    every path must take the same steps to the last bit on every version.
     """
     acc = 0.0
     for j in range(len(w)):
@@ -286,12 +284,8 @@ def _march(ivp: IvpSpec, trial, keep=None) -> tuple[tuple[float, ...], int, int]
     k1 = _call_rhs(ivp.rhs, r, y, len(y))
     if not all(math.isfinite(c) for c in k1):
         raise IntegrationError("right hand side not finite at the start", r)
-    if ivp.first_step is not None:
-        h = min(ivp.first_step, r_end - r)
-        n_evals = 1
-    else:
-        h = _initial_step(ivp, k1)
-        n_evals = 2
+    h = _initial_step(ivp, k1)
+    n_evals = 2
     max_steps = ivp.max_steps
     facold = 1e-4
     step_rejected = False
@@ -389,6 +383,87 @@ def integrate(ivp: IvpSpec) -> DenseSolution:
 
     n_evals = _march(ivp, trial, keep)[2]
     return DenseSolution(rs=rs, ys=ys, cells=cells, n_rhs_evals=n_evals)
+
+
+@lru_cache(maxsize=None)
+def _end_trial(dim: int, reads: int, scalar: bool):
+    """The trial step of :func:`end_state`, generated from the tableau.
+
+    Returns ``make(field, rel_tol, abs_tol)``, which returns the
+    ``trial`` that :func:`_march` expects for a ``dim``-component state
+    whose field reads its first ``reads`` components.  The source is
+    written from ``_A``, ``_C`` and ``_E`` with the tableau's entries as
+    literals: each sum adds its nonzero terms left to right in tableau
+    order, as :func:`integrate` does, so both take the same steps to the
+    last bit (a dropped zero term can change only the sign of a zero).
+    Stage states are formed only for the components the field reads.
+    With ``scalar`` (one component) the field returns its slope as a
+    float, not a tuple.  Compiled once per kind, on first use.
+    """
+    ds = range(dim)
+
+    def tup(names):
+        return f"({', '.join(names)},)"
+
+    def names(prefix):
+        return [f"{prefix}{d}" for d in ds]
+
+    def finite(vals):
+        return " and ".join(f"isfinite({v})" for v in vals)
+
+    def summed(weights, d):
+        return " + ".join(f"{w!r} * k{j + 1}_{d}" for j, w in enumerate(weights) if w)
+
+    def stage(s, args):
+        # Slope k_s at r + c_s h; on a non-finite one, give up after s - 1
+        # evaluations.  k7 is kept whole: it is the next step's k1.
+        ks = names(f"k{s}_")
+        call = f"field(r + {_C[s - 1]!r} * h, {', '.join(args)})"
+        if scalar:
+            out = [f"{ks[0]} = {call}"]
+        elif s < 7:
+            out = [f"{tup(ks)} = {call}"]
+        else:
+            out = [f"k7 = {call}", f"{tup(ks)} = k7"]
+        return out + [f"if not ({finite(ks)}):", f"    return inf, None, None, {s - 1}"]
+
+    body = [f"{tup(names('y'))} = y", f"{tup(names('k1_'))} = k1"]
+    for s in range(2, 7):
+        body += stage(s, [f"y{d} + h * ({summed(_A[s - 1], d)})" for d in range(reads)])
+    body += [f"n{d} = y{d} + h * ({summed(_A[6], d)})" for d in ds]
+    body += [f"if not ({finite(names('n'))}):", "    return inf, None, None, 5"]
+    body += stage(7, names("n")[:reads])
+    body += [
+        f"q{d} = h * ({summed(_E, d)})"
+        f" / (abs_tol + rel_tol * max(abs(y{d}), abs(n{d})))"
+        for d in ds
+    ]
+    norm = " + ".join(f"q{d} * q{d}" for d in ds)
+    k7 = "(k7_0,)" if scalar else "k7"
+    body.append(f"return sqrt(({norm}) / {dim}), {tup(names('n'))}, {k7}, 6")
+    source = (
+        "def make(field, rel_tol, abs_tol):\n    def trial(r, h, y, k1):\n"
+        + "".join(f"        {line}\n" for line in body)
+        + "    return trial\n"
+    )
+    namespace = {"isfinite": math.isfinite, "inf": math.inf, "sqrt": math.sqrt}
+    exec(source, namespace)
+    return namespace["make"]
+
+
+def end_state(
+    ivp: IvpSpec, field, reads: int, scalar: bool = False
+) -> tuple[tuple[float, ...], int, int]:
+    """End of ``ivp`` by Dormand-Prince 5(4), keeping no dense output.
+
+    ``field(r, *y[:reads])`` is ``ivp.rhs`` with the state unpacked, and
+    with ``scalar`` it returns the one slope as a float.  Runs
+    :func:`_march` with the trial step of :func:`_end_trial`, so it
+    takes the steps :func:`integrate` takes and raises what it raises.
+    Returns ``(y_end, n_steps, n_rhs_evals)``.
+    """
+    trial = _end_trial(len(ivp.y0), reads, scalar)(field, ivp.rel_tol, ivp.abs_tol)
+    return _march(ivp, trial)
 
 
 def bisect_bracket(

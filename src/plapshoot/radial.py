@@ -27,8 +27,9 @@ generic dense :func:`~plapshoot.odeint.integrate` and returns a sampled
 :class:`Trajectory` with a :class:`ShotSummary` (zero radii included);
 validated solutions, the ``plapshoot shoot`` command and anything that
 plots a profile take this kind.  ``shoot(d, spec, cfg, profile=False)``
-runs :func:`_shot_end`, the Dormand-Prince stage sums unrolled for this
-three-component system and keeping only the end state, and returns a
+runs :func:`_shot_end`, which keeps only the end state through
+:func:`~plapshoot.odeint.end_state`, the stage sums generated from the
+Dormand-Prince tableau for this three-component system, and returns a
 :class:`ShotEnd`; the scan and the bisection in :mod:`plapshoot.solver`
 take this kind.  Both kinds step through
 :func:`~plapshoot.odeint._march`, the one step loop of the package, and
@@ -52,15 +53,7 @@ from typing import Callable, NamedTuple
 
 from .config import SolverConfig
 from .errors import IntegrationError, NearConstantShotError, SpecError
-from .odeint import (
-    _A,
-    _C,
-    _E,
-    IvpSpec,
-    _march,
-    crossings,
-    integrate,
-)
+from .odeint import IvpSpec, crossings, end_state, integrate
 from .ptrig import PExponent, phi_p_inv, pi_p
 
 # A shot has collapsed onto the constant state once the squared
@@ -246,12 +239,6 @@ class ProblemSpec:
         return ProblemSpec(p=self.p, dim=self.dim, domain=dom, g=self.g)
 
 
-def f_eval(s: float, spec: ProblemSpec) -> float:
-    """Shifted reaction ``f(s) = g(s) - s^(p-1)`` for this problem."""
-    spec._require_g()
-    return spec.g.f(s, spec.p)
-
-
 @dataclass
 class Trajectory:
     """Sampled radial profile of one shot.
@@ -330,7 +317,7 @@ def startup_state(d: float, spec: ProblemSpec, eps0: float) -> tuple[float, floa
     p = spec.p
     pp = spec.exponent.pprime
     n = spec.dim
-    fd = f_eval(d, spec)
+    fd = spec.g.f(d, p)
     v = -fd * eps0**n / n
     u = d - phi_p_inv(fd / n, p) * eps0**pp / pp
     theta = anchor + fd * math.copysign(1.0, d - 1.0) * eps0**n / (
@@ -402,7 +389,9 @@ def _rho_sq(u: float, v: float, p: float, pp: float) -> float:
 def _shot_start(d: float, spec: ProblemSpec, cfg: SolverConfig):
     """Initial value problem of one shot, and its field.
 
-    Raises :class:`IntegrationError` if the start-up state is not finite
+    Raises :class:`SpecError` if the start-up radius is so small that
+    its flux weight ``r^(N-1)`` underflows to 0, and
+    :class:`IntegrationError` if the start-up state is not finite
     (``f(d)`` overflows at large ``d`` and ``q``).  A start-up state
     already under the collapse floor raises
     :class:`NearConstantShotError` at the field's first evaluation, in
@@ -414,6 +403,11 @@ def _shot_start(d: float, spec: ProblemSpec, cfg: SolverConfig):
     else:
         eps0 = 0.0
         r0 = spec.domain.r_inner
+    if r0 ** (spec.dim - 1) == 0.0:
+        raise SpecError(
+            f"start-up radius {r0!r} too small: r^(N-1) underflows to 0 for"
+            f" N={spec.dim}"
+        )
     y0 = startup_state(d, spec, eps0)
     if not all(math.isfinite(c) for c in y0):
         raise IntegrationError("start-up state not finite", r0)
@@ -430,95 +424,13 @@ def _shot_start(d: float, spec: ProblemSpec, cfg: SolverConfig):
 
 
 def _shot_end(d: float, spec: ProblemSpec, cfg: SolverConfig) -> ShotEnd:
-    """End state of one shot by Dormand-Prince 5(4), unrolled for this system.
+    """End state of one shot, by :func:`~plapshoot.odeint.end_state`.
 
-    Runs :func:`~plapshoot.odeint._march`, the step loop of
-    :func:`~plapshoot.odeint.integrate`, with the stage sums of this
-    system written out in the same order, so it takes the same steps and
-    raises what ``integrate`` raises.  It keeps no dense output, skips
-    the stage values of the angle, which the field does not read, and
-    drops the tableau's zero terms, which can change only the sign of a
-    zero.
+    The field reads ``u`` and ``v``, not the angle, so the generated
+    trial step forms no stage values of the angle.
     """
     ivp, field = _shot_start(d, spec, cfg)
-    isfinite = math.isfinite
-    (
-        _,
-        (a21,),
-        (a31, a32),
-        (a41, a42, a43),
-        (a51, a52, a53, a54),
-        (a61, a62, a63, a64, a65),
-        (a71, _, a73, a74, a75, a76),
-    ) = _A
-    _, c2, c3, c4, c5, c6, _ = _C
-    e1, _, e3, e4, e5, e6, e7 = _E
-    rel_tol = ivp.rel_tol
-    abs_tol = ivp.abs_tol
-
-    def trial(r, h, y, k1):
-        # Stages 2..6, then the candidate endpoint and its slope (k7).
-        u, v, th = y
-        k1u, k1v, k1t = k1
-        k2u, k2v, k2t = field(
-            r + c2 * h, u + h * (a21 * k1u), v + h * (a21 * k1v)
-        )
-        if not (isfinite(k2u) and isfinite(k2v) and isfinite(k2t)):
-            return math.inf, None, None, 1
-        k3u, k3v, k3t = field(
-            r + c3 * h,
-            u + h * (a31 * k1u + a32 * k2u),
-            v + h * (a31 * k1v + a32 * k2v),
-        )
-        if not (isfinite(k3u) and isfinite(k3v) and isfinite(k3t)):
-            return math.inf, None, None, 2
-        k4u, k4v, k4t = field(
-            r + c4 * h,
-            u + h * (a41 * k1u + a42 * k2u + a43 * k3u),
-            v + h * (a41 * k1v + a42 * k2v + a43 * k3v),
-        )
-        if not (isfinite(k4u) and isfinite(k4v) and isfinite(k4t)):
-            return math.inf, None, None, 3
-        k5u, k5v, k5t = field(
-            r + c5 * h,
-            u + h * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u),
-            v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v),
-        )
-        if not (isfinite(k5u) and isfinite(k5v) and isfinite(k5t)):
-            return math.inf, None, None, 4
-        s6u = a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u
-        s6v = a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v
-        k6u, k6v, k6t = field(r + c6 * h, u + h * s6u, v + h * s6v)
-        if not (isfinite(k6u) and isfinite(k6v) and isfinite(k6t)):
-            return math.inf, None, None, 5
-        u_new = u + h * (
-            a71 * k1u + a73 * k3u + a74 * k4u + a75 * k5u + a76 * k6u
-        )
-        v_new = v + h * (
-            a71 * k1v + a73 * k3v + a74 * k4v + a75 * k5v + a76 * k6v
-        )
-        th_new = th + h * (
-            a71 * k1t + a73 * k3t + a74 * k4t + a75 * k5t + a76 * k6t
-        )
-        if not (isfinite(u_new) and isfinite(v_new) and isfinite(th_new)):
-            return math.inf, None, None, 5
-        k7 = field(r + h, u_new, v_new)
-        k7u, k7v, k7t = k7
-        if not (isfinite(k7u) and isfinite(k7v) and isfinite(k7t)):
-            return math.inf, None, None, 6
-        qu = h * (
-            e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u
-        ) / (abs_tol + rel_tol * max(abs(u), abs(u_new)))
-        qv = h * (
-            e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v
-        ) / (abs_tol + rel_tol * max(abs(v), abs(v_new)))
-        qt = h * (
-            e1 * k1t + e3 * k3t + e4 * k4t + e5 * k5t + e6 * k6t + e7 * k7t
-        ) / (abs_tol + rel_tol * max(abs(th), abs(th_new)))
-        err = math.sqrt((qu * qu + qv * qv + qt * qt) / 3)
-        return err, (u_new, v_new, th_new), k7, 6
-
-    (u, v, th), n_steps, n_evals = _march(ivp, trial)
+    (u, v, th), n_steps, n_evals = end_state(ivp, field, 2)
     return ShotEnd(d, th, u, v, n_steps, n_evals)
 
 

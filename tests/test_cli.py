@@ -138,6 +138,15 @@ def test_bad_nonlinearity_exits_two(capsys):
     assert "pow:<q>" in err
 
 
+def test_shoot_underflowing_start_up_radius_exits_two(capsys):
+    argv = ["shoot", "--p", "2", "--n", "3", "--g", "pow:5", "--d", "0.5"]
+    assert run(argv + ["--eps0", "1e-200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "start-up radius 1e-200 too small" in err
+    assert "Traceback" not in err
+
+
 def test_missing_required_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         run(["shoot", "--p", "2"])

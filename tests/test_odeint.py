@@ -3,13 +3,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plapshoot.errors import IntegrationError, SpecError
 from plapshoot.odeint import (
     DenseSolution,
     IvpSpec,
+    _end_trial,
     bisect_bracket,
     crossings,
+    end_state,
     integrate,
 )
 
@@ -145,11 +149,6 @@ def test_non_finite_rhs_reports_last_r():
             IvpSpec(rhs=rhs, r_start=0.0, r_end=1.0, y0=(0.0,))
         )
     assert 0.0 <= exc.value.last_r <= 0.6
-
-
-def test_first_step_hint_respected():
-    sol = integrate(exp_ivp(first_step=1e-3))
-    assert sol.rs[1] - sol.rs[0] <= 1e-3 + 1e-15
 
 
 def test_ivp_validation():
@@ -317,27 +316,125 @@ def test_bisect_stopping_rule_sees_every_bracket():
 
 
 def test_fifth_order_convergence():
-    # Fixed leading steps via first_step are not enough to probe order,
-    # so compare endpoint error against tolerance-driven runs instead:
-    # each factor 32 in first_step on a short interval with a single
-    # forced step should shrink the one-step error by about 2**5.
+    # One generated trial step from (1, 0) on the rotation u' = -v,
+    # v' = u, whose exact solution is (cos h, sin h): halving h should
+    # shrink the one-step error by about 2**6 for a fifth order method.
+    def field(r, u, v):
+        return (-v, u)
+
+    trial = _end_trial(2, 2, False)(field, 1e-2, 1e-2)
+
     def one_step_error(h):
-        ivp = IvpSpec(
-            rhs=lambda r, y: (-y[1], y[0]),
-            r_start=0.0,
-            r_end=h,
-            y0=(1.0, 0.0),
-            rel_tol=1e-2,
-            abs_tol=1e-2,
-            first_step=h,
-        )
-        sol = integrate(ivp)
-        assert sol.n_steps == 1
-        return math.hypot(
-            sol.y_end[0] - math.cos(h), sol.y_end[1] - math.sin(h)
-        )
+        _, (u, v), _, evals = trial(0.0, h, (1.0, 0.0), field(0.0, 1.0, 0.0))
+        assert evals == 6
+        return math.hypot(u - math.cos(h), v - math.sin(h))
 
     e1 = one_step_error(0.4)
     e2 = one_step_error(0.2)
     # Order >= 5 gives a factor of 32; allow slack for the error constant.
     assert e1 / e2 > 20.0
+
+
+@pytest.mark.parametrize("dim, reads, scalar", [(3, 2, False), (1, 1, True)])
+def test_failed_trial_counts_the_evaluations_it_made(dim, reads, scalar):
+    # A trial step whose n-th evaluation is not finite (stage n + 1, or
+    # the endpoint's slope for n = 6) returns inf and n evaluations.
+    y, k1 = (0.0,) * dim, (1.0,) * dim
+    for fail_at in range(1, 7):
+        calls = []
+
+        def field(r, *state):
+            calls.append(r)
+            slope = math.nan if len(calls) == fail_at else 1.0
+            return slope if scalar else (slope,) * dim
+
+        trial = _end_trial(dim, reads, scalar)(field, 1e-6, 1e-6)
+        assert trial(0.0, 0.5, y, k1) == (math.inf, None, None, fail_at)
+        assert len(calls) == fail_at
+    # Finite slopes of 1e308 whose endpoint overflows at h = 2: five
+    # evaluations, and none at the endpoint.
+    big = (1e308,) * dim
+    trial = _end_trial(dim, reads, scalar)(
+        lambda r, *state: big[0] if scalar else big, 1e-6, 1e-6
+    )
+    assert trial(0.0, 2.0, y, big) == (math.inf, None, None, 5)
+
+
+def _end_or_error(run):
+    try:
+        y_end, n_steps, n_evals = run()
+    except IntegrationError as exc:
+        return type(exc), str(exc), exc.last_r
+    return tuple(c.hex() for c in y_end), n_steps, n_evals
+
+
+def _integrate_end(ivp):
+    sol = integrate(ivp)
+    return sol.y_end, sol.n_steps, sol.n_rhs_evals
+
+
+_coef = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _smooth_ivps(draw, dim, field):
+    """An initial value problem on a random smooth field, and the field.
+
+    ``field(coefs, r, *y)`` is the field's formula; its six coefficients,
+    the start, the interval and the tolerance are drawn.  On a drawn band
+    of ``r + y[0]``, if any, the field is not finite, so that the
+    paths that reject a trial step at any stage, shrink it or give up
+    are compared as well.
+    """
+    r0 = draw(st.floats(0.0, 1.0))
+    r_end = r0 + draw(st.floats(0.05, 3.0))
+    wall = draw(st.none() | st.floats(-2.0, 5.0))
+    width = draw(st.sampled_from([1e-3, 1e-2, 0.1, math.inf]))
+    rel_tol = 10.0 ** -draw(st.integers(3, 11))
+    y0 = tuple(draw(_coef) for _ in range(dim))
+    coefs = tuple(draw(_coef) for _ in range(6))
+
+    def walled(r, *y):
+        out = field(coefs, r, *y)
+        if wall is not None and wall < r + y[0] < wall + width:
+            return math.nan if dim == 1 else (math.nan,) + out[1:]
+        return out
+
+    def rhs(r, y):
+        return (walled(r, y[0]),) if dim == 1 else walled(r, y[0], y[1])
+
+    ivp = IvpSpec(
+        rhs=rhs, r_start=r0, r_end=r_end, y0=y0,
+        rel_tol=rel_tol, abs_tol=1e-2 * rel_tol, max_steps=20_000,
+    )
+    return ivp, walled
+
+
+def _shot_like(coefs, r, u, v):
+    a, b, c, d, e, f = coefs
+    return (a * v + b * math.sin(u), c * u + d * math.cos(r * v), e * u * v + f * math.sin(r))
+
+
+def _angle_like(coefs, r, th):
+    a, b, c, d, e, f = coefs
+    return a + b * math.sin(c * th) ** 2 + d * math.cos(e * r + f * th)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_smooth_ivps(3, _shot_like))
+def test_end_state_equals_integrate_on_three_components(case):
+    # The shot's kind: the field reads two of three components and
+    # returns a tuple.  Equal to the bit, steps and evaluations included.
+    ivp, field = case
+    full = _end_or_error(lambda: _integrate_end(ivp))
+    assert _end_or_error(lambda: end_state(ivp, field, 2)) == full
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_smooth_ivps(1, _angle_like))
+def test_end_state_equals_integrate_on_one_scalar_component(case):
+    # The eigenvalue angle's kind: one component, and a field that
+    # returns its slope as a float.
+    ivp, field = case
+    full = _end_or_error(lambda: _integrate_end(ivp))
+    assert _end_or_error(lambda: end_state(ivp, field, 1, scalar=True)) == full

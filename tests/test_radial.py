@@ -28,7 +28,6 @@ from plapshoot.radial import (
     Trajectory,
     _rho_sq,
     _shot_start,
-    f_eval,
     shoot,
     startup_state,
 )
@@ -47,21 +46,22 @@ def ball_spec(p=2.0, dim=1, radius=1.0, q=15.0, r_exp=None):
     return ProblemSpec(p=p, dim=dim, domain=Ball(radius), g=g)
 
 
-def test_f_eval_pure_power():
-    spec = ball_spec(p=2.0, q=3.0)
-    assert f_eval(1.0, spec) == 0.0
-    assert f_eval(2.0, spec) == pytest.approx(2.0, rel=1e-15)
-    assert f_eval(0.5, spec) == pytest.approx(-0.25, rel=1e-15)
-    assert f_eval(0.0, spec) == 0.0
-    assert f_eval(-0.3, spec) == 0.0
+def test_f_pure_power():
+    g = Nonlinearity(q=3.0)
+    assert g.f(1.0, 2.0) == 0.0
+    assert g.f(2.0, 2.0) == pytest.approx(2.0, rel=1e-15)
+    assert g.f(0.5, 2.0) == pytest.approx(-0.25, rel=1e-15)
+    assert g.f(0.0, 2.0) == 0.0
+    assert g.f(-0.3, 2.0) == 0.0
 
 
-def test_f_eval_power_combo():
-    spec = ball_spec(p=2.0, q=4.0, r_exp=3.0)
+def test_f_power_combo():
+    g = Nonlinearity(q=4.0, r_exp=3.0)
     # f(s) = s^3 - s^2 regardless of p.
-    assert f_eval(2.0, spec) == pytest.approx(4.0, rel=1e-15)
-    assert f_eval(0.5, spec) == pytest.approx(-0.125, rel=1e-15)
-    assert f_eval(1.0, spec) == 0.0
+    for p in (1.5, 2.0, 3.0):
+        assert g.f(2.0, p) == pytest.approx(4.0, rel=1e-15)
+        assert g.f(0.5, p) == pytest.approx(-0.125, rel=1e-15)
+        assert g.f(1.0, p) == 0.0
 
 
 def test_f_sign_condition():
@@ -77,7 +77,7 @@ def test_f_sign_condition():
             s = 0.05 * i
             if abs(s - 1.0) < 1e-12:
                 continue
-            assert f_eval(s, spec) * (s - 1.0) > 0.0, (spec.g, s)
+            assert spec.g.f(s, spec.p) * (s - 1.0) > 0.0, (spec.g, s)
 
 
 def test_nonlinearity_validation():
@@ -108,8 +108,8 @@ def test_problem_spec_validation():
     with pytest.raises(SpecError):
         Annulus(0.0, 1.0)
     spec = ProblemSpec(p=2.0, dim=1, domain=Ball(1.0), g=None)
-    with pytest.raises(SpecError):
-        f_eval(0.5, spec)
+    with pytest.raises(SpecError, match="needs a nonlinearity"):
+        startup_state(0.5, spec, 1e-8)
 
 
 def test_with_outer_radius():
@@ -259,7 +259,7 @@ def test_rho_sq_consistent_with_its_own_ode():
     def rhs(r, y):
         u, v, z = y
         rn = r ** (n - 1)
-        fu = f_eval(u, spec)
+        fu = spec.g.f(u, p)
         du = phi(v / rn, pp)
         dv = -rn * fu
         dz = p * phi(u - 1.0, p) * du + p * phi(v, pp) * dv
@@ -368,6 +368,21 @@ def test_config_rejects_a_bad_eps0(eps0):
     # refused as "must be positive".
     with pytest.raises(SpecError, match="eps0 must be a positive finite number"):
         SolverConfig(eps0=eps0)
+
+
+def test_start_up_radius_whose_flux_weight_underflows_is_a_spec_error():
+    # r^(N-1) = 1e-400 is 0.0 as a double: the field would divide the
+    # flux by it.  N = 1 has no weight, so the same radius works there.
+    cfg = SolverConfig(eps0=1e-200)
+    for profile in (True, False):
+        with pytest.raises(SpecError, match="underflows to 0 for N=3"):
+            shoot(0.5, ball_spec(dim=3, q=5.0), cfg, profile=profile)
+        assert shoot(0.5, ball_spec(dim=1, q=5.0), cfg, profile=profile)
+    annulus = ProblemSpec(
+        p=2.0, dim=3, domain=Annulus(1e-200, 1.0), g=Nonlinearity(q=5.0)
+    )
+    with pytest.raises(SpecError, match="start-up radius 1e-200"):
+        shoot(0.5, annulus, profile=False)
 
 
 def test_config_grid_size_must_be_integer():
