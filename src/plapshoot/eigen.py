@@ -12,8 +12,12 @@ first order equation that does not involve the amplitude:
 
 and lam is an eigenvalue exactly when the angle sweeps a whole number
 of half-periods across the domain.  The k-th eigenvalue (k = 1 is the
-constant eigenfunction, lam = 0) is found by bisecting lam against the
-terminal angle, which is strictly increasing in lam.
+constant eigenfunction, lam = 0) is the root in lam of the terminal
+angle, which is strictly increasing in lam, minus k half-periods.  The
+search starts from the closed form ((k-1) pi_p / width)^p of N = 1,
+brackets the root by doubling or halving, and closes in on it with
+:func:`~plapshoot.odeint.illinois_bracket`; the package's other
+bracketed searches still bisect.
 
 The angle runs through :func:`~plapshoot.odeint.end_state`, with the
 stage sums generated from the Dormand-Prince tableau for its one
@@ -30,15 +34,18 @@ from dataclasses import dataclass
 
 from .config import SolverConfig
 from .errors import SearchError, SpecError
-from .odeint import IvpSpec, bisect_bracket, end_state, integrate
+from .odeint import IvpSpec, end_state, illinois_bracket, integrate
 from .ptrig import get_context, phi_p, phi_p_inv
 from .radial import PROFILE_NODES, ProblemSpec
 
-# The bisection bracket for eigenvalues is grown by doubling until the
-# angle overshoots; past this multiple of R^-p something is wrong.
+# The bracket for eigenvalues is grown by doubling until the angle
+# overshoots; past this multiple of R^-p something is wrong.
 LAMBDA_CAP_FACTOR = 1e8
 
-_BISECT_REL_TOL = 1e-10
+# The search stops on a bracket this narrow relative to its top, or on
+# an angle this close to the target in units of k pi_p.
+_REL_TOL = 1e-10
+_ANGLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,9 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
 
     Starts one half-period up on a ball (the eigenfunction is taken
     negative at the center) and integrates the amplitude-free angle
-    equation outward.  Strictly increasing in ``lam``.
+    equation outward.  Strictly increasing in ``lam``.  Raises
+    :class:`SpecError` if the start-up radius is so small that the
+    weight ``r^(-(N-1)/p)`` of the angle equation overflows.
     """
     if not (math.isfinite(lam) and lam >= 0.0):
         raise SpecError(f"lam must be finite and >= 0, got {lam!r}")
@@ -83,6 +92,14 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
     pm1 = p - 1.0
     nm1 = n - 1
     r_expo = -nm1 / p
+    if nm1:
+        try:
+            r0**r_expo
+        except OverflowError:
+            raise SpecError(
+                f"start-up radius {r0!r} too small: r^(-(N-1)/p) overflows for"
+                f" N={n}, p={p!r}"
+            ) from None
 
     def field(r, th):
         # For N = 1 the weight r^(N-1) is 1.0, and dropping a product
@@ -103,14 +120,23 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
     return end_state(ivp, field, 1, scalar=True)[0][0]
 
 
+def _guess(k: int, spec: ProblemSpec) -> float:
+    """The k-th eigenvalue of N = 1 on the same width, ((k-1) pi_p / width)^p."""
+    width = spec.r_outer - (0.0 if spec.is_ball else spec.domain.r_inner)
+    return ((k - 1) * get_context(spec.p).pi_p / width) ** spec.p
+
+
 def eigenvalue(k: int, spec: ProblemSpec, cfg: SolverConfig | None = None) -> EigenResult:
     """The k-th radial Neumann eigenvalue, k = 1 being the trivial zero.
 
-    For k >= 2 the bracket is grown by doubling and then bisected on
-    the terminal angle with :func:`~plapshoot.odeint.bisect_bracket`
-    until its relative width is below 1e-10.  Raises
-    :class:`SearchError` if the bracket cannot be established below the
-    safety cap.
+    For k >= 2 the search starts from the N = 1 closed form
+    ((k-1) pi_p / width)^p, clamped to the safety cap, and doubles or
+    halves lam until the terminal angle crosses k half-periods.
+    :func:`~plapshoot.odeint.illinois_bracket` then closes in on the
+    crossing until the angle is within 1e-12 k pi_p of it or the
+    bracket's relative width is below 1e-10; ``residual`` is the angle
+    miss it returns.  Raises :class:`SearchError` if the angle has not
+    crossed by the cap.
     """
     if not (isinstance(k, int) and k >= 1):
         raise SpecError(f"eigenvalue index must be an integer >= 1, got {k!r}")
@@ -121,25 +147,33 @@ def eigenvalue(k: int, spec: ProblemSpec, cfg: SolverConfig | None = None) -> Ei
         return EigenResult(k=1, lam=0.0, residual=residual)
 
     target = k * pip
+
+    def side(lam):
+        return eigen_angle(lam, spec, cfg) - target
+
     cap = LAMBDA_CAP_FACTOR * spec.r_outer ** (-spec.p)
-    lo = 0.0
-    hi = 1.0
-    while eigen_angle(hi, spec, cfg) < target:
-        lo = hi
-        hi *= 2.0
-        if hi > cap:
-            raise SearchError(
-                f"no angle crossing for k={k} below lam={cap:.3e}"
-            )
-    lam = bisect_bracket(
-        lambda lam: eigen_angle(lam, spec, cfg) - target,
+    lo = hi = min(_guess(k, spec), cap)
+    f_lo = f_hi = side(hi)
+    while f_hi < 0.0:
+        if hi >= cap:
+            raise SearchError(f"no angle crossing for k={k} below lam={cap:.3e}")
+        lo, f_lo = hi, f_hi
+        hi = min(2.0 * hi, cap)
+        f_hi = side(hi)
+    while f_lo >= 0.0:
+        hi, f_hi = lo, f_lo
+        lo = 0.5 * lo
+        f_lo = side(lo)
+    lam, miss = illinois_bracket(
+        side,
         lo,
         hi,
-        -1.0,
-        lambda lo, hi: hi - lo <= _BISECT_REL_TOL * hi,
+        f_lo,
+        f_hi,
+        _ANGLE_TOL * target,
+        lambda lo, hi: hi - lo <= _REL_TOL * hi,
     )
-    residual = abs(eigen_angle(lam, spec, cfg) - target)
-    return EigenResult(k=k, lam=lam, residual=residual)
+    return EigenResult(k=k, lam=lam, residual=abs(miss))
 
 
 def eigenfunction(

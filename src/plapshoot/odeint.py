@@ -20,9 +20,10 @@ location (:func:`crossings`) and profile sampling both evaluate the
 stored interpolants rather than re-integrating.  Shots that need a
 profile (validated solutions, the ``shoot`` command), eigenfunction
 profiles and the p-trig table run :func:`integrate`.
-:func:`bisect_bracket` is the one bracketed search of the package;
-events, eigenvalues, roots in ``d`` and the sweeps in R and q all
-bisect through it.
+Two bracketed searches live here.  Eigenvalues close in on their root
+with :func:`illinois_bracket`, a safeguarded regula falsi; events, roots
+in ``d`` and the sweeps in R and q still bisect with
+:func:`bisect_bracket` until they move to the Illinois search too.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ _EXPO = 0.2 - 0.75 * _BETA
 _FAC_LO = 1.0 / 10.0
 _FAC_HI = 1.0 / 0.2
 
-# Halvings after which bisect_bracket gives up.  A bracket of ordinary
-# width reaches adjacent doubles in about 60.
+# Steps after which bisect_bracket and illinois_bracket give up.  A
+# bracket of ordinary width reaches adjacent doubles in about 60 halvings.
 _BISECT_MAX_ITERS = 200
 
 # crossings bisects to this width relative to max(1, |r|).
@@ -497,6 +498,66 @@ def bisect_bracket(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def illinois_bracket(
+    side: Callable[[float], float],
+    lo: float,
+    hi: float,
+    f_lo: float,
+    f_hi: float,
+    f_tol: float,
+    done: Callable[[float, float], bool],
+) -> tuple[float, float]:
+    """Find a sign change of ``side`` in ``[lo, hi]`` by Illinois steps.
+
+    ``f_lo`` and ``f_hi`` are the values of ``side`` at ``lo`` and ``hi``,
+    of opposite signs.  Each step is a regula falsi step, or the midpoint
+    when the secant point is not strictly inside the bracket.  When the
+    same end is kept twice in a row, the weight it enters the secant
+    with is halved (Dowell and Jarratt, BIT 11, 1971); the weights are
+    kept apart from the values, which stay what ``side`` returned.
+
+    Returns ``(x, side(x))`` as soon as ``|side(x)| <= f_tol``.  When
+    ``done(lo, hi)`` holds, when ``lo`` and ``hi`` are adjacent doubles,
+    or after 200 steps, it returns the endpoint with the smaller
+    ``|side|`` and that value: an endpoint and not the midpoint, so that
+    a jump in ``side`` ends at the sign change, as bisection does.
+
+    Only :func:`plapshoot.eigen.eigenvalue` uses it so far.  The events,
+    the roots in ``d`` and the sweeps still bisect with
+    :func:`bisect_bracket`, because moving the root search in ``d``
+    changes shot counts that the benchmark's tests pin; they move here
+    with the next change to the benchmark, and :func:`bisect_bracket`
+    goes.
+    """
+    w_lo, w_hi = f_lo, f_hi
+    kept = 0  # -1 after lo was kept, +1 after hi was kept
+    lo_negative = f_lo < 0.0
+    for _ in range(_BISECT_MAX_ITERS):
+        if done(lo, hi):
+            break
+        x = hi - w_hi * (hi - lo) / (w_hi - w_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if x <= lo or x >= hi:
+                break
+        fx = side(x)
+        if abs(fx) <= f_tol:
+            return x, fx
+        if (fx < 0.0) == lo_negative:
+            lo, f_lo, w_lo = x, fx, fx
+            if kept == 1:
+                w_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi, w_hi = x, fx, fx
+            if kept == -1:
+                w_lo *= 0.5
+            kept = -1
+    if abs(f_lo) <= abs(f_hi):
+        return lo, f_lo
+    return hi, f_hi
 
 
 def crossings(

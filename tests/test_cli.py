@@ -147,6 +147,15 @@ def test_shoot_underflowing_start_up_radius_exits_two(capsys):
     assert "Traceback" not in err
 
 
+def test_eigen_overflowing_start_up_weight_exits_two(capsys):
+    argv = ["eigen", "--p", "1.1", "--n", "3", "--k", "2"]
+    assert run(argv + ["--eps0", "1e-200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "start-up radius 1e-200 too small" in err
+    assert "Traceback" not in err
+
+
 def test_missing_required_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         run(["shoot", "--p", "2"])

@@ -167,8 +167,8 @@ def test_bracket_cap(monkeypatch):
 
 
 def _old_eigenvalue_lam(k, spec):
-    # The hand-written bisection loop eigenvalue used before it moved to
-    # bisect_bracket, kept to pin the result bit for bit.
+    # The bisection eigenvalue used before its Illinois search: doubling
+    # from lam = 1, then halving to a relative width of 1e-10.
     target = k * pi_p(spec.p)
     lo, hi = 0.0, 1.0
     while eigen_angle(hi, spec) < target:
@@ -182,11 +182,6 @@ def _old_eigenvalue_lam(k, spec):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def test_eigenvalue_equals_old_loop():
-    spec = geom(p=3.0)
-    assert eigenvalue(3, spec).lam == _old_eigenvalue_lam(3, spec)
 
 
 @pytest.mark.parametrize(
@@ -324,3 +319,85 @@ def test_angle_kernel_keeps_the_integrator_checks(monkeypatch):
     cls, message = outcome(10.0)
     assert cls is IntegrationError
     assert message.startswith("step size underflow")
+
+
+# The seed-0 ladders of the benchmark's eigen-ladder workload:
+# (p, N, indices k) on the unit ball.
+BENCH_LADDERS = ((1.5, 1, (2, 3, 4)), (3.0, 1, (2, 3, 4)), (2.5, 3, (2, 3)))
+
+
+def _ladder_cases():
+    for p, dim, ks in BENCH_LADDERS:
+        for k in ks:
+            yield k, geom(p=p, dim=dim)
+
+
+def test_eigenvalue_within_criterion_8_of_bisection():
+    # The two searches stop on different points of the same discrete
+    # angle, so they agree to within the 1e-8 of criterion 8, not to
+    # the bit (largest gap 4.2e-9: p=3, Annulus(1, 1.5), k=6).
+    cases = [(k, spec) for spec in KERNEL_SPECS for k in (2, 3, 4, 6)]
+    for k, spec in cases + list(_ladder_cases()):
+        old = _old_eigenvalue_lam(k, spec)
+        assert eigenvalue(k, spec).lam == pytest.approx(old, rel=1e-8), (k, spec)
+
+
+@pytest.mark.parametrize("factor", [3.0, 1.0 / 3.0])
+@pytest.mark.parametrize("p, dim, ks", BENCH_LADDERS)
+def test_starting_guess_does_not_decide_the_answer(monkeypatch, p, dim, ks, factor):
+    # Within 1e-9, not 1e-10: at p = 1.5, k = 3 the discrete angle
+    # changes sign about ten times within 3e-10 (relative) of the root,
+    # and from the tripled guess the search ends on another of those
+    # sign changes, 1.6e-10 away.  Every other case moves by < 4e-11.
+    spec = geom(p=p, dim=dim)
+    plain = [eigenvalue(k, spec).lam for k in ks]
+    guess = eigen_mod._guess
+    monkeypatch.setattr(eigen_mod, "_guess", lambda k, spec: factor * guess(k, spec))
+    moved = [eigenvalue(k, spec).lam for k in ks]
+    assert moved == pytest.approx(plain, rel=1e-9)
+
+
+def _count_angle_calls(monkeypatch):
+    calls = []
+    angle = eigen_mod.eigen_angle
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return angle(*args, **kwargs)
+
+    monkeypatch.setattr(eigen_mod, "eigen_angle", counted)
+    return calls
+
+
+def test_angle_call_budget_on_the_bench_ladders(monkeypatch):
+    calls = _count_angle_calls(monkeypatch)
+    for k, spec in _ladder_cases():
+        eigenvalue(k, spec)
+    assert len(calls) <= 64  # 50 when written; bisection took 330
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_angle_call_budget_per_eigenvalue(monkeypatch, spec):
+    calls = _count_angle_calls(monkeypatch)
+    for k in (2, 3):
+        del calls[:]
+        eigenvalue(k, spec)
+        assert len(calls) <= 16, k
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ProblemSpec(p=1.1, dim=3, domain=Ball(1.0)),
+        ProblemSpec(p=1.1, dim=3, domain=Annulus(1e-200, 1.0)),
+    ],
+)
+def test_start_up_radius_whose_angle_weight_overflows_is_a_spec_error(spec):
+    # r^(-(N-1)/p) = 1e-200^(-20/11) is past the largest double.
+    cfg = SolverConfig(eps0=1e-200)
+    with pytest.raises(SpecError, match="overflows for N=3"):
+        eigen_angle(1.0, spec, cfg)
+    with pytest.raises(SpecError, match="overflows for N=3"):
+        eigenvalue(2, spec, cfg)
+    # At p = 2 the same radius gives a finite weight, 1e200.
+    assert math.isfinite(eigen_angle(1.0, geom(p=2.0, dim=3), cfg))

@@ -14,6 +14,7 @@ from plapshoot.odeint import (
     bisect_bracket,
     crossings,
     end_state,
+    illinois_bracket,
     integrate,
 )
 
@@ -313,6 +314,81 @@ def test_bisect_stopping_rule_sees_every_bracket():
     r = bisect_bracket(lambda x: x - 0.3, 0.0, 1.0, -0.3, done)
     assert seen == [(0.0, 1.0), (0.0, 0.5), (0.25, 0.5)]
     assert r == 0.375
+
+
+
+def test_illinois_reaches_a_smooth_root_in_few_evaluations():
+    calls = []
+
+    def side(x):
+        calls.append(x)
+        return -math.cos(x)
+
+    x, fx = illinois_bracket(
+        side, 0.0, 3.0, -1.0, -math.cos(3.0), 1e-14, lambda lo, hi: False
+    )
+    assert abs(fx) <= 1e-14
+    assert fx == -math.cos(x)
+    assert x == pytest.approx(math.pi / 2, abs=1e-14)
+    assert len(calls) <= 8
+
+
+@pytest.mark.parametrize("width", [1e-9, 0.0])
+def test_illinois_on_a_step_returns_an_endpoint_and_its_real_value(width):
+    # The halved Illinois weights must not leak into the returned value:
+    # every value side takes here is +1 or -1.  Width 0 runs the search
+    # to adjacent doubles.
+    calls = []
+
+    def side(x):
+        calls.append(x)
+        return -1.0 if x < 0.3 else 1.0
+
+    def done(lo, hi):
+        return hi - lo <= width
+
+    x, fx = illinois_bracket(side, 0.0, 1.0, -1.0, 1.0, 1e-12, done)
+    assert abs(x - 0.3) <= 1e-9
+    assert x in calls  # an endpoint, not a fresh midpoint
+    assert fx == (-1.0 if x < 0.3 else 1.0)
+    assert len(calls) < 200
+
+
+def test_illinois_halving_unsticks_a_convex_side():
+    # On a convex side plain regula falsi keeps the upper end for ever
+    # and creeps up from below; halving that end's weight does not.
+    calls = []
+
+    def side(x):
+        calls.append(x)
+        return x**3 - 1e-3
+
+    x, fx = illinois_bracket(side, 0.0, 3.0, -1e-3, 26.999, 1e-14, lambda lo, hi: False)
+    assert abs(fx) <= 1e-14
+    assert x == pytest.approx(0.1, abs=1e-12)
+    assert len(calls) <= 20
+
+
+def test_illinois_returns_an_exact_zero_at_once():
+    calls = []
+
+    def side(x):
+        calls.append(x)
+        return x - 0.5
+
+    # The first secant point of a straight line is its zero.
+    x, fx = illinois_bracket(side, 0.0, 1.0, -0.5, 0.5, 0.0, lambda lo, hi: False)
+    assert (x, fx) == (0.5, 0.0)
+    assert calls == [0.5]
+
+
+def test_illinois_stops_on_adjacent_doubles_at_the_smaller_side():
+    lo = 1.0
+    hi = math.nextafter(lo, 2.0)
+    calls = []
+    x, fx = illinois_bracket(calls.append, lo, hi, -2.0, 1.0, 0.0, lambda lo, hi: False)
+    assert (x, fx) == (hi, 1.0)
+    assert calls == []
 
 
 def test_fifth_order_convergence():
