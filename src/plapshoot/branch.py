@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .config import SolverConfig
 from .errors import SearchError, SpecError
-from .odeint import bisect_bracket
+from .odeint import illinois_bracket
 from .radial import Nonlinearity, ProblemSpec
 from .solver import _records_for_side, _theta_end, find_solutions
 
@@ -145,13 +145,13 @@ def bifurcation_onset(
     """Exponent q at which the branch with this zero count appears.
 
     Requires a finite nonzero phase limit, so p = 2: only there does
-    the branch detach at a finite exponent.  Bisects q, to a relative
-    width of 1e-9, on the sign of h(q) = theta_end(1 - 1e-5; q) -
-    (zeros+1) pi_p, the angle of one shot near the constant state, and
-    confirms the result by solving at q (1 + 1e-3), which must give a
-    validated solution, and at q (1 - 1e-3), which must not.  Raises
-    :class:`SearchError` when h does not change sign between the
-    endpoints or the confirmation fails.
+    the branch detach at a finite exponent.  Illinois steps close in on
+    the sign change of h(q) = theta_end(1 - 1e-5; q) - (zeros+1) pi_p,
+    the angle of one shot near the constant state, to a relative width
+    of 1e-9, and return the end with the smaller |h|.  A solve at
+    q (1 + 1e-3) must give a validated solution and one at q (1 - 1e-3)
+    none, or :class:`SearchError` is raised, as it is when h does not
+    change sign between the endpoints.
     """
     cfg = cfg or SolverConfig()
     spec._require_g()
@@ -174,11 +174,14 @@ def bifurcation_onset(
         spec_q = _spec_with_param(spec, "q", q)
         return _theta_end(1.0 - 1e-5, spec_q, cfg) - target
 
-    if not h(lo) < 0.0:
+    h_lo, h_hi = h(lo), h(hi)
+    if not h_lo < 0.0:
         raise SearchError(f"{zeros}-zero branch already exists at q_lo={lo}")
-    if not h(hi) > 0.0:
+    if not h_hi > 0.0:
         raise SearchError(f"no {zeros}-zero branch up to q_hi={hi}")
-    q_star = bisect_bracket(h, lo, hi, -1.0, lambda a, b: b - a <= 1e-9 * a)
+    q_star = illinois_bracket(
+        h, lo, hi, h_lo, h_hi, 0.0, lambda a, b: b - a <= 1e-9 * a
+    )[0]
     above, below = (
         _records_for_side(_spec_with_param(spec, "q", q), cfg, "lower", [zeros])
         for q in (q_star * (1.0 + 1e-3), q_star * (1.0 - 1e-3))

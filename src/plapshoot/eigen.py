@@ -15,9 +15,9 @@ of half-periods across the domain.  The k-th eigenvalue (k = 1 is the
 constant eigenfunction, lam = 0) is the root in lam of the terminal
 angle, which is strictly increasing in lam, minus k half-periods.  The
 search starts from the closed form ((k-1) pi_p / width)^p of N = 1,
-brackets the root by doubling or halving, and closes in on it with
-:func:`~plapshoot.odeint.illinois_bracket`; the package's other
-bracketed searches still bisect.
+brackets the root by doubling or halving with
+:func:`~plapshoot.odeint.grow_bracket`, and closes in on it with
+:func:`~plapshoot.odeint.illinois_bracket`.
 
 The angle runs through :func:`~plapshoot.odeint.end_state`, with the
 stage sums generated from the Dormand-Prince tableau for its one
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .config import SolverConfig
 from .errors import SearchError, SpecError
-from .odeint import IvpSpec, end_state, illinois_bracket, integrate
+from .odeint import IvpSpec, end_state, grow_bracket, illinois_bracket, integrate
 from .ptrig import get_context, phi_p, phi_p_inv
 from .radial import PROFILE_NODES, ProblemSpec
 
@@ -152,26 +152,11 @@ def eigenvalue(k: int, spec: ProblemSpec, cfg: SolverConfig | None = None) -> Ei
         return eigen_angle(lam, spec, cfg) - target
 
     cap = LAMBDA_CAP_FACTOR * spec.r_outer ** (-spec.p)
-    lo = hi = min(_guess(k, spec), cap)
-    f_lo = f_hi = side(hi)
-    while f_hi < 0.0:
-        if hi >= cap:
-            raise SearchError(f"no angle crossing for k={k} below lam={cap:.3e}")
-        lo, f_lo = hi, f_hi
-        hi = min(2.0 * hi, cap)
-        f_hi = side(hi)
-    while f_lo >= 0.0:
-        hi, f_hi = lo, f_lo
-        lo = 0.5 * lo
-        f_lo = side(lo)
+    bracket = grow_bracket(side, _guess(k, spec), 0.0, cap)
+    if bracket is None:
+        raise SearchError(f"no angle crossing for k={k} below lam={cap:.3e}")
     lam, miss = illinois_bracket(
-        side,
-        lo,
-        hi,
-        f_lo,
-        f_hi,
-        _ANGLE_TOL * target,
-        lambda lo, hi: hi - lo <= _REL_TOL * hi,
+        side, *bracket, _ANGLE_TOL * target, lambda lo, hi: hi - lo <= _REL_TOL * hi
     )
     return EigenResult(k=k, lam=lam, residual=abs(miss))
 

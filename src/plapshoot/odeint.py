@@ -20,10 +20,10 @@ location (:func:`crossings`) and profile sampling both evaluate the
 stored interpolants rather than re-integrating.  Shots that need a
 profile (validated solutions, the ``shoot`` command), eigenfunction
 profiles and the p-trig table run :func:`integrate`.
-Two bracketed searches live here.  Eigenvalues close in on their root
-with :func:`illinois_bracket`, a safeguarded regula falsi; events, roots
-in ``d`` and the sweeps in R and q still bisect with
-:func:`bisect_bracket` until they move to the Illinois search too.
+Events, eigenvalues and the sweeps in R and q close in on a sign change
+with :func:`illinois_bracket`, a safeguarded regula falsi, after
+:func:`grow_bracket` where no bracket is given; only the roots in ``d``
+still bisect, with :func:`bisect_bracket`.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ _FAC_HI = 1.0 / 0.2
 # bracket of ordinary width reaches adjacent doubles in about 60 halvings.
 _BISECT_MAX_ITERS = 200
 
-# crossings bisects to this width relative to max(1, |r|).
+# crossings closes in to this width relative to max(1, |r|).
 _CROSSING_TOL = 1e-12
 
 
@@ -467,6 +467,33 @@ def end_state(
     return _march(ivp, trial)
 
 
+def grow_bracket(
+    side: Callable[[float], float], x0: float, x_min: float, x_max: float
+) -> tuple[float, float, float, float] | None:
+    """Bracket the sign change of an increasing ``side``, starting at ``x0``.
+
+    Doubles x while ``side(x) < 0`` and halves it while ``side(x) >= 0``,
+    clamped to ``[x_min, x_max]``.  Returns ``(lo, hi, side(lo),
+    side(hi))``, the arguments :func:`illinois_bracket` takes first, or
+    ``None`` once a clamped end still has the wrong sign.
+    """
+    lo = hi = min(max(x0, x_min), x_max)
+    f_lo = f_hi = side(hi)
+    while f_hi < 0.0:
+        if hi >= x_max:
+            return None
+        lo, f_lo = hi, f_hi
+        hi = min(2.0 * hi, x_max)
+        f_hi = side(hi)
+    while f_lo >= 0.0:
+        if lo <= x_min:
+            return None
+        hi, f_hi = lo, f_lo
+        lo = max(0.5 * lo, x_min)
+        f_lo = side(lo)
+    return lo, hi, f_lo, f_hi
+
+
 def bisect_bracket(
     side: Callable[[float], float],
     lo: float,
@@ -482,6 +509,10 @@ def bisect_bracket(
     ``mid``.  The search stops when ``done(lo, hi)`` holds, when ``lo``
     and ``hi`` are adjacent doubles, or after 200 halvings; an exact
     zero of ``side`` is returned at once.
+
+    Its one caller, :func:`plapshoot.solver._bisect_on_angle`, keeps it
+    because the benchmark's tests pin that search at 498 shots, 2 of
+    them collapsed, on the seed-0 solve.
     """
     lo_negative = side_lo < 0.0
     for _ in range(_BISECT_MAX_ITERS):
@@ -523,13 +554,6 @@ def illinois_bracket(
     or after 200 steps, it returns the endpoint with the smaller
     ``|side|`` and that value: an endpoint and not the midpoint, so that
     a jump in ``side`` ends at the sign change, as bisection does.
-
-    Only :func:`plapshoot.eigen.eigenvalue` uses it so far.  The events,
-    the roots in ``d`` and the sweeps still bisect with
-    :func:`bisect_bracket`, because moving the root search in ``d``
-    changes shot counts that the benchmark's tests pin; they move here
-    with the next change to the benchmark, and :func:`bisect_bracket`
-    goes.
     """
     w_lo, w_hi = f_lo, f_hi
     kept = 0  # -1 after lo was kept, +1 after hi was kept
@@ -569,8 +593,8 @@ def crossings(
 
     Returns ``(r, level, direction)`` triples sorted by ``r``, with
     ``direction`` +1 for an upward crossing and -1 for a downward one.
-    Each mesh interval is searched per level by bisecting the dense
-    interpolant with :func:`bisect_bracket` to a width of 1e-12 times
+    Each mesh interval is searched per level by :func:`illinois_bracket`
+    on the dense interpolant, down to a width of 1e-12 times
     ``max(1, |r|)``, so crossings are found even where accepted steps
     are long, as long as the component meets each level at most once
     per step.  A crossing sitting exactly on an interior knot is
@@ -588,8 +612,7 @@ def crossings(
             gb = vb - level
             if ga == 0.0:
                 if i == 0:
-                    direction = 1 if gb > 0 else -1
-                    out.append((rs[0], level, direction))
+                    out.append((rs[0], level, 1 if gb > 0 else -1))
                 continue
             if gb == 0.0:
                 out.append((rs[i + 1], level, 1 if ga < 0 else -1))
@@ -597,12 +620,9 @@ def crossings(
             if ga * gb > 0.0:
                 continue
             tol = _CROSSING_TOL * max(1.0, abs(rs[i + 1]))
-            r = bisect_bracket(
+            r, _ = illinois_bracket(
                 lambda r: sol.eval(r)[component] - level,
-                rs[i],
-                rs[i + 1],
-                ga,
-                lambda lo, hi: hi - lo <= tol,
+                rs[i], rs[i + 1], ga, gb, 0.0, lambda lo, hi: hi - lo <= tol,
             )
             out.append((r, level, 1 if ga < 0 else -1))
     out.sort(key=lambda t: t[0])

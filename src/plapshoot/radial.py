@@ -20,7 +20,7 @@ around the constant equilibrium ``u = 1``:
 
 The angle never decreases, increases by one half-period per interior
 zero of ``u - 1``, and its terminal value is the quantity every root
-search in this package brackets and bisects on.
+search in this package brackets and closes in on.
 
 Shots come in two kinds.  ``shoot(d, spec, cfg)`` integrates with the
 generic dense :func:`~plapshoot.odeint.integrate` and returns a sampled
@@ -111,8 +111,7 @@ class Nonlinearity:
     at the constant state ``s = 1`` and has the sign of ``s - 1``
     elsewhere, which is what keeps the phase angle monotone.
     :meth:`f_for` is the one definition of ``f``: it returns ``f`` for
-    one exponent p as a closure, which a shot's field binds once;
-    :meth:`f` evaluates it at one point.
+    one exponent p as a closure, which a shot's field binds once.
     """
 
     q: float
@@ -160,10 +159,6 @@ class Nonlinearity:
                 return math.inf
 
         return f
-
-    def f(self, s: float, p: float) -> float:
-        """``f(s)`` for the exponent p: see :meth:`f_for`."""
-        return self.f_for(p)(s)
 
     def fprime_at_one(self, p: float) -> float:
         return self.q - self.r_exp_for(p)
@@ -317,7 +312,7 @@ def startup_state(d: float, spec: ProblemSpec, eps0: float) -> tuple[float, floa
     p = spec.p
     pp = spec.exponent.pprime
     n = spec.dim
-    fd = spec.g.f(d, p)
+    fd = spec.g.f_for(p)(d)
     v = -fd * eps0**n / n
     u = d - phi_p_inv(fd / n, p) * eps0**pp / pp
     theta = anchor + fd * math.copysign(1.0, d - 1.0) * eps0**n / (

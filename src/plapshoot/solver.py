@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 from .config import SolverConfig
 from .errors import NumericsError, SearchError, SpecError
-from .odeint import bisect_bracket
+from .odeint import bisect_bracket, grow_bracket, illinois_bracket
 from .ptrig import pi_p
 from .radial import ProblemSpec, ShotSummary, Trajectory, shoot
 
@@ -325,12 +325,14 @@ def rstar(
     Only meaningful in the regime where the terminal angle of shots
     near the constant state flattens out (p < 2): there, solutions with
     k interior zeros exist precisely beyond a threshold radius.  The
-    domain shape of ``spec`` is kept (annuli keep their radius ratio),
-    and R is bisected, to a relative width of 1.5e-3, on the sign of
+    domain shape of ``spec`` is kept (annuli keep their radius ratio).
     g(R) = max_d theta_end(d; R) - (k+1) pi_p, the maximum taken by
-    golden section.  That assumes one peak in d, which a scan at the
-    returned R confirms (one local maximum, none of its nodes above the
-    golden one), or :class:`SearchError` is raised.
+    golden section, is bracketed from the radius R of ``spec`` within
+    [1e-6 R, max(R, r_cap)] and closed in on by Illinois steps to a
+    relative width of 1.5e-3; the end with the smaller |g| is returned.
+    That assumes one peak in d, which a scan at the returned R confirms
+    (one local maximum, none of its nodes above the golden one), or
+    :class:`SearchError` is raised, as it is when g keeps its sign.
     """
     cfg = cfg or SolverConfig()
     if not (isinstance(k, int) and k >= 1):
@@ -347,19 +349,14 @@ def rstar(
     def g(r_outer: float) -> float:
         return _max_theta_end(spec.with_outer_radius(r_outer), cfg) - target
 
-    # Halve R while g > 0 there, or double it while g <= 0.
     r0 = spec.r_outer
-    step = 0.5 if g(r0) > 0.0 else 2.0
-    r, r_next = r0, step * r0
-    while (g(r_next) > 0.0) == (step < 1.0):
-        r, r_next = r_next, step * r_next
-        if not 1e-6 * r0 <= r_next <= max(r0, r_cap):
-            raise SearchError(
-                f"no threshold for {k}-zero solutions between outer radii"
-                f" {1e-6 * r0!r} and {r_cap!r}"
-            )
-    lo, hi = sorted((r, r_next))
-    r_hat = bisect_bracket(g, lo, hi, -1.0, lambda a, b: b - a <= 1.5e-3 * a)
+    bracket = grow_bracket(g, r0, 1e-6 * r0, max(r0, r_cap))
+    if bracket is None:
+        raise SearchError(
+            f"no threshold for {k}-zero solutions between outer radii"
+            f" {1e-6 * r0!r} and {max(r0, r_cap)!r}"
+        )
+    r_hat = illinois_bracket(g, *bracket, 0.0, lambda a, b: b - a <= 1.5e-3 * a)[0]
     spec_hat = spec.with_outer_radius(r_hat)
     scan = theta_scan(spec_hat, cfg)
     ts = [-math.inf] + [t for _, t in scan if not math.isnan(t)] + [-math.inf]

@@ -130,14 +130,27 @@ def test_onset_endpoints_must_straddle():
         (1, 2.0, 50.0, 2.0 + (math.pi / 2.0) ** 2),
     ],
 )
-def test_onset_lands_on_the_eigenvalue_crossing(zeros, radius, q_hi, onset):
+def test_onset_lands_on_the_eigenvalue_crossing(
+    zeros, radius, q_hi, onset, monkeypatch
+):
+    # The search in q takes at most 16 evaluations of h, the endpoints
+    # included (bisection took 33 to 36).
     cfg = SolverConfig(
         d_grid_size=150, rel_tol=1e-9, abs_tol=1e-11, residual_tol=1e-6
     )
+    qs = []
+    theta_end = branch._theta_end
+
+    def counted(d, spec, cfg):
+        qs.append(spec.g.q)
+        return theta_end(d, spec, cfg)
+
+    monkeypatch.setattr(branch, "_theta_end", counted)
     q_star = bifurcation_onset(
         ball(radius=radius), zeros, cfg, q_lo=2.1, q_hi=q_hi
     )
     assert q_star == pytest.approx(onset, rel=1e-6)
+    assert len(qs) <= 16
 
 
 @pytest.mark.parametrize("found", [False, True])

@@ -14,6 +14,7 @@ from plapshoot.odeint import (
     bisect_bracket,
     crossings,
     end_state,
+    grow_bracket,
     illinois_bracket,
     integrate,
 )
@@ -209,7 +210,7 @@ def test_crossings_bad_component():
 
 def _old_crossings(sol, component, levels, refine_tol=1e-12):
     # The hand-written bisection loop crossings used before it moved to
-    # bisect_bracket, kept to pin the results bit for bit.
+    # a bracket finder, kept as the reference for its results.
     out = []
     rs, ys = sol.rs, sol.ys
     for i in range(len(rs) - 1):
@@ -248,12 +249,36 @@ def _old_crossings(sol, component, levels, refine_tol=1e-12):
 
 
 def test_crossings_equal_old_loop():
+    # Both searches stop on a bracket 1e-12 max(1, |r|) wide: the levels
+    # and directions agree exactly, the radii within that width.
     sol = integrate(rotation_ivp(r_end=6 * math.pi))
     for component in (0, 1):
         for levels in ([0.0], [0.5, -0.5], [0.999, -0.25]):
             hits = crossings(sol, component, levels)
+            old = _old_crossings(sol, component, levels)
             assert hits
-            assert hits == _old_crossings(sol, component, levels)
+            assert [h[1:] for h in hits] == [o[1:] for o in old]
+            for (r, _, _), (r_old, _, _) in zip(hits, old):
+                assert abs(r - r_old) <= 1e-12 * max(1.0, abs(r))
+
+
+def test_crossings_evaluation_budget():
+    # At most 12 interpolant evaluations per crossing (bisection to the
+    # same width took about 32).
+    sol = integrate(rotation_ivp(r_end=6 * math.pi))
+    evals = []
+    dense_eval = sol.eval
+
+    def counted(r):
+        evals.append(r)
+        return dense_eval(r)
+
+    sol.eval = counted
+    for component in (0, 1):
+        for levels in ([0.0], [0.5, -0.5], [0.999, -0.25]):
+            evals.clear()
+            hits = crossings(sol, component, levels)
+            assert len(evals) <= 12 * len(hits), (component, levels)
 
 
 def test_bisect_returns_exact_zero():
@@ -514,3 +539,46 @@ def test_end_state_equals_integrate_on_one_scalar_component(case):
     ivp, field = case
     full = _end_or_error(lambda: _integrate_end(ivp))
     assert _end_or_error(lambda: end_state(ivp, field, 1, scalar=True)) == full
+
+
+def _logged(side, calls):
+    def wrapped(x):
+        calls.append(x)
+        return side(x)
+    return wrapped
+
+
+def test_grow_bracket_doubles_up_to_the_sign_change():
+    calls = []
+    side = _logged(lambda x: x - 5.0, calls)
+    assert grow_bracket(side, 1.0, 0.0, 100.0) == (4.0, 8.0, -1.0, 3.0)
+    assert calls == [1.0, 2.0, 4.0, 8.0]
+
+
+def test_grow_bracket_halves_down_to_the_sign_change():
+    calls = []
+    side = _logged(lambda x: x - 0.375, calls)
+    assert grow_bracket(side, 1.0, 0.0, 100.0) == (0.25, 0.5, -0.125, 0.125)
+    assert calls == [1.0, 0.5, 0.25]
+
+
+def test_grow_bracket_clamps_at_both_limits():
+    calls = []
+    up = grow_bracket(_logged(lambda x: x - 5.5, calls), 1.0, 0.0, 6.0)
+    assert up == (4.0, 6.0, -1.5, 0.5)
+    assert calls == [1.0, 2.0, 4.0, 6.0]
+    calls.clear()
+    down = grow_bracket(_logged(lambda x: x - 0.375, calls), 1.0, 0.3125, 6.0)
+    assert down == (0.3125, 0.5, -0.0625, 0.125)
+    assert calls == [1.0, 0.5, 0.3125]
+    # A start outside the limits is clamped first.
+    assert grow_bracket(lambda x: x - 5.5, 50.0, 0.0, 6.0) == (3.0, 6.0, -2.5, 0.5)
+
+
+def test_grow_bracket_gives_none_when_a_clamped_end_has_the_wrong_sign():
+    calls = []
+    assert grow_bracket(_logged(lambda x: -1.0, calls), 1.0, 0.5, 6.0) is None
+    assert calls == [1.0, 2.0, 4.0, 6.0]
+    calls.clear()
+    assert grow_bracket(_logged(lambda x: 1.0, calls), 1.0, 0.3, 6.0) is None
+    assert calls == [1.0, 0.5, 0.3]

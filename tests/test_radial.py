@@ -47,21 +47,22 @@ def ball_spec(p=2.0, dim=1, radius=1.0, q=15.0, r_exp=None):
 
 
 def test_f_pure_power():
-    g = Nonlinearity(q=3.0)
-    assert g.f(1.0, 2.0) == 0.0
-    assert g.f(2.0, 2.0) == pytest.approx(2.0, rel=1e-15)
-    assert g.f(0.5, 2.0) == pytest.approx(-0.25, rel=1e-15)
-    assert g.f(0.0, 2.0) == 0.0
-    assert g.f(-0.3, 2.0) == 0.0
+    f = Nonlinearity(q=3.0).f_for(2.0)
+    assert f(1.0) == 0.0
+    assert f(2.0) == pytest.approx(2.0, rel=1e-15)
+    assert f(0.5) == pytest.approx(-0.25, rel=1e-15)
+    assert f(0.0) == 0.0
+    assert f(-0.3) == 0.0
 
 
 def test_f_power_combo():
     g = Nonlinearity(q=4.0, r_exp=3.0)
     # f(s) = s^3 - s^2 regardless of p.
     for p in (1.5, 2.0, 3.0):
-        assert g.f(2.0, p) == pytest.approx(4.0, rel=1e-15)
-        assert g.f(0.5, p) == pytest.approx(-0.125, rel=1e-15)
-        assert g.f(1.0, p) == 0.0
+        f = g.f_for(p)
+        assert f(2.0) == pytest.approx(4.0, rel=1e-15)
+        assert f(0.5) == pytest.approx(-0.125, rel=1e-15)
+        assert f(1.0) == 0.0
 
 
 def test_f_sign_condition():
@@ -77,7 +78,7 @@ def test_f_sign_condition():
             s = 0.05 * i
             if abs(s - 1.0) < 1e-12:
                 continue
-            assert spec.g.f(s, spec.p) * (s - 1.0) > 0.0, (spec.g, s)
+            assert spec.g.f_for(spec.p)(s) * (s - 1.0) > 0.0, (spec.g, s)
 
 
 def test_nonlinearity_validation():
@@ -259,7 +260,7 @@ def test_rho_sq_consistent_with_its_own_ode():
     def rhs(r, y):
         u, v, z = y
         rn = r ** (n - 1)
-        fu = spec.g.f(u, p)
+        fu = spec.g.f_for(p)(u)
         du = phi(v / rn, pp)
         dv = -rn * fu
         dz = p * phi(u - 1.0, p) * du + p * phi(v, pp) * dv
@@ -515,9 +516,10 @@ def test_pure_power_is_the_combination_with_r_equal_p(p):
     for q in (p + 1e-9, p + 0.5, 15.0, 100.0):
         pure, combo = Nonlinearity(q), Nonlinearity(q, r_exp=p)
         assert pure.r_exp_for(p) == p
-        assert [pure.f(s, p) for s in s_grid] == [combo.f(s, p) for s in s_grid]
+        f_pure, f_combo = pure.f_for(p), combo.f_for(p)
+        assert [f_pure(s) for s in s_grid] == [f_combo(s) for s in s_grid]
         assert pure.fprime_at_one(p) == combo.fprime_at_one(p) == q - p
-    assert Nonlinearity(100.0).f(1e300, p) == math.inf
+    assert Nonlinearity(100.0).f_for(p)(1e300) == math.inf
     for q in (p - 0.4, p, p + 1e-9, p + 0.5):
         pure, combo = Nonlinearity(q), Nonlinearity(q, r_exp=p)
         assert _accepts(pure, p) == _accepts(combo, p) == (q > p)
@@ -660,4 +662,3 @@ def test_field_matches_the_reference_field(case):
     for s in (u, v):
         a, b = f(s), _ref_f(spec.g, s, spec.p)
         assert a.hex() == b.hex() or (math.isnan(a) and math.isnan(b))
-        assert spec.g.f(s, spec.p).hex() == a.hex() or math.isnan(a)

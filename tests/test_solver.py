@@ -216,7 +216,7 @@ def test_rstar_requires_vanishing_phase_limit():
 def _old_rstar(k, spec, cfg, r_cap=1e4):
     # rstar as it was before it searched the maximum terminal angle:
     # bisection of the outer radius on "some scan node exceeds (k+1)
-    # half-periods", kept to pin the result bit for bit.
+    # half-periods", kept as the reference for the result.
     target = (k + 1) * pi_p(spec.p)
 
     def pred(r_outer):
@@ -246,9 +246,34 @@ def _old_rstar(k, spec, cfg, r_cap=1e4):
     [(1, Ball(1.0)), (2, Ball(1.0)), (1, Annulus(0.1, 1.0))],
 )
 def test_rstar_equals_old_predicate_loop(k, domain):
+    # Equal within the 1.5e-3 relative width both searches stop at.
     spec = ProblemSpec(p=1.8, dim=1, domain=domain, g=Nonlinearity(q=3.0))
     cfg = SolverConfig(d_grid_size=150)
-    assert rstar(k, spec, cfg) == _old_rstar(k, spec, cfg)
+    assert rstar(k, spec, cfg) == pytest.approx(_old_rstar(k, spec, cfg), rel=1.5e-3)
+
+
+def test_rstar_shot_budget(monkeypatch):
+    # The benchmark's sweep configuration: the search in R and the
+    # confirming scan take at most 400 shots (539 by bisection in R).
+    cfg = SolverConfig(
+        d_grid_size=150, rel_tol=1e-9, abs_tol=1e-11, residual_tol=1e-6
+    )
+    shots = []
+    real_shoot = solver.shoot
+
+    def counted(*args, **kwargs):
+        shots.append(args[0])
+        return real_shoot(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "shoot", counted)
+    rstar(1, ball(p=1.8, q=3.0), cfg)
+    assert len(shots) <= 400
+
+
+def test_rstar_below_the_threshold_up_to_r_cap_is_a_search_error():
+    # The threshold of p = 1.8, q = 3 lies near R = 3.42.
+    with pytest.raises(SearchError, match="no threshold for 1-zero solutions"):
+        rstar(1, ball(p=1.8, q=3.0), SolverConfig(d_grid_size=40), r_cap=2.0)
 
 
 class _FakeEnd:
