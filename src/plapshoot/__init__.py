@@ -20,7 +20,7 @@ from .errors import (
     SpecError,
 )
 from .odeint import DenseSolution, IvpSpec, crossings, integrate
-from .ptrig import PExponent, PTrigContext, get_context, phi_p, phi_p_inv, pi_p
+from .ptrig import PTrigContext, get_context, phi_p, phi_p_inv, pi_p
 from .radial import (
     Annulus,
     Ball,
@@ -46,7 +46,6 @@ __all__ = [
     "NearConstantShotError",
     "Nonlinearity",
     "NumericsError",
-    "PExponent",
     "PTrigContext",
     "PlapshootError",
     "ProblemSpec",

@@ -123,10 +123,7 @@ def branch_sweep(
         param_name=param_name,
         rows=rows,
         metadata={
-            "p": spec.p,
-            "dim": spec.dim,
-            "domain": repr(spec.domain),
-            "g": spec.g.label(),
+            **spec.describe(),
             "param_name": param_name,
             "n_values": len(values),
             "max_zeros": max_zeros,

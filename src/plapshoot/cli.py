@@ -95,6 +95,14 @@ def _write_table(args, header: list[str], rows: list[list[float]], summary: dict
         _emit_json(dict(summary, header=header, rows=rows))
 
 
+# Columns of a shot profile, as shoot --out and solve --out write them.
+_PROFILE_HEADER = ["r", "u", "v", "theta", "rho_sq"]
+
+
+def _profile_rows(traj) -> list[tuple[float, ...]]:
+    return list(zip(traj.r, traj.u, traj.v, traj.theta, traj.rho_sq))
+
+
 def cmd_ptrig(args) -> int:
     ctx = get_context(args.p)
     if args.table is None and args.theta is None:
@@ -116,10 +124,7 @@ def cmd_ptrig(args) -> int:
         )
         return 0
     c, s = ctx.pair(args.theta)
-    pexp = ctx.exponent
-    defect = abs(
-        (args.p - 1.0) * abs(s) ** pexp.pprime + abs(c) ** args.p - 1.0
-    )
+    defect = abs((args.p - 1.0) * abs(s) ** ctx.pprime + abs(c) ** args.p - 1.0)
     _emit_json(
         {
             "p": args.p,
@@ -137,14 +142,7 @@ def cmd_eigen(args) -> int:
     spec = _spec_from(args, need_g=False)
     res = eigenvalue(args.k, spec, _config_from(args))
     _emit_json(
-        {
-            "p": spec.p,
-            "dim": spec.dim,
-            "domain": repr(spec.domain),
-            "k": res.k,
-            "lambda": res.lam,
-            "residual": res.residual,
-        }
+        {**spec.describe(), "k": res.k, "lambda": res.lam, "residual": res.residual}
     )
     return 0
 
@@ -153,20 +151,8 @@ def cmd_shoot(args) -> int:
     spec = _spec_from(args)
     cfg = _config_from(args)
     traj, summ = shoot(args.d, spec, cfg)
-    rows = [
-        [r, u, v, th, rho]
-        for r, u, v, th, rho in zip(
-            traj.r, traj.u, traj.v, traj.theta, traj.rho_sq
-        )
-    ]
-    summary = {
-        "p": spec.p,
-        "dim": spec.dim,
-        "domain": repr(spec.domain),
-        "g": spec.g.label(),
-        **dataclasses.asdict(summ),
-    }
-    _write_table(args, ["r", "u", "v", "theta", "rho_sq"], rows, summary)
+    summary = {**spec.describe(), **dataclasses.asdict(summ)}
+    _write_table(args, _PROFILE_HEADER, _profile_rows(traj), summary)
     return 0
 
 
@@ -192,19 +178,11 @@ def cmd_solve(args) -> int:
     if args.out is not None:
         for i, rec in enumerate(records):
             path = f"{args.out}-{rec.side}-j{rec.zeros}-{i}.csv"
-            t = rec.trajectory
             with open(path, "w", newline="") as fh:
-                _write_csv(
-                    fh,
-                    ["r", "u", "v", "theta", "rho_sq"],
-                    zip(t.r, t.u, t.v, t.theta, t.rho_sq),
-                )
+                _write_csv(fh, _PROFILE_HEADER, _profile_rows(rec.trajectory))
     _emit_json(
         {
-            "p": spec.p,
-            "dim": spec.dim,
-            "domain": repr(spec.domain),
-            "g": spec.g.label(),
+            **spec.describe(),
             "sides": list(args.sides),
             "max_zeros": args.max_zeros,
             "n_solutions": len(records),
@@ -309,9 +287,7 @@ def cmd_rstar(args) -> int:
     ratio = None if spec.is_ball else dom.r_inner / dom.r_outer
     _emit_json(
         {
-            "p": spec.p,
-            "dim": spec.dim,
-            "g": spec.g.label(),
+            **spec.describe(),
             "k": args.k,
             "annulus_ratio": ratio,
             "rstar": value,

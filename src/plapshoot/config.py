@@ -6,9 +6,11 @@ five values callers choose: ``d_grid_size``, ``rel_tol``, ``abs_tol``,
 ``residual_tol`` and ``eps0``.  Fixed constants (scan range, bisection
 width, the scan's coarse tolerances ``SCAN_REL_TOL`` and
 ``SCAN_ABS_TOL`` and its re-shooting margin ``SCAN_MARGIN``, collapse
-floor, profile sampling) live in the module that reads each.  Defaults
-are chosen so that phase angles come out well below the validation
-tolerances used when roots are accepted.
+floor, profile sampling) live in the module that reads each, and
+``ProblemSpec.start_radius`` in :mod:`plapshoot.radial` sets the default
+``eps0`` and its limit of half the outer radius.  Defaults are chosen so
+that phase angles come out well below the validation tolerances used
+when roots are accepted.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ class SolverConfig:
     least 16).  ``rel_tol`` and ``abs_tol`` are the integrator's error
     tolerances.  ``residual_tol`` bounds the relative terminal flux of a
     validated solution.  ``eps0`` overrides the startup radius on balls;
-    when ``None`` it is ``1e-8`` times the outer radius.  Each value
-    given must be a positive finite number.
+    :meth:`~plapshoot.radial.ProblemSpec.start_radius` reads it, takes
+    ``1e-8`` times the outer radius R when it is ``None`` and refuses it
+    from R/2 up.  Each value given must be a positive finite number.
     """
 
     d_grid_size: int = 2000
@@ -49,12 +52,3 @@ class SolverConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and 0.0 < v and math.isfinite(v)):
                 raise SpecError(f"{name} must be a positive finite number")
-
-    def eps0_for(self, r_outer: float) -> float:
-        """Startup radius for a ball of the given outer radius."""
-        eps0 = self.eps0 if self.eps0 is not None else 1e-8 * r_outer
-        if not eps0 < r_outer / 2.0:
-            raise SpecError(
-                f"startup radius {eps0!r} too large for outer radius {r_outer!r}"
-            )
-        return eps0

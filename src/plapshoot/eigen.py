@@ -75,18 +75,12 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
         raise SpecError(f"lam must be finite and >= 0, got {lam!r}")
     cfg = cfg or SolverConfig()
     p = spec.p
-    pp = spec.exponent.pprime
+    pp = spec.pprime
     n = spec.dim
     ctx = get_context(p)
     pip = ctx.pi_p
-
-    if spec.is_ball:
-        eps0 = cfg.eps0_for(spec.r_outer)
-        r0 = eps0
-        th0 = pip + lam * eps0**n / n
-    else:
-        r0 = spec.domain.r_inner
-        th0 = pip
+    r0 = spec.start_radius(cfg)
+    th0 = pip + lam * r0**n / n if spec.is_ball else pip
 
     pair = ctx.pair
     pm1 = p - 1.0
@@ -117,7 +111,7 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol,
     )
-    return end_state(ivp, field, 1, scalar=True)[0][0]
+    return end_state(ivp, field, 1)[0][0]
 
 
 def _guess(k: int, spec: ProblemSpec) -> float:
@@ -177,18 +171,14 @@ def eigenfunction(
         raise SpecError(f"lam must be finite and >= 0, got {lam!r}")
     cfg = cfg or SolverConfig()
     p = spec.p
-    pp = spec.exponent.pprime
+    pp = spec.pprime
     n = spec.dim
-
+    r0 = spec.start_radius(cfg)
     if spec.is_ball:
-        eps0 = cfg.eps0_for(spec.r_outer)
-        r0 = eps0
-        w0 = -1.0 + phi_p_inv(lam / n, p) * eps0**pp / pp
-        flux0 = lam * eps0**n / n
+        w0 = -1.0 + phi_p_inv(lam / n, p) * r0**pp / pp
+        flux0 = lam * r0**n / n
     else:
-        r0 = spec.domain.r_inner
-        w0 = -1.0
-        flux0 = 0.0
+        w0, flux0 = -1.0, 0.0
 
     def rhs(r, y):
         w, flux = y

@@ -387,7 +387,7 @@ def integrate(ivp: IvpSpec) -> DenseSolution:
 
 
 @lru_cache(maxsize=None)
-def _end_trial(dim: int, reads: int, scalar: bool):
+def _end_trial(dim: int, reads: int):
     """The trial step of :func:`end_state`, generated from the tableau.
 
     Returns ``make(field, rel_tol, abs_tol)``, which returns the
@@ -398,8 +398,8 @@ def _end_trial(dim: int, reads: int, scalar: bool):
     order, as :func:`integrate` does, so both take the same steps to the
     last bit (a dropped zero term can change only the sign of a zero).
     Stage states are formed only for the components the field reads.
-    With ``scalar`` (one component) the field returns its slope as a
-    float, not a tuple.  Compiled once per kind, on first use.
+    For one component the field returns its slope as a float, not a
+    tuple.  Compiled once per kind, on first use.
     """
     ds = range(dim)
 
@@ -420,7 +420,7 @@ def _end_trial(dim: int, reads: int, scalar: bool):
         # evaluations.  k7 is kept whole: it is the next step's k1.
         ks = names(f"k{s}_")
         call = f"field(r + {_C[s - 1]!r} * h, {', '.join(args)})"
-        if scalar:
+        if dim == 1:
             out = [f"{ks[0]} = {call}"]
         elif s < 7:
             out = [f"{tup(ks)} = {call}"]
@@ -440,7 +440,7 @@ def _end_trial(dim: int, reads: int, scalar: bool):
         for d in ds
     ]
     norm = " + ".join(f"q{d} * q{d}" for d in ds)
-    k7 = "(k7_0,)" if scalar else "k7"
+    k7 = "(k7_0,)" if dim == 1 else "k7"
     body.append(f"return sqrt(({norm}) / {dim}), {tup(names('n'))}, {k7}, 6")
     source = (
         "def make(field, rel_tol, abs_tol):\n    def trial(r, h, y, k1):\n"
@@ -452,18 +452,16 @@ def _end_trial(dim: int, reads: int, scalar: bool):
     return namespace["make"]
 
 
-def end_state(
-    ivp: IvpSpec, field, reads: int, scalar: bool = False
-) -> tuple[tuple[float, ...], int, int]:
+def end_state(ivp: IvpSpec, field, reads: int) -> tuple[tuple[float, ...], int, int]:
     """End of ``ivp`` by Dormand-Prince 5(4), keeping no dense output.
 
-    ``field(r, *y[:reads])`` is ``ivp.rhs`` with the state unpacked, and
-    with ``scalar`` it returns the one slope as a float.  Runs
+    ``field(r, *y[:reads])`` is ``ivp.rhs`` with the state unpacked; for
+    a one-component state it returns the one slope as a float.  Runs
     :func:`_march` with the trial step of :func:`_end_trial`, so it
     takes the steps :func:`integrate` takes and raises what it raises.
     Returns ``(y_end, n_steps, n_rhs_evals)``.
     """
-    trial = _end_trial(len(ivp.y0), reads, scalar)(field, ivp.rel_tol, ivp.abs_tol)
+    trial = _end_trial(len(ivp.y0), reads)(field, ivp.rel_tol, ivp.abs_tol)
     return _march(ivp, trial)
 
 
@@ -598,10 +596,12 @@ def crossings(
     ``max(1, |r|)``, so crossings are found even where accepted steps
     are long, as long as the component meets each level at most once
     per step.  A crossing sitting exactly on an interior knot is
-    reported once.
+    reported once.  A NaN level raises :class:`SpecError`.
     """
     if not 0 <= component < len(sol.ys[0]):
         raise SpecError(f"component {component} out of range")
+    if any(math.isnan(level) for level in levels):
+        raise SpecError(f"crossing levels must not be NaN, got {list(levels)!r}")
     out: list[tuple[float, float, int]] = []
     rs, ys = sol.rs, sol.ys
     for i in range(len(rs) - 1):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import NumericsError, SpecError
@@ -38,18 +37,6 @@ _SERIES_CUTOFF = 1e-6
 def _check_p(p: float) -> None:
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1.0):
         raise SpecError(f"exponent p must be a finite number > 1, got {p!r}")
-
-
-@dataclass(frozen=True)
-class PExponent:
-    """An exponent p > 1 paired with its conjugate p' = p/(p-1)."""
-
-    p: float
-    pprime: float = field(init=False)
-
-    def __post_init__(self):
-        _check_p(self.p)
-        object.__setattr__(self, "pprime", self.p / (self.p - 1.0))
 
 
 def phi_p(s: float, p: float) -> float:
@@ -79,9 +66,10 @@ def pi_p(p: float) -> float:
 class PTrigContext:
     """Tabulated quarter period of ``(cos_p, sin_p)`` for one exponent.
 
-    Build through :func:`get_context`, which caches per ``p``; direct
-    construction integrates the defining system at tight tolerance and
-    is comparatively expensive.  The table is checked only at its end,
+    Holds ``p`` and its conjugate ``pprime = p/(p-1)``.  Build through
+    :func:`get_context`, which caches per ``p``; direct construction
+    integrates the defining system at tight tolerance and is
+    comparatively expensive.  The table is checked only at its end,
     where ``cos_p`` must vanish and ``sin_p`` reach its maximum.
     :meth:`pair` folds an angle into the quarter period and evaluates
     the table's quartic on that interval inline, as
@@ -89,14 +77,14 @@ class PTrigContext:
     """
 
     def __init__(self, p: float):
-        self.exponent = PExponent(p)
+        _check_p(p)
+        self.p = p
+        self.pprime = pp = p / (p - 1.0)
         self.pi_p = pi_p(p)
         self.half_pi_p = 0.5 * self.pi_p
         # Largest value of sin_p, attained at the quarter period.
-        self.sin_p_max = (1.0 / (p - 1.0)) ** (1.0 / self.exponent.pprime)
+        self.sin_p_max = (1.0 / (p - 1.0)) ** (1.0 / pp)
         self._delta = min(_SERIES_CUTOFF, self.half_pi_p / 8.0)
-
-        pp = self.exponent.pprime
 
         def rhs(t, y):
             c, s = y
@@ -128,8 +116,8 @@ class PTrigContext:
 
     def _series_pair(self, t: float) -> tuple[float, float]:
         # Two-term expansions around the C = 1, S = 0 corner.
-        p = self.exponent.p
-        pp = self.exponent.pprime
+        p = self.p
+        pp = self.pprime
         tq = t**pp
         c = 1.0 - tq / pp + (p - 1.0) * (pp - 1.0) * tq * tq / (
             2.0 * pp * pp * (pp + 1.0)

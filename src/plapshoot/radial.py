@@ -48,13 +48,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .config import SolverConfig
 from .errors import IntegrationError, NearConstantShotError, SpecError
 from .odeint import IvpSpec, crossings, end_state, integrate
-from .ptrig import PExponent, phi_p_inv, pi_p
+from .ptrig import _check_p, phi_p_inv, pi_p
 
 # A shot has collapsed onto the constant state once the squared
 # phase-plane radius falls below this floor: the angle is then no longer
@@ -181,10 +181,9 @@ class ProblemSpec:
     dim: int
     domain: Ball | Annulus
     g: Nonlinearity | None = None
-    exponent: PExponent = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "exponent", PExponent(self.p))
+        _check_p(self.p)
         if not (isinstance(self.dim, int) and self.dim >= 1):
             raise SpecError(f"dimension must be an integer >= 1, got {self.dim!r}")
         if self.g is not None:
@@ -199,8 +198,37 @@ class ProblemSpec:
         return self.domain.r_outer
 
     @property
+    def pprime(self) -> float:
+        """The conjugate exponent ``p' = p/(p-1)``."""
+        return self.p / (self.p - 1.0)
+
+    @property
     def pi_p(self) -> float:
         return pi_p(self.p)
+
+    def start_radius(self, cfg: SolverConfig) -> float:
+        """Radius at which shots and eigenvalue integrations start.
+
+        On an annulus the inner radius.  On a ball, whose center is a
+        singular point, ``cfg.eps0``, by default ``1e-8`` times the outer
+        radius R; :class:`SpecError` unless it lies below R/2.
+        """
+        if not self.is_ball:
+            return self.domain.r_inner
+        r = self.r_outer
+        eps0 = cfg.eps0 if cfg.eps0 is not None else 1e-8 * r
+        if not eps0 < r / 2.0:
+            raise SpecError(
+                f"startup radius {eps0!r} too large for outer radius {r!r}"
+            )
+        return eps0
+
+    def describe(self) -> dict:
+        """``p``, ``dim``, ``domain`` and, when set, ``g``, as JSON values."""
+        doc = {"p": self.p, "dim": self.dim, "domain": repr(self.domain)}
+        if self.g is not None:
+            doc["g"] = self.g.label()
+        return doc
 
     @property
     def c1(self) -> float:
@@ -254,7 +282,7 @@ class Trajectory:
     @property
     def rho_sq(self) -> array:
         p = self.p
-        pp = p / (p - 1.0)  # PExponent.pprime
+        pp = p / (p - 1.0)  # ProblemSpec.pprime
         return array("d", (_rho_sq(u, v, p, pp) for u, v in zip(self.u, self.v)))
 
 
@@ -310,7 +338,7 @@ def startup_state(d: float, spec: ProblemSpec, eps0: float) -> tuple[float, floa
     if not 0.0 < eps0 < spec.r_outer / 2.0:
         raise SpecError(f"eps0 must lie in (0, R/2), got {eps0!r}")
     p = spec.p
-    pp = spec.exponent.pprime
+    pp = spec.pprime
     n = spec.dim
     fd = spec.g.f_for(p)(d)
     v = -fd * eps0**n / n
@@ -342,7 +370,7 @@ def _make_field(spec: ProblemSpec, d: float):
     whether all three are finite.
     """
     p = spec.p
-    pp = spec.exponent.pprime
+    pp = spec.pprime
     pm1 = p - 1.0
     ppm1 = pp - 1.0
     nm1 = spec.dim - 1
@@ -392,18 +420,13 @@ def _shot_start(d: float, spec: ProblemSpec, cfg: SolverConfig):
     :class:`NearConstantShotError` at the field's first evaluation, in
     the step loop of either kind of shot.
     """
-    if spec.is_ball:
-        eps0 = cfg.eps0_for(spec.r_outer)
-        r0 = eps0
-    else:
-        eps0 = 0.0
-        r0 = spec.domain.r_inner
+    r0 = spec.start_radius(cfg)
     if r0 ** (spec.dim - 1) == 0.0:
         raise SpecError(
             f"start-up radius {r0!r} too small: r^(N-1) underflows to 0 for"
             f" N={spec.dim}"
         )
-    y0 = startup_state(d, spec, eps0)
+    y0 = startup_state(d, spec, r0)
     if not all(math.isfinite(c) for c in y0):
         raise IntegrationError("start-up state not finite", r0)
     field = _make_field(spec, d)

@@ -331,7 +331,8 @@ def rstar(
     [1e-6 R, max(R, r_cap)] and closed in on by Illinois steps to a
     relative width of 1.5e-3; the end with the smaller |g| is returned.
     That assumes one peak in d, which a scan at the returned R confirms
-    (one local maximum, none of its nodes above the golden one), or
+    (one local maximum, none of its nodes above the golden one, which
+    is kept from the search and not computed again), or
     :class:`SearchError` is raised, as it is when g keeps its sign.
     """
     cfg = cfg or SolverConfig()
@@ -345,9 +346,11 @@ def rstar(
             f" this problem has c1={spec.c1!r}"
         )
     target = (k + 1) * pi_p(spec.p)
+    maxima: dict[float, float] = {}
 
     def g(r_outer: float) -> float:
-        return _max_theta_end(spec.with_outer_radius(r_outer), cfg) - target
+        maxima[r_outer] = _max_theta_end(spec.with_outer_radius(r_outer), cfg)
+        return maxima[r_outer] - target
 
     r0 = spec.r_outer
     bracket = grow_bracket(g, r0, 1e-6 * r0, max(r0, r_cap))
@@ -357,11 +360,10 @@ def rstar(
             f" {1e-6 * r0!r} and {max(r0, r_cap)!r}"
         )
     r_hat = illinois_bracket(g, *bracket, 0.0, lambda a, b: b - a <= 1.5e-3 * a)[0]
-    spec_hat = spec.with_outer_radius(r_hat)
-    scan = theta_scan(spec_hat, cfg)
+    scan = theta_scan(spec.with_outer_radius(r_hat), cfg)
     ts = [-math.inf] + [t for _, t in scan if not math.isnan(t)] + [-math.inf]
     rises = [b > a for a, b in zip(ts, ts[1:]) if a != b]
     peaks = sum(up and not nxt for up, nxt in zip(rises, rises[1:]))
-    if peaks != 1 or max(ts) > _max_theta_end(spec_hat, cfg):
+    if peaks != 1 or max(ts) > maxima[r_hat]:
         raise SearchError(f"theta_end at R={r_hat!r} is not single-peaked")
     return r_hat

@@ -57,7 +57,7 @@ def test_criterion_1_trig_identity_and_half_period():
     checks = [("pi_2 equals pi", abs(pi_p(2.0) - math.pi) <= 1e-12)]
     for p in (1.3, 1.5, 1.8, 2.0, 2.1, 3.0, 4.0):
         ctx = get_context(p)
-        pp = ctx.exponent.pprime
+        pp = ctx.pprime
         worst = 0.0
         n = 10_000
         for i in range(n):
@@ -236,7 +236,7 @@ def test_criterion_8_robustness(q100_records, p3_records):
             rho = math.sqrt(rho2)
             c, s = ctx.pair(th)
             ru = rho ** (2.0 / p)
-            rv = rho ** (2.0 / ctx.exponent.pprime)
+            rv = rho ** (2.0 / ctx.pprime)
             scale = max(1.0, ru, rv)
             worst = max(worst, abs(u - 1.0 - ru * c) / scale,
                         abs(v + rv * s) / scale)

@@ -279,6 +279,7 @@ def test_rstar_cli(capsys):
         capsys,
         ["rstar", "--p", "1.8", "--g", "pow:3", "--k", "1", "--grid", "150"],
     )
+    assert list(doc)[:4] == ["p", "dim", "domain", "g"]
     assert doc["rstar"] == pytest.approx(3.42, abs=0.1)
     assert doc["annulus_ratio"] is None
 

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 from scipy.special import jn_zeros
 
 import plapshoot.eigen as eigen_mod
+import plapshoot.radial as radial_mod
 from plapshoot.config import SolverConfig
 from plapshoot.eigen import EigenResult, eigen_angle, eigenfunction, eigenvalue
 from plapshoot.errors import (
@@ -18,7 +19,14 @@ from plapshoot.errors import (
 )
 from plapshoot.odeint import IvpSpec, integrate
 from plapshoot.ptrig import PTrigContext, get_context, pi_p
-from plapshoot.radial import PROFILE_NODES, Annulus, Ball, ProblemSpec
+from plapshoot.radial import (
+    PROFILE_NODES,
+    Annulus,
+    Ball,
+    Nonlinearity,
+    ProblemSpec,
+    shoot,
+)
 
 
 def geom(p=2.0, dim=1, radius=1.0, domain=None):
@@ -217,17 +225,12 @@ def _old_eigen_angle(lam, spec, cfg=None):
     # up on the eigen module so that a patch there reaches both paths.
     cfg = cfg or SolverConfig()
     p = spec.p
-    pp = spec.exponent.pprime
+    pp = spec.pprime
     n = spec.dim
     ctx = get_context(p)
     pip = ctx.pi_p
-    if spec.is_ball:
-        eps0 = cfg.eps0_for(spec.r_outer)
-        r0 = eps0
-        th0 = pip + lam * eps0**n / n
-    else:
-        r0 = spec.domain.r_inner
-        th0 = pip
+    r0 = spec.start_radius(cfg)
+    th0 = pip + lam * r0**n / n if spec.is_ball else pip
 
     def rhs(r, y):
         c, s = ctx.pair(y[0])
@@ -401,3 +404,47 @@ def test_start_up_radius_whose_angle_weight_overflows_is_a_spec_error(spec):
         eigenvalue(2, spec, cfg)
     # At p = 2 the same radius gives a finite weight, 1e200.
     assert math.isfinite(eigen_angle(1.0, geom(p=2.0, dim=3), cfg))
+
+
+@pytest.mark.parametrize(
+    "domain, eps0, r0",
+    [(Ball(2.0), None, 2e-8), (Ball(2.0), 1e-6, 1e-6), (Annulus(0.5, 2.0), None, 0.5)],
+)
+def test_every_integration_starts_at_the_start_radius(monkeypatch, domain, eps0, r0):
+    # Both kinds of shot, the eigenvalue angle and the eigenfunction.
+    spec = ProblemSpec(p=2.0, dim=2, domain=domain, g=Nonlinearity(q=3.0))
+    cfg = SolverConfig(eps0=eps0)
+    assert spec.start_radius(cfg) == r0
+    starts = []
+
+    def recorded(real):
+        def end_state(ivp, *args):
+            starts.append(ivp.r_start)
+            return real(ivp, *args)
+
+        return end_state
+
+    for mod in (radial_mod, eigen_mod):
+        monkeypatch.setattr(mod, "end_state", recorded(mod.end_state))
+    traj, _ = shoot(0.5, spec, cfg)
+    shoot(0.5, spec, cfg, profile=False)
+    eigen_angle(1.0, spec, cfg)
+    rs, _, _ = eigenfunction(1.0, spec, cfg)
+    assert starts == [r0, r0]
+    assert traj.r[0] == rs[0] == r0
+
+
+def test_a_start_radius_from_half_the_ball_up_is_one_spec_error():
+    spec = ProblemSpec(p=2.0, dim=2, domain=Ball(2.0), g=Nonlinearity(q=3.0))
+    runs = (
+        spec.start_radius,
+        partial(shoot, 0.5, spec),
+        partial(shoot, 0.5, spec, profile=False),
+        partial(eigen_angle, 1.0, spec),
+        partial(eigenfunction, 1.0, spec),
+    )
+    for run in runs:
+        with pytest.raises(
+            SpecError, match="^startup radius 1.0 too large for outer radius 2.0$"
+        ):
+            run(SolverConfig(eps0=1.0))

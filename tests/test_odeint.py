@@ -208,6 +208,19 @@ def test_crossings_bad_component():
         crossings(sol, 3, [0.0])
 
 
+def test_crossings_refuses_a_nan_level():
+    # A NaN level compares false with every value, so unchecked, every
+    # mesh interval looks like a bracket: 130 "crossings" of y' = cos r
+    # on [0, 10].
+    sol = integrate(
+        IvpSpec(rhs=lambda r, y: (math.cos(r),), r_start=0.0, r_end=10.0, y0=(0.0,))
+    )
+    for levels in ([math.nan], [0.5, math.nan]):
+        with pytest.raises(SpecError, match="must not be NaN"):
+            crossings(sol, 0, levels)
+    assert len(crossings(sol, 0, [0.5])) == 4
+
+
 def _old_crossings(sol, component, levels, refine_tol=1e-12):
     # The hand-written bisection loop crossings used before it moved to
     # a bracket finder, kept as the reference for its results.
@@ -423,7 +436,7 @@ def test_fifth_order_convergence():
     def field(r, u, v):
         return (-v, u)
 
-    trial = _end_trial(2, 2, False)(field, 1e-2, 1e-2)
+    trial = _end_trial(2, 2)(field, 1e-2, 1e-2)
 
     def one_step_error(h):
         _, (u, v), _, evals = trial(0.0, h, (1.0, 0.0), field(0.0, 1.0, 0.0))
@@ -436,8 +449,8 @@ def test_fifth_order_convergence():
     assert e1 / e2 > 20.0
 
 
-@pytest.mark.parametrize("dim, reads, scalar", [(3, 2, False), (1, 1, True)])
-def test_failed_trial_counts_the_evaluations_it_made(dim, reads, scalar):
+@pytest.mark.parametrize("dim, reads", [(3, 2), (1, 1)])
+def test_failed_trial_counts_the_evaluations_it_made(dim, reads):
     # A trial step whose n-th evaluation is not finite (stage n + 1, or
     # the endpoint's slope for n = 6) returns inf and n evaluations.
     y, k1 = (0.0,) * dim, (1.0,) * dim
@@ -447,16 +460,16 @@ def test_failed_trial_counts_the_evaluations_it_made(dim, reads, scalar):
         def field(r, *state):
             calls.append(r)
             slope = math.nan if len(calls) == fail_at else 1.0
-            return slope if scalar else (slope,) * dim
+            return slope if dim == 1 else (slope,) * dim
 
-        trial = _end_trial(dim, reads, scalar)(field, 1e-6, 1e-6)
+        trial = _end_trial(dim, reads)(field, 1e-6, 1e-6)
         assert trial(0.0, 0.5, y, k1) == (math.inf, None, None, fail_at)
         assert len(calls) == fail_at
     # Finite slopes of 1e308 whose endpoint overflows at h = 2: five
     # evaluations, and none at the endpoint.
     big = (1e308,) * dim
-    trial = _end_trial(dim, reads, scalar)(
-        lambda r, *state: big[0] if scalar else big, 1e-6, 1e-6
+    trial = _end_trial(dim, reads)(
+        lambda r, *state: big[0] if dim == 1 else big, 1e-6, 1e-6
     )
     assert trial(0.0, 2.0, y, big) == (math.inf, None, None, 5)
 
@@ -538,7 +551,7 @@ def test_end_state_equals_integrate_on_one_scalar_component(case):
     # returns its slope as a float.
     ivp, field = case
     full = _end_or_error(lambda: _integrate_end(ivp))
-    assert _end_or_error(lambda: end_state(ivp, field, 1, scalar=True)) == full
+    assert _end_or_error(lambda: end_state(ivp, field, 1)) == full
 
 
 def _logged(side, calls):

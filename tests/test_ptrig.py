@@ -8,7 +8,8 @@ from scipy.special import betaincinv
 
 from plapshoot.errors import SpecError
 from plapshoot.odeint import IvpSpec, crossings, integrate
-from plapshoot.ptrig import PExponent, get_context, phi_p, phi_p_inv, pi_p
+from plapshoot.ptrig import get_context, phi_p, phi_p_inv, pi_p
+from plapshoot.radial import Ball, ProblemSpec
 
 P_GRID = (1.3, 4 / 3, 1.5, 2.0, 2.5, 3.0, 4.0)
 
@@ -60,11 +61,13 @@ def test_phi_p_roundtrip():
 
 
 def test_pexponent_conjugate():
-    e = PExponent(3.0)
-    assert e.pprime == pytest.approx(1.5, rel=1e-15)
-    assert 1.0 / e.p + 1.0 / e.pprime == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(SpecError):
-        PExponent(1.0)
+    for e in (get_context(3.0), ProblemSpec(p=3.0, dim=1, domain=Ball(1.0))):
+        assert e.pprime == pytest.approx(1.5, rel=1e-15)
+        assert 1.0 / e.p + 1.0 / e.pprime == pytest.approx(1.0, rel=1e-14)
+    with pytest.raises(SpecError, match="exponent p must be a finite number > 1"):
+        get_context(1.0)
+    with pytest.raises(SpecError, match="exponent p must be a finite number > 1"):
+        ProblemSpec(p=1.0, dim=1, domain=Ball(1.0))
 
 
 def test_pair_reduces_to_cos_sin():
@@ -98,7 +101,7 @@ def test_identity_on_dense_grid():
     n = 10_000
     for p in P_GRID:
         ctx = get_context(p)
-        pp = ctx.exponent.pprime
+        pp = ctx.pprime
         worst = 0.0
         for i in range(n):
             c, s = ctx.pair(2.0 * ctx.pi_p * (i / (n - 1)))
@@ -172,7 +175,7 @@ def test_closed_form_oracle():
     # (p-1) S^q = I^{-1}(2 theta/pi_p; 1 - 1/p, 1/p) is used instead.
     for p in P_GRID:
         ctx = get_context(p)
-        pp = ctx.exponent.pprime
+        pp = ctx.pprime
         for i in range(1, 200):
             theta = ctx.half_pi_p * i / 200
             x = 2.0 * theta / ctx.pi_p

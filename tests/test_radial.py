@@ -230,7 +230,7 @@ def test_phase_consistency():
         (ball_spec(p=1.8, q=3.0), 0.2),
     ]:
         ctx = get_context(spec.p)
-        pp = spec.exponent.pprime
+        pp = spec.pprime
         traj, _ = shoot(d, spec)
         for u, v, th, rho2 in zip(traj.u, traj.v, traj.theta, traj.rho_sq):
             if rho2 < 1e-8:
@@ -250,7 +250,7 @@ def test_rho_sq_consistent_with_its_own_ode():
     # differential identity alongside (u, v) and compare with the
     # algebraic value at the far end.
     spec = ball_spec(p=2.5, dim=2, q=5.0)
-    p, pp, n = spec.p, spec.exponent.pprime, spec.dim
+    p, pp, n = spec.p, spec.pprime, spec.dim
     d = 0.6
     from plapshoot.odeint import IvpSpec, integrate
 
@@ -337,9 +337,9 @@ def test_rho_floor_triggers_near_constant_error():
     # |d-1|^3 = 1e-15 sits below the default floor of 1e-12.  Both kinds
     # of shot raise it at the start-up radius, with the start-up rho^2.
     d = 1.0 - 1e-5
-    eps0 = SolverConfig().eps0_for(spec.r_outer)
+    eps0 = spec.start_radius(SolverConfig())
     u0, v0, _ = startup_state(d, spec, eps0)
-    rho2 = _rho_sq(u0, v0, spec.p, spec.exponent.pprime)
+    rho2 = _rho_sq(u0, v0, spec.p, spec.pprime)
     for profile in (True, False):
         with pytest.raises(NearConstantShotError) as exc:
             shoot(d, spec, profile=profile)
@@ -358,9 +358,9 @@ def test_shot_rejects_constant_d():
 def test_config_validation():
     with pytest.raises(SpecError):
         SolverConfig(rel_tol=0.0)
-    cfg = SolverConfig(eps0=1e-6)
-    assert cfg.eps0_for(2.0) == 1e-6
-    assert SolverConfig().eps0_for(2.0) == pytest.approx(2e-8)
+    ball = ProblemSpec(p=2.0, dim=1, domain=Ball(2.0))
+    assert ball.start_radius(SolverConfig(eps0=1e-6)) == 1e-6
+    assert ball.start_radius(SolverConfig()) == pytest.approx(2e-8)
 
 
 @pytest.mark.parametrize("eps0", [math.inf, math.nan, 0.0, -1.0])
@@ -534,7 +534,7 @@ def test_rho_sq_is_computed_from_the_stored_columns():
     for spec, d in ((ball_spec(q=15.0), 0.5), (ball_spec(p=2.5, dim=2, q=5.0), 1.4)):
         traj, _ = shoot(d, spec)
         sol = integrate(_shot_start(d, spec, SolverConfig())[0])
-        pp = spec.exponent.pprime
+        pp = spec.pprime
         stored = []
         for r in traj.r:
             u, v, _ = sol.eval(r)
@@ -594,7 +594,7 @@ def _ref_make_field(spec: ProblemSpec, d: float):
     argument.
     """
     p = spec.p
-    pp = spec.exponent.pprime
+    pp = spec.pprime
     n = spec.dim
     g = spec.g
 
