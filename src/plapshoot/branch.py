@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .config import SolverConfig
 from .errors import SearchError, SpecError
 from .odeint import illinois_bracket
-from .radial import Nonlinearity, ProblemSpec
+from .radial import ProblemSpec
 from .solver import _records_for_side, _theta_end, find_solutions
 
 logger = logging.getLogger(__name__)
@@ -64,8 +64,7 @@ class BranchTable:
 
 def _spec_with_param(spec: ProblemSpec, name: str, value: float) -> ProblemSpec:
     if name == "q":
-        g = Nonlinearity(q=value, r_exp=spec.g.r_exp)
-        return ProblemSpec(p=spec.p, dim=spec.dim, domain=spec.domain, g=g)
+        return replace(spec, g=replace(spec.g, q=value))
     return spec.with_outer_radius(value)
 
 

@@ -105,8 +105,6 @@ def _profile_rows(traj) -> list[tuple[float, ...]]:
 
 def cmd_ptrig(args) -> int:
     ctx = get_context(args.p)
-    if args.table is None and args.theta is None:
-        raise SpecError("ptrig needs --theta or --table")
     if args.table is not None:
         n = args.table
         if n < 2:
@@ -319,7 +317,7 @@ def _add_problem(sp, with_grid=True):
         help="integrator relative tolerance (absolute is tol/100)",
     )
     sp.add_argument(
-        "--eps0", type=float, default=None, help="startup radius on balls"
+        "--eps0", type=float, default=None, help="startup radius, balls only"
     )
     if with_grid:
         sp.add_argument(
@@ -374,8 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--p", type=float, required=True, help="exponent p > 1")
     _add_table_output(sp)
-    sp.add_argument("--theta", type=float, default=None, help="single angle")
-    sp.add_argument(
+    what = sp.add_mutually_exclusive_group(required=True)
+    what.add_argument("--theta", type=float, default=None, help="single angle")
+    what.add_argument(
         "--table", type=int, default=None, help="tabulate this many rows"
     )
     sp.set_defaults(func=cmd_ptrig)

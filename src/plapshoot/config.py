@@ -30,8 +30,9 @@ class SolverConfig:
     tolerances.  ``residual_tol`` bounds the relative terminal flux of a
     validated solution.  ``eps0`` overrides the startup radius on balls;
     :meth:`~plapshoot.radial.ProblemSpec.start_radius` reads it, takes
-    ``1e-8`` times the outer radius R when it is ``None`` and refuses it
-    from R/2 up.  Each value given must be a positive finite number.
+    ``1e-8`` times the outer radius R when it is ``None``, refuses it
+    from R/2 up, and refuses it on an annulus, which starts at its inner
+    radius.  Each value given must be a positive finite number.
     """
 
     d_grid_size: int = 2000

@@ -130,7 +130,9 @@ def eigenvalue(k: int, spec: ProblemSpec, cfg: SolverConfig | None = None) -> Ei
     crossing until the angle is within 1e-12 k pi_p of it or the
     bracket's relative width is below 1e-10; ``residual`` is the angle
     miss it returns.  Raises :class:`SearchError` if the angle has not
-    crossed by the cap.
+    crossed by the cap.  Below p = 2 the miss can be larger: at p = 1.5,
+    N = 1, k = 5 it is 1.0e-6 on R = 1, where lam is 6.1e-8 relative off
+    the closed form, for a cause not yet measured.
     """
     if not (isinstance(k, int) and k >= 1):
         raise SpecError(f"eigenvalue index must be an integer >= 1, got {k!r}")

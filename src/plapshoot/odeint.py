@@ -96,6 +96,9 @@ _BISECT_MAX_ITERS = 200
 # crossings closes in to this width relative to max(1, |r|).
 _CROSSING_TOL = 1e-12
 
+# Step attempts, accepted or rejected, after which _march gives up.
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class IvpSpec:
@@ -112,7 +115,6 @@ class IvpSpec:
     y0: tuple[float, ...]
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         if not (math.isfinite(self.r_start) and math.isfinite(self.r_end)):
@@ -125,8 +127,6 @@ class IvpSpec:
             raise SpecError("initial state must be non-empty and finite")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise SpecError("tolerances must be positive")
-        if self.max_steps < 1:
-            raise SpecError("max_steps must be at least 1")
 
 
 @dataclass
@@ -277,7 +277,8 @@ def _march(ivp: IvpSpec, trial, keep=None) -> tuple[tuple[float, ...], int, int]
     Returns ``(y_end, n_steps, n_rhs_evals)``.
 
     Raises :class:`IntegrationError` when the rhs is not finite at the
-    start, the step budget is spent or the step size underflows.
+    start, ``MAX_STEPS`` trial steps are spent or the step size
+    underflows.
     """
     r = ivp.r_start
     r_end = ivp.r_end
@@ -287,7 +288,7 @@ def _march(ivp: IvpSpec, trial, keep=None) -> tuple[tuple[float, ...], int, int]
         raise IntegrationError("right hand side not finite at the start", r)
     h = _initial_step(ivp, k1)
     n_evals = 2
-    max_steps = ivp.max_steps
+    max_steps = MAX_STEPS
     facold = 1e-4
     step_rejected = False
     attempts = n_steps = 0

@@ -27,13 +27,13 @@ generic dense :func:`~plapshoot.odeint.integrate` and returns a sampled
 :class:`Trajectory` with a :class:`ShotSummary` (zero radii included);
 validated solutions, the ``plapshoot shoot`` command and anything that
 plots a profile take this kind.  ``shoot(d, spec, cfg, profile=False)``
-runs :func:`_shot_end`, which keeps only the end state through
-:func:`~plapshoot.odeint.end_state`, the stage sums generated from the
-Dormand-Prince tableau for this three-component system, and returns a
-:class:`ShotEnd`; the scan and the bisection in :mod:`plapshoot.solver`
-take this kind.  Both kinds step through
-:func:`~plapshoot.odeint._march`, the one step loop of the package, and
-the same states, so they give the same terminal angle to the last bit.
+keeps only the end state through :func:`~plapshoot.odeint.end_state`,
+the stage sums generated from the Dormand-Prince tableau for this
+three-component system, and returns a :class:`ShotEnd`; the scan and
+the bisection in :mod:`plapshoot.solver` take this kind.  Both kinds
+step through :func:`~plapshoot.odeint._march`, the one step loop of the
+package, and the same states, so they give the same terminal angle to
+the last bit.
 
 Both kinds evaluate one field, built once per shot by
 :func:`_make_field`.  It calls the reaction closure of
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from .config import SolverConfig
@@ -131,14 +131,6 @@ class Nonlinearity:
         """The exponent r of ``f``: ``r_exp``, or p for the pure power."""
         return p if self.r_exp is None else self.r_exp
 
-    def validate_for(self, p: float) -> None:
-        r = self.r_exp_for(p)
-        if not p <= r < self.q:
-            raise SpecError(
-                f"reaction needs p <= r < q (r = p for a pure power), got"
-                f" p={p!r}, r={r!r}, q={self.q!r}"
-            )
-
     def f_for(self, p: float) -> Callable[[float], float]:
         """``f(s) = g(s) - s^(p-1) = s^(q-1) - s^(r-1)`` as a function of s.
 
@@ -159,9 +151,6 @@ class Nonlinearity:
                 return math.inf
 
         return f
-
-    def fprime_at_one(self, p: float) -> float:
-        return self.q - self.r_exp_for(p)
 
     def label(self) -> str:
         if self.r_exp is None:
@@ -187,7 +176,12 @@ class ProblemSpec:
         if not (isinstance(self.dim, int) and self.dim >= 1):
             raise SpecError(f"dimension must be an integer >= 1, got {self.dim!r}")
         if self.g is not None:
-            self.g.validate_for(self.p)
+            r = self.g.r_exp_for(self.p)
+            if not self.p <= r < self.g.q:
+                raise SpecError(
+                    f"reaction needs p <= r < q (r = p for a pure power), got"
+                    f" p={self.p!r}, r={r!r}, q={self.g.q!r}"
+                )
 
     @property
     def is_ball(self) -> bool:
@@ -209,11 +203,17 @@ class ProblemSpec:
     def start_radius(self, cfg: SolverConfig) -> float:
         """Radius at which shots and eigenvalue integrations start.
 
-        On an annulus the inner radius.  On a ball, whose center is a
-        singular point, ``cfg.eps0``, by default ``1e-8`` times the outer
-        radius R; :class:`SpecError` unless it lies below R/2.
+        On an annulus the inner radius, and :class:`SpecError` if
+        ``cfg.eps0`` is given.  On a ball, whose center is a singular
+        point, ``cfg.eps0``, by default ``1e-8`` times the outer radius R;
+        :class:`SpecError` unless it lies below R/2.
         """
         if not self.is_ball:
+            if cfg.eps0 is not None:
+                raise SpecError(
+                    f"eps0 sets the start-up radius of a ball; an annulus"
+                    f" starts at its inner radius {self.domain.r_inner!r}"
+                )
             return self.domain.r_inner
         r = self.r_outer
         eps0 = cfg.eps0 if cfg.eps0 is not None else 1e-8 * r
@@ -234,8 +234,8 @@ class ProblemSpec:
     def c1(self) -> float:
         """Phase-limit coefficient of shots approaching the constant state.
 
-        Equals ``f'(1)`` when p = 2; degenerates to 0 for p < 2 and to
-        infinity for p > 2, which is what separates the three
+        Equals ``f'(1) = q - r`` when p = 2; degenerates to 0 for p < 2
+        and to infinity for p > 2, which is what separates the three
         existence regimes.
         """
         self._require_g()
@@ -243,7 +243,7 @@ class ProblemSpec:
             return math.inf
         if self.p < 2.0:
             return 0.0
-        return self.g.fprime_at_one(self.p)
+        return self.g.q - self.g.r_exp_for(self.p)
 
     def _require_g(self) -> None:
         if self.g is None:
@@ -259,7 +259,7 @@ class ProblemSpec:
         else:
             ratio = self.domain.r_inner / self.domain.r_outer
             dom = Annulus(ratio * r_outer, r_outer)
-        return ProblemSpec(p=self.p, dim=self.dim, domain=dom, g=self.g)
+        return replace(self, domain=dom)
 
 
 @dataclass
@@ -441,17 +441,6 @@ def _shot_start(d: float, spec: ProblemSpec, cfg: SolverConfig):
     return ivp, field
 
 
-def _shot_end(d: float, spec: ProblemSpec, cfg: SolverConfig) -> ShotEnd:
-    """End state of one shot, by :func:`~plapshoot.odeint.end_state`.
-
-    The field reads ``u`` and ``v``, not the angle, so the generated
-    trial step forms no stage values of the angle.
-    """
-    ivp, field = _shot_start(d, spec, cfg)
-    (u, v, th), n_steps, n_evals = end_state(ivp, field, 2)
-    return ShotEnd(d, th, u, v, n_steps, n_evals)
-
-
 def shoot(
     d: float,
     spec: ProblemSpec,
@@ -462,16 +451,19 @@ def shoot(
     """Integrate one shot from ``u = d`` across the whole domain.
 
     Returns the sampled profile and its summary, or with
-    ``profile=False`` only the :class:`ShotEnd` that :func:`_shot_end`
-    computes, with the same terminal angle, end state and step count.
+    ``profile=False`` only the :class:`ShotEnd`, with the same terminal
+    angle, end state and step count.  That kind runs
+    :func:`~plapshoot.odeint.end_state`: the field reads ``u`` and ``v``,
+    not the angle, so the generated trial step forms no stage values of
+    the angle.
     Raises :class:`NearConstantShotError` if the phase-plane radius
     collapses below ``RHO_FLOOR`` along the way, and
     :class:`IntegrationError` if the integrator gives up.
     """
-    cfg = cfg or SolverConfig()
+    ivp, field = _shot_start(d, spec, cfg or SolverConfig())
     if not profile:
-        return _shot_end(d, spec, cfg)
-    ivp, _ = _shot_start(d, spec, cfg)
+        (u, v, th), n_steps, n_evals = end_state(ivp, field, 2)
+        return ShotEnd(d, th, u, v, n_steps, n_evals)
     sol = integrate(ivp)
     y0 = ivp.y0
 

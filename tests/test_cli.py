@@ -75,8 +75,20 @@ def test_ptrig_table_file_roundtrips_doubles(capsys, tmp_path):
 
 
 def test_ptrig_requires_theta_or_table(capsys):
-    assert run(["ptrig", "--p", "2"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["ptrig", "--p", "2"])
+    assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_ptrig_refuses_theta_with_table(capsys):
+    # Given both, the table was once printed and --theta went unread.
+    with pytest.raises(SystemExit) as exc:
+        run(["ptrig", "--p", "3", "--theta", "1", "--table", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with argument" in err
 
 
 def test_eigen_segment(capsys):
@@ -154,6 +166,26 @@ def test_eigen_overflowing_start_up_weight_exits_two(capsys):
     assert out == ""
     assert "start-up radius 1e-200 too small" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eigen", "--k", "2"],
+        ["shoot", "--g", "pow:5", "--d", "0.5"],
+        ["solve", "--g", "pow:5"],
+        ["branch", "--g", "pow:5", "--start", "4", "--stop", "5", "--steps", "2"],
+        ["rstar", "--g", "pow:3", "--k", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_eps0_with_annulus_exits_two(capsys, argv):
+    # An annulus starts at its inner radius; --eps0 was once dropped there.
+    argv = argv + ["--p", "1.8", "--annulus", "0.5", "2", "--eps0", "5"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "an annulus starts at its inner radius 0.5" in err
 
 
 def test_missing_required_flag_exits_two():

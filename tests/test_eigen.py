@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 from scipy.special import jn_zeros
 
 import plapshoot.eigen as eigen_mod
+import plapshoot.odeint as odeint_mod
 import plapshoot.radial as radial_mod
 from plapshoot.config import SolverConfig
 from plapshoot.eigen import EigenResult, eigen_angle, eigenfunction, eigenvalue
@@ -27,6 +28,7 @@ from plapshoot.radial import (
     ProblemSpec,
     shoot,
 )
+from plapshoot.solver import find_solutions, rstar
 
 
 def geom(p=2.0, dim=1, radius=1.0, domain=None):
@@ -80,6 +82,22 @@ def test_one_dimensional_oracle():
                 res = eigenvalue(k, spec)
                 assert res.lam == pytest.approx(expected, rel=1e-6), (p, radius, k)
                 assert res.residual <= 1e-8 * pi_p(p)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "p < 2 accuracy gap, cause not measured: at p = 1.5, N = 1, k = 5"
+        " the residual is 1.02e-6 rad for R = 1 and 7.0e-8 rad for R = 2,"
+        " above the 1e-8 pi_p asked of k = 2, 4, 6; at R = 1 lam is 6.1e-8"
+        " relative off ((k-1) pi_p)^p and moves by 5.9e-8 when rel_tol goes"
+        " to 1e-11, where criterion 8 bounds the move at 1e-8"
+    ),
+)
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+def test_one_dimensional_residual_at_p_below_two_and_k5(radius):
+    res = eigenvalue(5, geom(p=1.5, radius=radius))
+    assert res.residual <= 1e-8 * pi_p(1.5)
 
 
 def test_disk_oracle_p2():
@@ -221,8 +239,7 @@ def test_loose_config_still_close():
 
 def _old_eigen_angle(lam, spec, cfg=None):
     # eigen_angle as it was before it ran its own kernel: the same
-    # right hand side through the dense integrator.  IvpSpec is looked
-    # up on the eigen module so that a patch there reaches both paths.
+    # right hand side through the dense integrator.
     cfg = cfg or SolverConfig()
     p = spec.p
     pp = spec.pprime
@@ -241,7 +258,7 @@ def _old_eigen_angle(lam, spec, cfg=None):
         return ((p - 1.0) * stretch + lam * abs(c) ** p * r ** (n - 1),)
 
     sol = integrate(
-        eigen_mod.IvpSpec(
+        IvpSpec(
             rhs=rhs,
             r_start=r0,
             r_end=spec.r_outer,
@@ -299,7 +316,7 @@ def test_angle_kernel_keeps_the_integrator_checks(monkeypatch):
         return out[0]
 
     with monkeypatch.context() as m:
-        m.setattr(eigen_mod, "IvpSpec", partial(IvpSpec, max_steps=5))
+        m.setattr(odeint_mod, "MAX_STEPS", 5)
         cls, message = outcome(10.0)
         assert cls is IntegrationError
         assert message.startswith("exceeded max_steps=5")
@@ -396,14 +413,16 @@ def test_angle_call_budget_per_eigenvalue(monkeypatch, spec):
     ],
 )
 def test_start_up_radius_whose_angle_weight_overflows_is_a_spec_error(spec):
-    # r^(-(N-1)/p) = 1e-200^(-20/11) is past the largest double.
-    cfg = SolverConfig(eps0=1e-200)
+    # r^(-(N-1)/p) = 1e-200^(-20/11) is past the largest double.  An
+    # annulus starts at its inner radius and refuses eps0.
+    cfg = SolverConfig(eps0=1e-200) if spec.is_ball else SolverConfig()
     with pytest.raises(SpecError, match="overflows for N=3"):
         eigen_angle(1.0, spec, cfg)
     with pytest.raises(SpecError, match="overflows for N=3"):
         eigenvalue(2, spec, cfg)
     # At p = 2 the same radius gives a finite weight, 1e200.
-    assert math.isfinite(eigen_angle(1.0, geom(p=2.0, dim=3), cfg))
+    tiny = SolverConfig(eps0=1e-200)
+    assert math.isfinite(eigen_angle(1.0, geom(p=2.0, dim=3), tiny))
 
 
 @pytest.mark.parametrize(
@@ -448,3 +467,28 @@ def test_a_start_radius_from_half_the_ball_up_is_one_spec_error():
             SpecError, match="^startup radius 1.0 too large for outer radius 2.0$"
         ):
             run(SolverConfig(eps0=1.0))
+
+
+def test_eps0_on_an_annulus_is_one_spec_error():
+    # An annulus starts at its inner radius; eps0 was once accepted there
+    # and dropped.  p = 1.8, so that rstar gets as far as its first shot.
+    spec = ProblemSpec(
+        p=1.8, dim=2, domain=Annulus(0.5, 2.0), g=Nonlinearity(q=3.0)
+    )
+    runs = (
+        spec.start_radius,
+        partial(shoot, 0.5, spec),
+        partial(shoot, 0.5, spec, profile=False),
+        partial(eigen_angle, 1.0, spec),
+        partial(eigenfunction, 1.0, spec),
+        lambda cfg: eigenvalue(2, spec, cfg),
+        lambda cfg: find_solutions(spec, cfg),
+        lambda cfg: rstar(1, spec, cfg),
+    )
+    message = (
+        "^eps0 sets the start-up radius of a ball; an annulus starts at its"
+        " inner radius 0.5$"
+    )
+    for run in runs:
+        with pytest.raises(SpecError, match=message):
+            run(SolverConfig(eps0=1e-6))

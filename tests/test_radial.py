@@ -3,7 +3,6 @@
 import dataclasses
 import math
 from bisect import insort
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +16,7 @@ from plapshoot.errors import (
     NumericsError,
     SpecError,
 )
-from plapshoot.odeint import IvpSpec, integrate
+from plapshoot.odeint import integrate
 from plapshoot.ptrig import get_context, pi_p
 from plapshoot.radial import (
     Annulus,
@@ -485,7 +484,7 @@ def test_end_state_kernel_keeps_the_integrator_checks(monkeypatch):
         return out[0]
 
     with monkeypatch.context() as m:
-        m.setattr(radial, "IvpSpec", partial(IvpSpec, max_steps=5))
+        m.setattr(odeint, "MAX_STEPS", 5)
         assert messages().startswith("exceeded max_steps=5")
 
     # A field that is not finite from r = 0.5 on: every step into the
@@ -502,7 +501,7 @@ def test_end_state_kernel_keeps_the_integrator_checks(monkeypatch):
 
 def _accepts(g, p):
     try:
-        g.validate_for(p)
+        ProblemSpec(p=p, dim=1, domain=Ball(1.0), g=g)
     except SpecError:
         return False
     return True
@@ -518,7 +517,10 @@ def test_pure_power_is_the_combination_with_r_equal_p(p):
         assert pure.r_exp_for(p) == p
         f_pure, f_combo = pure.f_for(p), combo.f_for(p)
         assert [f_pure(s) for s in s_grid] == [f_combo(s) for s in s_grid]
-        assert pure.fprime_at_one(p) == combo.fprime_at_one(p) == q - p
+        if p == 2.0:
+            # f'(1) = q - r shows only as the phase limit c1 at p = 2.
+            c1s = [ProblemSpec(p, 1, Ball(1.0), g).c1 for g in (pure, combo)]
+            assert c1s == [q - 2.0] * 2
     assert Nonlinearity(100.0).f_for(p)(1e300) == math.inf
     for q in (p - 0.4, p, p + 1e-9, p + 0.5):
         pure, combo = Nonlinearity(q), Nonlinearity(q, r_exp=p)

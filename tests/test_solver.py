@@ -3,7 +3,9 @@
 import logging
 import math
 
+import numpy as np
 import pytest
+from scipy.integrate import solve_bvp
 
 from plapshoot import radial, solver
 from plapshoot.config import SolverConfig
@@ -147,6 +149,45 @@ def test_q100_upper_records(q100_upper):
     # The one-zero profile starts above 1 and decreases.
     u = q100_upper[0].trajectory.u
     assert all(b <= a + 1e-10 for a, b in zip(u, u[1:]))
+
+
+def test_collocation_oracle_agrees_with_every_p2_record(q100_lower):
+    # An oracle that shares no code with shooting: scipy's collocation
+    # solver on u' = v, v' = u - u^(q-1), v(0) = v(1) = 0 (p = 2, N = 1),
+    # started from 200 nodes of each record's profile scaled by 1.01
+    # about u = 1.  Both j = 2 meshes need about 1270 nodes, more than
+    # solve_bvp's default budget of 1000.
+    upper = find_solutions(ball(q=100.0), CFG, max_zeros=3, sides=("upper",))
+    q15 = find_solutions(ball(q=15.0), CFG, max_zeros=1, sides=("lower",))
+    cases = [(100.0, rec) for rec in q100_lower + upper]
+    cases += [(15.0, rec) for rec in q15]
+    assert [(q, rec.side, rec.zeros) for q, rec in cases] == [
+        (100.0, "lower", 1), (100.0, "lower", 2), (100.0, "lower", 3),
+        (100.0, "upper", 1), (100.0, "upper", 2), (100.0, "upper", 3),
+        (15.0, "lower", 1),
+    ]
+    x = np.linspace(0.0, 1.0, 200)
+    fine = np.linspace(0.0, 1.0, 20_001)
+    for q, rec in cases:
+        traj = rec.trajectory
+        guess = np.vstack(
+            (
+                1.0 + 1.01 * (np.interp(x, traj.r, traj.u) - 1.0),
+                1.01 * np.interp(x, traj.r, traj.v),
+            )
+        )
+        sol = solve_bvp(
+            lambda r, y, q=q: np.vstack((y[1], y[0] - y[0] ** (q - 1.0))),
+            lambda ya, yb: np.array([ya[1], yb[1]]),
+            x,
+            guess,
+            tol=1e-8,
+            max_nodes=5000,
+        )
+        assert sol.success, (q, rec.side, rec.zeros, sol.message)
+        assert abs(sol.y[0, 0] - rec.d) <= 1e-9, (q, rec.side, rec.zeros)
+        above = sol.sol(fine)[0] > 1.0
+        assert np.count_nonzero(above[1:] != above[:-1]) == rec.zeros
 
 
 def test_upper_scan_discontinuity_is_rejected_not_reported(caplog):
@@ -313,7 +354,7 @@ def test_rstar_runs_one_scan_and_routes_every_shot(monkeypatch):
         solver, "theta_scan", counted("scan", solver.theta_scan)
     )
     monkeypatch.setattr(
-        radial, "_shot_end", counted("kernel", radial._shot_end)
+        radial, "end_state", counted("kernel", radial.end_state)
     )
     rstar(1, ball(p=1.8, q=3.0), SolverConfig(d_grid_size=40))
     assert counts["scan"] == 1
