@@ -17,7 +17,8 @@ Evaluation goes through a cached per-exponent context: one quarter
 period is tabulated once by the adaptive integrator and every angle is
 folded into it by the reflection and antiperiodicity symmetries.  A
 short series handles angles near zero where the table would lose
-relative accuracy.
+relative accuracy.  The inverse, from a point of the p-circle back to
+its angle, reads the same table and the same series.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from bisect import bisect_right
 from functools import lru_cache
 
 from .errors import NumericsError, SpecError
-from .odeint import IvpSpec, integrate
+from .odeint import IvpSpec, illinois_bracket, integrate
 
 # Below this angle the truncated series is used instead of the table;
 # its omitted terms are O(delta**(2q)) <= 1e-16 for the p range allowed.
@@ -74,6 +75,7 @@ class PTrigContext:
     :meth:`pair` folds an angle into the quarter period and evaluates
     the table's quartic on that interval inline, as
     ``DenseSolution.eval`` would, in one call per look-up.
+    :meth:`angle` is its inverse over one period.
     """
 
     def __init__(self, p: float):
@@ -113,6 +115,12 @@ class PTrigContext:
         # inline.
         self._rs = self._quarter.rs
         self._cells = self._quarter.cells
+        # The knot values of -cos_p and sin_p, both rising over the
+        # quarter, in which angle locates its cell.
+        self._rising = (
+            [-c for c, _ in self._quarter.ys],
+            [s for _, s in self._quarter.ys],
+        )
 
     def _series_pair(self, t: float) -> tuple[float, float]:
         # Two-term expansions around the C = 1, S = 0 corner.
@@ -161,6 +169,52 @@ class PTrigContext:
             c = c0 + h * x * (c1 + x * (c2 + x * (c3 + x * c4)))
             s = s0 + h * x * (s1 + x * (s2 + x * (s3 + x * s4)))
         return (sign_c * c, sign * s)
+
+    def angle(self, c: float, s: float) -> float:
+        """The angle in ``[0, 2 pi_p]`` whose :meth:`pair` is ``(c, s)``.
+
+        ``(c, s)`` is a point of the p-circle ``|c|^p + (p-1)|s|^p' = 1``.
+        ``(|c|, |s|)`` gives an angle t in the first quarter, and the
+        signs fold it into its quadrant by the symmetries :meth:`pair`
+        uses.  t is read off the column that is steep there: ``sin_p``
+        where ``|c| > 0.5`` and ``cos_p`` elsewhere.  Below the series
+        cutoff the series is inverted; past it, the knot values locate
+        the cell of the quarter table, and
+        :func:`~plapshoot.odeint.illinois_bracket` closes in on
+        :meth:`pair` inside it.  A value past the table's last knot
+        gives the quarter period.
+        """
+        if not (math.isfinite(c) and math.isfinite(s)):
+            raise SpecError(f"point must be finite, got ({c!r}, {s!r})")
+        if abs(c) > 0.5:
+            col, y = 1, abs(s)
+        else:
+            col, y = 0, -abs(c)
+        knots = self._rising[col]
+        i = bisect_right(knots, y) - 1
+        if col == 1 and i < 0:
+            # Below the first knot, the series cutoff: invert
+            # s = t - a t^(p'+1) to the order the forward series keeps.
+            pp = self.pprime
+            t = y + (self.p - 1.0) * y ** (pp + 1.0) / (pp * (pp + 1.0))
+        elif i >= len(knots) - 1:
+            t = self.half_pi_p
+        elif knots[i] == y:
+            t = self._rs[i]
+        else:
+            sign = -1.0 if col == 0 else 1.0
+            t = illinois_bracket(
+                lambda t: sign * self.pair(t)[col] - y,
+                self._rs[i],
+                self._rs[i + 1],
+                knots[i] - y,
+                knots[i + 1] - y,
+                0.0,
+                lambda lo, hi: False,
+            )[0]
+        if c < 0.0:
+            return self.pi_p + t if s < 0.0 else self.pi_p - t
+        return 2.0 * self.pi_p - t if s < 0.0 else t
 
 
 @lru_cache(maxsize=64)

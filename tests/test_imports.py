@@ -1,4 +1,4 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package, and every test module, uses each name it imports."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ import plapshoot
 PACKAGE = Path(plapshoot.__file__).parent
 # __init__ imports names only to re-export them.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,7 +32,7 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from plapshoot import odeint
 from plapshoot.errors import IntegrationError, SpecError
 from plapshoot.odeint import (
-    DenseSolution,
     IvpSpec,
     _end_trial,
     bisect_bracket,

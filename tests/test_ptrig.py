@@ -252,3 +252,62 @@ def test_pair_equals_dense_eval(p):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(SpecError):
             ctx.pair(bad)
+
+
+def test_angle_is_atan2_at_p2():
+    # The quarter table is good to about 2e-13 against cos and sin.
+    ctx = get_context(2.0)
+    for i in range(2001):
+        theta = 2.0 * math.pi * i / 2001
+        c, s = math.cos(theta), math.sin(theta)
+        assert ctx.angle(c, s) == pytest.approx(
+            math.atan2(s, c) % (2.0 * math.pi), abs=1e-12
+        ), theta
+
+
+@pytest.mark.parametrize("p", [1.1, 1.3, 1.5, 2.0, 2.5, 3.0, 4.0])
+def test_angle_inverts_pair(p):
+    ctx = get_context(p)
+    half = ctx.half_pi_p
+    rng = random.Random(1)
+    # Every knot of the table, one ulp either side of each, points
+    # inside the series cutoff and at random, in all four quadrants.
+    base = [0.0, 1e-300, 1e-12, 5e-7, ctx._delta, *ctx._rs]
+    base += [rng.uniform(0.0, half) for _ in range(300)]
+    for t in list(base):
+        base += [math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+    for t in base:
+        if not 0.0 <= t <= half:
+            continue
+        for k in range(4):
+            theta = t + k * half
+            c, s = ctx.pair(theta)
+            back = ctx.angle(c, s)
+            assert 0.0 <= back <= 2.0 * ctx.pi_p
+            # pair of the inverse returns the point to rounding; the
+            # angle itself to the table's accuracy, which near the
+            # quarter period, where its cos_p ends at about 1e-13
+            # instead of 0, is about 1e-13.
+            c_back, s_back = ctx.pair(back)
+            assert max(abs(c_back - c), abs(s_back - s)) <= 4e-15
+            wrap = abs(back - theta)
+            assert min(wrap, abs(wrap - 2.0 * ctx.pi_p)) <= 1e-12, (t, k)
+    for t in (1e-300, 1e-12, 5e-7, ctx._delta):
+        # Inside the series cutoff the inverse keeps relative accuracy.
+        assert ctx.angle(*ctx.pair(t)) == pytest.approx(t, rel=1e-15)
+
+
+def test_angle_anchor_values_and_bad_points():
+    for p in P_GRID:
+        ctx = get_context(p)
+        assert ctx.angle(1.0, 0.0) == 0.0
+        assert ctx.angle(-1.0, 0.0) == ctx.pi_p
+        assert ctx.angle(-1.0, -0.0) == ctx.pi_p
+        quarter = ctx.angle(0.0, ctx.sin_p_max)
+        assert quarter == pytest.approx(ctx.half_pi_p, abs=1e-12)
+        three_quarters = ctx.angle(0.0, -ctx.sin_p_max)
+        assert three_quarters == pytest.approx(3.0 * ctx.half_pi_p, abs=1e-12)
+    ctx = get_context(2.0)
+    for bad in ((math.nan, 0.0), (1.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(SpecError):
+            ctx.angle(*bad)

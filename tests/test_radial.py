@@ -17,7 +17,7 @@ from plapshoot.errors import (
     SpecError,
 )
 from plapshoot.odeint import integrate
-from plapshoot.ptrig import get_context, pi_p
+from plapshoot.ptrig import get_context
 from plapshoot.radial import (
     Annulus,
     Ball,
@@ -276,21 +276,71 @@ def test_rho_sq_consistent_with_its_own_ode():
     assert z1 == pytest.approx(z_alg, rel=1e-6)
 
 
-def test_zero_count_matches_profile_sign_changes():
-    spec = ball_spec(p=2.0, q=100.0)
-    traj, summ = shoot(0.9, spec)
+def _sign_changes(us) -> int:
     flips = 0
-    prev = traj.u[0] - 1.0
-    for u in traj.u[1:]:
+    prev = us[0] - 1.0
+    for u in us[1:]:
         cur = u - 1.0
         if prev * cur < 0.0:
             flips += 1
             prev = cur
-    assert summ.zeros == flips
+    return flips
+
+
+def test_zero_count_matches_profile_sign_changes():
+    spec = ball_spec(p=2.0, q=100.0)
+    traj, summ = shoot(0.9, spec)
+    assert summ.zeros == _sign_changes(traj.u)
     assert summ.zeros >= 1
     assert list(summ.zero_radii) == sorted(summ.zero_radii)
     for r0 in summ.zero_radii:
         assert traj.r[0] < r0 < traj.r[-1]
+
+
+def test_zero_count_of_a_shot_far_from_the_constant_state():
+    # |v| is about 0.36 at the start here: the series angle, 1.86, lies
+    # past the first zero level pi/2 that the state has not reached, so
+    # the shot counted no zeros; the exact angle, 1.08, counts them all.
+    traj, summ = shoot(1.1920700656727199, ball_spec(p=2.0, q=100.0))
+    assert summ.theta_start < 0.5 * math.pi
+    assert summ.zeros == _sign_changes(traj.u)
+    assert summ.zeros >= 1
+
+
+# The problems of the upper-side candidates that the series start-up
+# angle made and validation threw away: (p, q, outer radius).
+SPURIOUS_ROWS = [
+    (2.0, 15.0, 1.0),
+    (2.0, 100.0, 1.0),
+    (2.0, 400.0, 1.0),
+    (2.0, 1000.0, 1.0),
+    (3.0, 10.0, 1.0),
+    (1.5, 20.0, 20.0),
+]
+
+
+@pytest.mark.parametrize("p, q, radius", SPURIOUS_ROWS)
+def test_startup_angle_lies_within_a_quarter_period_past_its_anchor(p, q, radius):
+    spec = ball_spec(p=p, q=q, radius=radius)
+    cfg = SolverConfig(d_grid_size=400)
+    eps0 = spec.start_radius(cfg)
+    quarter = 0.5 * spec.pi_p
+    checked = 0
+    for side in ("lower", "upper"):
+        for d in d_grid(cfg, side):
+            u, v, theta = startup_state(d, spec, eps0)
+            if not (math.isfinite(u) and math.isfinite(v)):
+                # f(d) overflows (q = 400 and 1000): the shot fails at
+                # once, as it always did.
+                with pytest.raises(IntegrationError, match="start-up state"):
+                    shoot(d, spec, cfg, profile=False)
+                continue
+            anchor = spec.pi_p if d < 1.0 else 0.0
+            # The lower bound is not strict: an increment below half an
+            # ulp of the anchor rounds away (d = 1e-4 at p = 3).
+            assert anchor <= theta < anchor + quarter, (side, d, theta)
+            checked += 1
+    assert checked >= 600
 
 
 def test_startup_robustness():
@@ -664,3 +714,14 @@ def test_field_matches_the_reference_field(case):
     for s in (u, v):
         a, b = f(s), _ref_f(spec.g, s, spec.p)
         assert a.hex() == b.hex() or (math.isnan(a) and math.isnan(b))
+
+
+def test_top_upper_nodes_at_q100_still_fail_on_their_first_evaluation():
+    # Their start-up states are finite, so they take the exact start-up
+    # angle, but |v|^p' overflows in the field: the shot must fail as
+    # an integration error, not raise OverflowError from the angle.
+    spec = ball_spec(q=100.0)
+    cfg = SolverConfig(d_grid_size=400)
+    for d in d_grid(cfg, "upper")[-4:]:
+        with pytest.raises(IntegrationError, match="not finite at the start"):
+            shoot(d, spec, cfg, profile=False)

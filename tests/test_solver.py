@@ -190,14 +190,34 @@ def test_collocation_oracle_agrees_with_every_p2_record(q100_lower):
         assert np.count_nonzero(above[1:] != above[:-1]) == rec.zeros
 
 
-def test_upper_scan_discontinuity_is_rejected_not_reported(caplog):
-    # Above the one-zero root the upper scan jumps discontinuously
-    # (profiles dive below zero); bisection converges onto the jump and
-    # re-validation must throw the candidate away.
+@pytest.mark.parametrize(
+    "p, q, zero_counts",
+    [(2.0, 100.0, [1, 2, 3]), (2.0, 15.0, [1]), (3.0, 10.0, [1, 2, 3])],
+    ids=["p2-q100", "p2-q15", "p3-q10"],
+)
+def test_upper_solve_rejects_no_candidate(p, q, zero_counts, caplog):
+    # Every shot starts from the exact angle of its start-up state, so
+    # the upper scan brackets no half-period that the state does not
+    # have, and every bracket refines to a root that validation keeps.
     with caplog.at_level(logging.WARNING, logger="plapshoot.solver"):
-        recs = find_solutions(ball(q=100.0), CFG, max_zeros=1, sides=("upper",))
-    assert len(recs) == 1
-    assert any("rejecting candidate" in msg for msg in caplog.messages)
+        recs = find_solutions(ball(p=p, q=q), CFG, max_zeros=3, sides=("upper",))
+    assert [rec.zeros for rec in recs] == zero_counts
+    assert not any("rejecting candidate" in msg for msg in caplog.messages)
+
+
+def test_validated_record_rejects_a_non_root(caplog):
+    # d = 1.1 lies between the upper q = 100 roots with no and one zero:
+    # its shot ends far from the one-zero target, so validation drops it
+    # and says why.
+    spec = ball(q=100.0)
+    pip = pi_p(2.0)
+    with caplog.at_level(logging.WARNING, logger="plapshoot.solver"):
+        rec = solver._validated_record(spec, CFG, 1.1, "upper", 1, pip, 1e-8 * pip)
+    assert rec is None
+    assert any(
+        "rejecting candidate d=1.1000000000000001 (side=upper, zeros=1)" in msg
+        for msg in caplog.messages
+    )
 
 
 def test_root_stable_under_tighter_tolerance(q100_lower):
