@@ -20,9 +20,11 @@ brackets the root by doubling or halving with
 :func:`~plapshoot.odeint.illinois_bracket`.
 
 The angle runs through :func:`~plapshoot.odeint.end_state`, with the
-stage sums generated from the Dormand-Prince tableau for its one
-component and a field that returns the slope as a float.  It keeps only
-the end value and takes the steps
+trial step generated from the Dormand-Prince tableau for its one
+component and its rate, written once as a body (one for N = 1, one for
+N > 1), pasted into each stage.  The body calls the bound
+:meth:`~plapshoot.ptrig.PTrigContext.pair` for the table look-up.  It
+keeps only the end value and takes the steps
 :func:`~plapshoot.odeint.integrate` would, to the last bit.  Only
 :func:`eigenfunction` runs the dense ``integrate``.
 """
@@ -34,7 +36,14 @@ from dataclasses import dataclass
 
 from .config import SolverConfig
 from .errors import SearchError, SpecError
-from .odeint import IvpSpec, end_state, grow_bracket, illinois_bracket, integrate
+from .odeint import (
+    IvpSpec,
+    compile_field,
+    end_state,
+    grow_bracket,
+    illinois_bracket,
+    integrate,
+)
 from .ptrig import get_context, phi_p, phi_p_inv
 from .radial import PROFILE_NODES, ProblemSpec
 
@@ -46,6 +55,17 @@ LAMBDA_CAP_FACTOR = 1e8
 # an angle this close to the target in units of k pi_p.
 _REL_TOL = 1e-10
 _ANGLE_TOL = 1e-12
+
+# The angle's rate, for N = 1, where the weight r^(N-1) is 1.0 and
+# dropping a product with it keeps the bits, and for N > 1.
+_ANGLE_N1 = (
+    "c, s = pair(th)",
+    "f0 = pm1 * abs(s) ** pp + lam * abs(c) ** p",
+)
+_ANGLE = (
+    "c, s = pair(th)",
+    "f0 = pm1 * (abs(s) * r ** r_expo) ** pp + lam * abs(c) ** p * r ** nm1",
+)
 
 
 @dataclass(frozen=True)
@@ -82,8 +102,6 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
     r0 = spec.start_radius(cfg)
     th0 = pip + lam * r0**n / n if spec.is_ball else pip
 
-    pair = ctx.pair
-    pm1 = p - 1.0
     nm1 = n - 1
     r_expo = -nm1 / p
     if nm1:
@@ -95,23 +113,21 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
                 f" N={n}, p={p!r}"
             ) from None
 
-    def field(r, th):
-        # For N = 1 the weight r^(N-1) is 1.0, and dropping a product
-        # with 1.0 keeps the bits.
-        c, s = pair(th)
-        if nm1:
-            return pm1 * (abs(s) * r**r_expo) ** pp + lam * abs(c) ** p * r**nm1
-        return pm1 * abs(s) ** pp + lam * abs(c) ** p
-
+    # ctx.pair is looked up here, per integration, so that a wrapper on
+    # the class attribute sees every look-up.
+    field = compile_field(
+        1, ("th",), _ANGLE if nm1 else _ANGLE_N1,
+        pair=ctx.pair, pm1=p - 1.0, pp=pp, p=p, lam=lam, nm1=nm1, r_expo=r_expo,
+    )
     ivp = IvpSpec(
-        rhs=lambda r, y: (field(r, y[0]),),
+        rhs=field.rhs,
         r_start=r0,
         r_end=spec.r_outer,
         y0=(th0,),
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol,
     )
-    return end_state(ivp, field, 1)[0][0]
+    return end_state(ivp, field)[0][0]
 
 
 def _guess(k: int, spec: ProblemSpec) -> float:

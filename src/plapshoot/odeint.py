@@ -11,9 +11,14 @@ Every Dormand-Prince path of the package runs one step loop,
 :func:`_march`, and supplies only the stage sums of a trial step:
 :func:`integrate` the generic ones, keeping a dense interpolant per
 accepted step, and :func:`end_state` unrolled ones, keeping only the end
-state.  :func:`_end_trial` generates those from the tableau, once per
-kind of field: the scan and bisection shots of ``plapshoot.radial`` and
-the eigenvalue angles of ``plapshoot.eigen`` are its two kinds.
+state.  A field is written once, as a body of statements, and
+:func:`compile_field` turns it into both forms: the callable of
+:class:`IvpSpec`, and the trial step of :func:`end_state`, which
+:func:`_end_trial` generates from the tableau with the body pasted into
+every stage, so that no stage calls a function for its slope.  The
+shots of ``plapshoot.radial`` (one body for N = 1 and one for N > 1)
+and the eigenvalue angles of ``plapshoot.eigen`` are written so; a
+callable field is the one-line body that calls it.
 
 The dense output is what profiles and events build on: event
 location (:func:`crossings`) and profile sampling both evaluate the
@@ -29,10 +34,11 @@ still bisect, with :func:`bisect_bracket`.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import IntegrationError, SpecError
 
@@ -387,20 +393,53 @@ def integrate(ivp: IvpSpec) -> DenseSolution:
     return DenseSolution(rs=rs, ys=ys, cells=cells, n_rhs_evals=n_evals)
 
 
-@lru_cache(maxsize=None)
-def _end_trial(dim: int, reads: int):
-    """The trial step of :func:`end_state`, generated from the tableau.
+# A slope name of a field body, which each stage of a trial step renames.
+_SLOPE = re.compile(r"\bf(\d+)\b")
 
-    Returns ``make(field, rel_tol, abs_tol)``, which returns the
-    ``trial`` that :func:`_march` expects for a ``dim``-component state
-    whose field reads its first ``reads`` components.  The source is
-    written from ``_A``, ``_C`` and ``_E`` with the tableau's entries as
-    literals: each sum adds its nonzero terms left to right in tableau
-    order, as :func:`integrate` does, so both take the same steps to the
-    last bit (a dropped zero term can change only the sign of a zero).
-    Stage states are formed only for the components the field reads.
-    For one component the field returns its slope as a float, not a
-    tuple.  Compiled once per kind, on first use.
+
+class Field(NamedTuple):
+    """A right hand side compiled from its body, in the two forms it runs in.
+
+    ``rhs(r, y)`` is the callable of :class:`IvpSpec`.  ``trial(rel_tol,
+    abs_tol)`` returns the trial step that :func:`end_state` gives
+    :func:`_march`, with the body pasted into every stage.  Build one with
+    :func:`compile_field`.
+    """
+
+    rhs: RhsFunc
+    trial: Callable
+
+
+def compile_field(dim: int, reads: Sequence[str], body: Sequence[str], **consts) -> Field:
+    """The field of a ``dim``-component state, written once as ``body``.
+
+    ``body`` is a sequence of statements.  It reads ``r``, the first
+    ``len(reads)`` components of the state under the names ``reads``,
+    ``inf``, the builtins and the names of ``consts``, which are bound
+    here; it assigns the slopes ``f0`` to ``f{dim-1}`` and may raise.
+    A slope that overflows is set to inf: the step rejects a trial
+    whose stage is not finite.  Names that begin with an underscore
+    belong to the generated code.  Compiled by :func:`_end_trial`, once
+    per body, on first use.
+    """
+    make = _end_trial(dim, tuple(reads), tuple(body), tuple(consts))
+    return Field(*make(**consts))
+
+
+@lru_cache(maxsize=None)
+def _end_trial(dim: int, reads: tuple, body: tuple, consts: tuple):
+    """Both forms of a field, generated from its body and the tableau.
+
+    Returns ``make(**consts)``, which returns the two members of a
+    :class:`Field`.  The trial step is written from ``_A``, ``_C`` and
+    ``_E`` with the tableau's entries as literals: each sum adds its
+    nonzero terms left to right in tableau order, as :func:`integrate`
+    does, so both take the same steps to the last bit (a dropped zero
+    term can change only the sign of a zero).  Each stage sets ``r`` and
+    the components the body reads, then runs the body with its slopes
+    renamed to the stage's.  A value ``x`` is finite when ``x * 0.0`` is
+    zero, and ``max`` is a conditional expression: the verdicts and bits
+    of ``isfinite`` and ``max``, without a call.
     """
     ds = range(dim)
 
@@ -411,59 +450,63 @@ def _end_trial(dim: int, reads: int):
         return [f"{prefix}{d}" for d in ds]
 
     def finite(vals):
-        return " and ".join(f"isfinite({v})" for v in vals)
+        return " + ".join(f"{v} * 0.0" for v in vals) + " == 0.0"
 
     def summed(weights, d):
-        return " + ".join(f"{w!r} * k{j + 1}_{d}" for j, w in enumerate(weights) if w)
+        return " + ".join(f"{w!r} * _k{j + 1}_{d}" for j, w in enumerate(weights) if w)
 
-    def stage(s, args):
+    def stage(s, states):
         # Slope k_s at r + c_s h; on a non-finite one, give up after s - 1
-        # evaluations.  k7 is kept whole: it is the next step's k1.
-        ks = names(f"k{s}_")
-        call = f"field(r + {_C[s - 1]!r} * h, {', '.join(args)})"
-        if dim == 1:
-            out = [f"{ks[0]} = {call}"]
-        elif s < 7:
-            out = [f"{tup(ks)} = {call}"]
-        else:
-            out = [f"k7 = {call}", f"{tup(ks)} = k7"]
-        return out + [f"if not ({finite(ks)}):", f"    return inf, None, None, {s - 1}"]
+        # evaluations.
+        out = [f"r = _r + {_C[s - 1]!r} * _h"]
+        out += [f"{name} = {state}" for name, state in zip(reads, states)]
+        out += [_SLOPE.sub(rf"_k{s}_\1", line) for line in body]
+        return out + [f"if not {finite(names(f'_k{s}_'))}:", f"    return inf, None, None, {s - 1}"]
 
-    body = [f"{tup(names('y'))} = y", f"{tup(names('k1_'))} = k1"]
+    step = [f"{tup(names('_y'))} = _y", f"{tup(names('_k1_'))} = _k1"]
     for s in range(2, 7):
-        body += stage(s, [f"y{d} + h * ({summed(_A[s - 1], d)})" for d in range(reads)])
-    body += [f"n{d} = y{d} + h * ({summed(_A[6], d)})" for d in ds]
-    body += [f"if not ({finite(names('n'))}):", "    return inf, None, None, 5"]
-    body += stage(7, names("n")[:reads])
-    body += [
-        f"q{d} = h * ({summed(_E, d)})"
-        f" / (abs_tol + rel_tol * max(abs(y{d}), abs(n{d})))"
-        for d in ds
-    ]
-    norm = " + ".join(f"q{d} * q{d}" for d in ds)
-    k7 = "(k7_0,)" if dim == 1 else "k7"
-    body.append(f"return sqrt(({norm}) / {dim}), {tup(names('n'))}, {k7}, 6")
-    source = (
-        "def make(field, rel_tol, abs_tol):\n    def trial(r, h, y, k1):\n"
-        + "".join(f"        {line}\n" for line in body)
-        + "    return trial\n"
+        step += stage(s, [f"_y{d} + _h * ({summed(_A[s - 1], d)})" for d in range(len(reads))])
+    step += [f"_n{d} = _y{d} + _h * ({summed(_A[6], d)})" for d in ds]
+    step += [f"if not {finite(names('_n'))}:", "    return inf, None, None, 5"]
+    step += stage(7, names("_n"))
+    for d in ds:
+        step += [
+            f"_a{d} = abs(_y{d})",
+            f"_b{d} = abs(_n{d})",
+            f"_q{d} = _h * ({summed(_E, d)})"
+            f" / (_abs_tol + _rel_tol * (_a{d} if _a{d} >= _b{d} else _b{d}))",
+        ]
+    norm = " + ".join(f"_q{d} * _q{d}" for d in ds)
+    step.append(
+        f"return _sqrt(({norm}) / {dim}), {tup(names('_n'))}, {tup(names('_k7_'))}, 6"
     )
-    namespace = {"isfinite": math.isfinite, "inf": math.inf, "sqrt": math.sqrt}
+    rhs = [f"{name} = _y[{d}]" for d, name in enumerate(reads)] + list(body)
+    source = "".join(
+        [
+            f"def make({', '.join(consts)}):\n",
+            "    def rhs(r, _y):\n",
+            *(f"        {line}\n" for line in rhs),
+            f"        return {tup(names('f'))}\n",
+            "    def trial(_rel_tol, _abs_tol):\n",
+            "        def step(_r, _h, _y, _k1):\n",
+            *(f"            {line}\n" for line in step),
+            "        return step\n",
+            "    return rhs, trial\n",
+        ]
+    )
+    namespace = {"inf": math.inf, "_sqrt": math.sqrt}
     exec(source, namespace)
     return namespace["make"]
 
 
-def end_state(ivp: IvpSpec, field, reads: int) -> tuple[tuple[float, ...], int, int]:
+def end_state(ivp: IvpSpec, field: Field) -> tuple[tuple[float, ...], int, int]:
     """End of ``ivp`` by Dormand-Prince 5(4), keeping no dense output.
 
-    ``field(r, *y[:reads])`` is ``ivp.rhs`` with the state unpacked; for
-    a one-component state it returns the one slope as a float.  Runs
-    :func:`_march` with the trial step of :func:`_end_trial`, so it
-    takes the steps :func:`integrate` takes and raises what it raises.
-    Returns ``(y_end, n_steps, n_rhs_evals)``.
+    ``ivp.rhs`` is ``field.rhs``.  Runs :func:`_march` with the trial
+    step of ``field``, so it takes the steps :func:`integrate` takes and
+    raises what it raises.  Returns ``(y_end, n_steps, n_rhs_evals)``.
     """
-    trial = _end_trial(len(ivp.y0), reads)(field, ivp.rel_tol, ivp.abs_tol)
-    return _march(ivp, trial)
+    return _march(ivp, field.trial(ivp.rel_tol, ivp.abs_tol))
 
 
 def grow_bracket(

@@ -37,20 +37,23 @@ generic dense :func:`~plapshoot.odeint.integrate` and returns a sampled
 validated solutions, the ``plapshoot shoot`` command and anything that
 plots a profile take this kind.  ``shoot(d, spec, cfg, profile=False)``
 keeps only the end state through :func:`~plapshoot.odeint.end_state`,
-the stage sums generated from the Dormand-Prince tableau for this
-three-component system, and returns a :class:`ShotEnd`; the scan and
-the bisection in :mod:`plapshoot.solver` take this kind.  Both kinds
-step through :func:`~plapshoot.odeint._march`, the one step loop of the
-package, and the same states, so they give the same terminal angle to
-the last bit.
+the trial step generated from the Dormand-Prince tableau with the
+shot's field pasted into each stage, and returns a :class:`ShotEnd`;
+the scan and the bisection in :mod:`plapshoot.solver` take this kind.
+Both kinds step through :func:`~plapshoot.odeint._march`, the one step
+loop of the package, and the same states, so they give the same
+terminal angle to the last bit.
 
-Both kinds evaluate one field, built once per shot by
-:func:`_make_field`.  It calls the reaction closure of
-:meth:`Nonlinearity.f_for`, the one definition of ``f`` in the package,
-writes its powers inline, and for N = 1 skips the flux weight
-``r^(N-1) = 1``; every value it returns is the one the formulas above
-give, to the last bit.  A start-up state already under the collapse
-floor is caught by the field's first evaluation, like any later one.
+Both kinds evaluate one field, written once as a body of statements,
+``_SHOT_N1`` for N = 1 and ``_SHOT_N`` for N > 1, and compiled per shot
+by :func:`_make_field` into the callable of the dense kind and the
+stages of the other.  The bodies paste :data:`REACTION`, the one
+definition of ``f`` in the package, which :meth:`Nonlinearity.f_for`
+compiles as well; they write their powers inline, and for N = 1 skip
+the flux weight ``r^(N-1) = 1``.  Every slope is the one the formulas
+above give, to the last bit.  A start-up state already under the
+collapse floor is caught by the field's first evaluation, like any
+later one.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from typing import Callable, NamedTuple
 
 from .config import SolverConfig
 from .errors import IntegrationError, NearConstantShotError, SpecError
-from .odeint import IvpSpec, crossings, end_state, integrate
+from .odeint import Field, IvpSpec, compile_field, crossings, end_state, integrate
 from .ptrig import _check_p, get_context, phi_p_inv, pi_p
 
 # A shot has collapsed onto the constant state once the squared
@@ -78,6 +81,54 @@ SERIES_ANGLE_MAX = 1e-6
 # Size of the uniform grid added to a profiled shot's accepted mesh, so
 # that plots stay faithful where steps are long.
 PROFILE_NODES = 400
+
+
+# The reaction f(u) = u^(q-1) - u^(r-1) as statements that assign ``fu``,
+# with ``qm1 = q - 1`` and ``rm1 = r - 1``: Nonlinearity.f_for compiles
+# them and the shot fields paste them.
+REACTION = (
+    "if u <= 0.0:",
+    "    fu = 0.0",
+    "else:",
+    "    try:",
+    "        fu = u ** qm1 - u ** rm1",
+    "    except OverflowError:",
+    "        fu = inf",
+)
+
+# The shot's phase-plane radius, and the collapse test on it.
+_RHO = (
+    "um1 = u - 1.0",
+    "try:",
+    "    vpp = abs(v) ** pp",
+    "    rho2 = abs(um1) ** p + pm1 * vpp",
+    "except OverflowError:",
+    "    vpp = pow_abs(v, pp)",
+    "    rho2 = pow_abs(um1, p) + pm1 * vpp",
+    "if rho2 < rho_floor:",
+    "    raise collapsed(d, r, rho2)",
+)
+
+# The shot's field (u', v', theta') for N = 1, where the flux weight
+# r^(N-1) is 1.0 and w = v, ...
+_SHOT_N1 = REACTION + _RHO + (
+    "try:",
+    "    f0 = copysign(abs(v) ** ppm1, v) if v != 0.0 else 0.0",
+    "except OverflowError:",
+    "    f0 = inf",
+    "f1 = -fu",
+    "f2 = (pm1 * vpp + um1 * fu) / rho2",
+)
+
+# ... and for N > 1, with rn = r^(N-1) and w = v / rn = phi_p(u').
+_SHOT_N = ("rn = r ** nm1", "w = v / rn") + REACTION + _RHO + (
+    "try:",
+    "    f0 = copysign(abs(w) ** ppm1, w) if w != 0.0 else 0.0",
+    "    f2 = rn * (pm1 * abs(w) ** pp + um1 * fu) / rho2",
+    "except OverflowError:",
+    "    f0 = f2 = inf",
+    "f1 = -rn * fu",
+)
 
 
 @dataclass(frozen=True)
@@ -124,8 +175,8 @@ class Nonlinearity:
     Then ``f(s) = g(s) - s^(p-1) = s^(q-1) - s^(r-1)`` vanishes exactly
     at the constant state ``s = 1`` and has the sign of ``s - 1``
     elsewhere, which is what keeps the phase angle monotone.
-    :meth:`f_for` is the one definition of ``f``: it returns ``f`` for
-    one exponent p as a closure, which a shot's field binds once.
+    :data:`REACTION` is the one definition of ``f``: :meth:`f_for`
+    compiles it for one exponent p, and a shot's field pastes it.
     """
 
     q: float
@@ -148,23 +199,17 @@ class Nonlinearity:
     def f_for(self, p: float) -> Callable[[float], float]:
         """``f(s) = g(s) - s^(p-1) = s^(q-1) - s^(r-1)`` as a function of s.
 
-        The exponents ``q - 1`` and ``r - 1`` are bound in the closure.
+        Compiled from :data:`REACTION`, the text the shot fields paste.
         ``f`` is extended by zero to ``s <= 0``.  Overflow saturates to
         +inf (the top exponent dominates), which the integrator treats
         as a step into forbidden territory.
         """
-        qm1 = self.q - 1.0
-        rm1 = self.r_exp_for(p) - 1.0
+        rhs = compile_field(1, ("u",), REACTION + ("f0 = fu",), **self.exponents(p)).rhs
+        return lambda s: rhs(0.0, (s,))[0]
 
-        def f(s: float) -> float:
-            if s <= 0.0:
-                return 0.0
-            try:
-                return s**qm1 - s**rm1
-            except OverflowError:
-                return math.inf
-
-        return f
+    def exponents(self, p: float) -> dict[str, float]:
+        """The constants of :data:`REACTION`: ``qm1 = q - 1``, ``rm1 = r - 1``."""
+        return {"qm1": self.q - 1.0, "rm1": self.r_exp_for(p) - 1.0}
 
     def label(self) -> str:
         if self.r_exp is None:
@@ -347,7 +392,8 @@ def startup_state(d: float, spec: ProblemSpec, eps0: float) -> tuple[float, floa
     angle is the anchor plus the exact generalised polar angle of
     ``(|u - 1|, |v|)``, from :meth:`~plapshoot.ptrig.PTrigContext.angle`,
     which lies within a quarter period past the anchor.  A start-up
-    state that is not finite keeps the series angle, and its shot fails.
+    state that is not finite, also where ``phi_p^-1(f(d)/N)`` overflows,
+    keeps the series angle, and its shot fails.
     On an annulus the boundary condition is imposed exactly at the
     inner radius and ``eps0`` is ignored.
     """
@@ -367,7 +413,11 @@ def startup_state(d: float, spec: ProblemSpec, eps0: float) -> tuple[float, floa
     n = spec.dim
     fd = spec.g.f_for(p)(d)
     v = -fd * eps0**n / n
-    u = d - phi_p_inv(fd / n, p) * eps0**pp / pp
+    try:
+        u = d - phi_p_inv(fd / n, p) * eps0**pp / pp
+    except OverflowError:
+        # |f(d)/N|^(p'-1) overflows for p < 2 at moderate d: saturate.
+        u = d - math.copysign(math.inf, fd)
     inc = fd * math.copysign(1.0, d - 1.0) * eps0**n / (n * abs(d - 1.0) ** (p - 1.0))
     if inc <= SERIES_ANGLE_MAX * pip or not math.isfinite(u):
         return (u, v, anchor + inc)
@@ -394,52 +444,26 @@ def _pow_abs(x: float, e: float) -> float:
         return math.inf
 
 
-def _make_field(spec: ProblemSpec, d: float):
-    """Right hand side of a shot as ``field(r, u, v) -> (u', v', theta')``.
+def _make_field(spec: ProblemSpec, d: float) -> Field:
+    """Right hand side of a shot, ``(u', v', theta')`` from ``(r, u, v)``.
 
-    The angle does not feed back into the system, so it is not an
-    argument.  For N = 1 the flux weight ``r^(N-1)`` is 1.0, so the field
+    The angle does not feed back into the system, so the body does not
+    read it.  For N = 1 the flux weight ``r^(N-1)`` is 1.0, so the body
     skips the products with it and reuses ``|v|^p'`` of ``rho^2`` in the
     angle's rate; both are exact.  ``|u - 1|^p`` and ``|v|^p'`` saturate
-    to inf like :func:`_pow_abs`.  An overflow in a power of
-    ``|v| / r^(N-1)`` returns a non-finite triple at once: the formula
-    would give a non-finite component too, and every caller tests only
-    whether all three are finite.
+    to inf like :func:`_pow_abs`.  An overflow in a power of ``|v| /
+    r^(N-1)`` sets those slopes to inf: the formula would give a
+    non-finite component too, and every caller tests only whether all
+    three are finite.
     """
     p = spec.p
     pp = spec.pprime
-    pm1 = p - 1.0
-    ppm1 = pp - 1.0
-    nm1 = spec.dim - 1
-    f = spec.g.f_for(p)
-    copysign = math.copysign
-    inf = math.inf
-
-    def field(r, u, v):
-        if nm1:
-            rn = r**nm1
-            w = v / rn
-        else:
-            w = v
-        fu = f(u)
-        um1 = u - 1.0
-        try:
-            vpp = abs(v) ** pp
-            rho2 = abs(um1) ** p + pm1 * vpp
-        except OverflowError:
-            vpp = _pow_abs(v, pp)
-            rho2 = _pow_abs(um1, p) + pm1 * vpp
-        if rho2 < RHO_FLOOR:
-            raise NearConstantShotError(d, r, rho2)
-        try:
-            du = copysign(abs(w) ** ppm1, w) if w != 0.0 else 0.0
-            if nm1:
-                return (du, -rn * fu, rn * (pm1 * abs(w) ** pp + um1 * fu) / rho2)
-        except OverflowError:
-            return (inf, inf, inf)
-        return (du, -fu, (pm1 * vpp + um1 * fu) / rho2)
-
-    return field
+    return compile_field(
+        3, ("u", "v"), _SHOT_N1 if spec.dim == 1 else _SHOT_N,
+        p=p, pp=pp, pm1=p - 1.0, ppm1=pp - 1.0, nm1=spec.dim - 1,
+        **spec.g.exponents(p), d=d, rho_floor=RHO_FLOOR,
+        collapsed=NearConstantShotError, pow_abs=_pow_abs, copysign=math.copysign,
+    )
 
 
 def _rho_sq(u: float, v: float, p: float, pp: float) -> float:
@@ -468,7 +492,7 @@ def _shot_start(d: float, spec: ProblemSpec, cfg: SolverConfig):
         raise IntegrationError("start-up state not finite", r0)
     field = _make_field(spec, d)
     ivp = IvpSpec(
-        rhs=lambda r, y: field(r, y[0], y[1]),
+        rhs=field.rhs,
         r_start=r0,
         r_end=spec.r_outer,
         y0=y0,
@@ -499,7 +523,7 @@ def shoot(
     """
     ivp, field = _shot_start(d, spec, cfg or SolverConfig())
     if not profile:
-        (u, v, th), n_steps, n_evals = end_state(ivp, field, 2)
+        (u, v, th), n_steps, n_evals = end_state(ivp, field)
         return ShotEnd(d, th, u, v, n_steps, n_evals)
     sol = integrate(ivp)
     y0 = ivp.y0

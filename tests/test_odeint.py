@@ -10,8 +10,8 @@ from plapshoot import odeint
 from plapshoot.errors import IntegrationError, SpecError
 from plapshoot.odeint import (
     IvpSpec,
-    _end_trial,
     bisect_bracket,
+    compile_field,
     crossings,
     end_state,
     grow_bracket,
@@ -427,49 +427,78 @@ def test_illinois_stops_on_adjacent_doubles_at_the_smaller_side():
     assert calls == []
 
 
+def _called(field, dim, reads):
+    """A callable ``field(r, y0, ...)`` as the body of a compiled field.
+
+    For one component the callable returns its slope as a float.
+    """
+    args = ", ".join(f"y{d}" for d in range(reads))
+    slopes = ", ".join(f"f{d}" for d in range(dim))
+    return compile_field(
+        dim, [f"y{d}" for d in range(reads)], [f"{slopes} = field(r, {args})"], field=field
+    )
+
+
 def test_fifth_order_convergence():
     # One generated trial step from (1, 0) on the rotation u' = -v,
     # v' = u, whose exact solution is (cos h, sin h): halving h should
     # shrink the one-step error by about 2**6 for a fifth order method.
-    def field(r, u, v):
-        return (-v, u)
+    # The rotation is written once as a body and once as a callable.
+    fields = (
+        compile_field(2, ("u", "v"), ("f0 = -v", "f1 = u")),
+        _called(lambda r, u, v: (-v, u), 2, 2),
+    )
+    errors = []
+    for field in fields:
+        trial = field.trial(1e-2, 1e-2)
 
-    trial = _end_trial(2, 2)(field, 1e-2, 1e-2)
+        def one_step_error(h):
+            _, (u, v), _, evals = trial(0.0, h, (1.0, 0.0), field.rhs(0.0, (1.0, 0.0)))
+            assert evals == 6
+            return math.hypot(u - math.cos(h), v - math.sin(h))
 
-    def one_step_error(h):
-        _, (u, v), _, evals = trial(0.0, h, (1.0, 0.0), field(0.0, 1.0, 0.0))
-        assert evals == 6
-        return math.hypot(u - math.cos(h), v - math.sin(h))
-
-    e1 = one_step_error(0.4)
-    e2 = one_step_error(0.2)
-    # Order >= 5 gives a factor of 32; allow slack for the error constant.
-    assert e1 / e2 > 20.0
+        e1 = one_step_error(0.4)
+        e2 = one_step_error(0.2)
+        # Order >= 5 gives a factor of 32; allow slack for the error constant.
+        assert e1 / e2 > 20.0
+        errors.append((e1, e2))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("dim, reads", [(3, 2), (1, 1)])
 def test_failed_trial_counts_the_evaluations_it_made(dim, reads):
     # A trial step whose n-th evaluation is not finite (stage n + 1, or
-    # the endpoint's slope for n = 6) returns inf and n evaluations.
+    # the endpoint's slope for n = 6) returns inf and n evaluations, for
+    # a field written as a body and for a callable one.
     y, k1 = (0.0,) * dim, (1.0,) * dim
+    names = [f"y{d}" for d in range(reads)]
+    slopes = [f"f{d}" for d in range(dim)]
     for fail_at in range(1, 7):
         calls = []
+        body = compile_field(
+            dim, names,
+            ["calls.append(r)", f"{' = '.join(slopes)} = nan if len(calls) == fail_at else 1.0"],
+            calls=calls, fail_at=fail_at, nan=math.nan,
+        )
 
         def field(r, *state):
             calls.append(r)
             slope = math.nan if len(calls) == fail_at else 1.0
             return slope if dim == 1 else (slope,) * dim
 
-        trial = _end_trial(dim, reads)(field, 1e-6, 1e-6)
-        assert trial(0.0, 0.5, y, k1) == (math.inf, None, None, fail_at)
-        assert len(calls) == fail_at
+        for kind in (body, _called(field, dim, reads)):
+            calls.clear()
+            trial = kind.trial(1e-6, 1e-6)
+            assert trial(0.0, 0.5, y, k1) == (math.inf, None, None, fail_at)
+            assert len(calls) == fail_at
     # Finite slopes of 1e308 whose endpoint overflows at h = 2: five
     # evaluations, and none at the endpoint.
     big = (1e308,) * dim
-    trial = _end_trial(dim, reads)(
-        lambda r, *state: big[0] if dim == 1 else big, 1e-6, 1e-6
-    )
-    assert trial(0.0, 2.0, y, big) == (math.inf, None, None, 5)
+    for kind in (
+        compile_field(dim, names, [f"{' = '.join(slopes)} = 1e308"]),
+        _called(lambda r, *state: big[0] if dim == 1 else big, dim, reads),
+    ):
+        assert kind.trial(1e-6, 1e-6)(0.0, 2.0, y, big) == (math.inf, None, None, 5)
 
 
 def _end_or_error(run):
@@ -492,12 +521,12 @@ _coef = st.floats(-2.0, 2.0)
 def _smooth_ivps(draw, dim, field):
     """An initial value problem on a random smooth field, and the field.
 
-    ``field(coefs, r, *y)`` is the field's formula; its six coefficients,
-    the start, the interval and the tolerance are drawn.  On a drawn band
-    of ``r + y[0]``, if any, the field is not finite, so that the
-    paths that reject a trial step at any stage, shrink it or give up
-    are compared as well; the tests run them under a budget of 20 000
-    step attempts.
+    ``field(coefs, r, *y)`` is the field's formula, compiled as a
+    callable field; its six coefficients, the start, the interval and
+    the tolerance are drawn.  On a drawn band of ``r + y[0]``, if any,
+    the field is not finite, so that the paths that reject a trial step
+    at any stage, shrink it or give up are compared as well; the tests
+    run them under a budget of 20 000 step attempts.
     """
     r0 = draw(st.floats(0.0, 1.0))
     r_end = r0 + draw(st.floats(0.05, 3.0))
@@ -513,14 +542,12 @@ def _smooth_ivps(draw, dim, field):
             return math.nan if dim == 1 else (math.nan,) + out[1:]
         return out
 
-    def rhs(r, y):
-        return (walled(r, y[0]),) if dim == 1 else walled(r, y[0], y[1])
-
+    compiled = _called(walled, dim, 1 if dim == 1 else 2)
     ivp = IvpSpec(
-        rhs=rhs, r_start=r0, r_end=r_end, y0=y0,
+        rhs=compiled.rhs, r_start=r0, r_end=r_end, y0=y0,
         rel_tol=rel_tol, abs_tol=1e-2 * rel_tol,
     )
-    return ivp, walled
+    return ivp, compiled
 
 
 def _shot_like(coefs, r, u, v):
@@ -542,7 +569,7 @@ def test_end_state_equals_integrate_on_three_components(case):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(odeint, "MAX_STEPS", 20_000)
         full = _end_or_error(lambda: _integrate_end(ivp))
-        assert _end_or_error(lambda: end_state(ivp, field, 2)) == full
+        assert _end_or_error(lambda: end_state(ivp, field)) == full
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -554,7 +581,7 @@ def test_end_state_equals_integrate_on_one_scalar_component(case):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(odeint, "MAX_STEPS", 20_000)
         full = _end_or_error(lambda: _integrate_end(ivp))
-        assert _end_or_error(lambda: end_state(ivp, field, 1)) == full
+        assert _end_or_error(lambda: end_state(ivp, field)) == full
 
 
 def _logged(side, calls):

@@ -30,7 +30,7 @@ from plapshoot.radial import (
     shoot,
     startup_state,
 )
-from plapshoot.solver import d_grid
+from plapshoot.solver import d_grid, find_solutions
 
 # Reference shot: p=2, N=1, R=1, g(s)=s^14, started from d=0.5.  Frozen
 # from a classical fixed-step RK4 run launched exactly at r=0 (regular
@@ -399,6 +399,47 @@ def test_rho_floor_triggers_near_constant_error():
     assert math.isfinite(summ.theta_end)
 
 
+@pytest.mark.parametrize(
+    "spec, d",
+    [
+        (ball_spec(q=100.0), 0.999999),
+        (ball_spec(p=2.5, dim=2, q=5.0), 1.0000174928258485),
+    ],
+    ids=["N1", "N2"],
+)
+def test_collapse_mid_shot_is_the_same_error_on_both_kinds(spec, d):
+    # These shots start above the collapse floor and fall under it
+    # about a third of the way out: the body pasted into the trial step
+    # raises what the callable raises, at the same stage, to the bit.
+    cfg = SolverConfig(d_grid_size=100)
+    eps0 = spec.start_radius(cfg)
+    u0, v0, _ = startup_state(d, spec, eps0)
+    assert _rho_sq(u0, v0, spec.p, spec.pprime) >= radial.RHO_FLOOR
+    seen = []
+    for profile in (True, False):
+        with pytest.raises(NearConstantShotError) as exc:
+            shoot(d, spec, cfg, profile=profile)
+        err = exc.value
+        seen.append((err.d, err.r.hex(), err.rho_sq.hex()))
+        assert err.d == d and 0.2 < err.r < 0.6
+        assert err.rho_sq < radial.RHO_FLOOR
+    assert seen[0] == seen[1]
+
+
+def test_start_up_overflow_of_the_slope_is_a_failed_shot():
+    # At p = 1.1 the start-up slope phi_p^-1(f(d)/N) has the power
+    # p' - 1 = 10 and overflows at d = 3: a shot that fails, not an
+    # OverflowError out of the whole solve.
+    spec = ProblemSpec(p=1.1, dim=1, domain=Ball(1.0), g=Nonlinearity(q=100.0))
+    for profile in (True, False):
+        with pytest.raises(IntegrationError, match="start-up state not finite"):
+            shoot(3.0, spec, profile=profile)
+    found = find_solutions(
+        spec, SolverConfig(d_grid_size=50), max_zeros=1, sides=("upper",)
+    )
+    assert all(rec.d > 1.0 for rec in found)
+
+
 def test_shot_rejects_constant_d():
     with pytest.raises(SpecError):
         shoot(1.0, ball_spec())
@@ -538,14 +579,11 @@ def test_end_state_kernel_keeps_the_integrator_checks(monkeypatch):
         assert messages().startswith("exceeded max_steps=5")
 
     # A field that is not finite from r = 0.5 on: every step into the
-    # wall shrinks by 4 until the step size underflows.
-    make_field = radial._make_field
-
-    def walled(spec, d):
-        field = make_field(spec, d)
-        return lambda r, u, v: field(r, u, v) if r < 0.5 else (math.inf,) * 3
-
-    monkeypatch.setattr(radial, "_make_field", walled)
+    # wall shrinks by 4 until the step size underflows.  The wall is a
+    # line added to the shot's body, so both the callable and the trial
+    # step with the body pasted into its stages carry it.
+    wall = ("if r >= 0.5:", "    f0 = f1 = f2 = inf")
+    monkeypatch.setattr(radial, "_SHOT_N1", radial._SHOT_N1 + wall)
     assert messages().startswith("step size underflow")
 
 
@@ -707,7 +745,8 @@ def _field_cases(draw):
 @given(_field_cases())
 def test_field_matches_the_reference_field(case):
     spec, d, r, u, v = case
-    assert _field_outcome(radial._make_field(spec, d), r, u, v) == _field_outcome(
+    rhs = radial._make_field(spec, d).rhs
+    assert _field_outcome(lambda r, u, v: rhs(r, (u, v)), r, u, v) == _field_outcome(
         _ref_make_field(spec, d), r, u, v
     )
     f = spec.g.f_for(spec.p)
