@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .config import SolverConfig
-from .errors import SearchError, SpecError
+from .errors import SearchError, SpecError, check_count
 from .odeint import illinois_bracket
 from .radial import ProblemSpec
 from .solver import _records_for_side, _theta_end, find_solutions
@@ -151,8 +151,7 @@ def bifurcation_onset(
     """
     cfg = cfg or SolverConfig()
     spec._require_g()
-    if not (isinstance(zeros, int) and zeros >= 1):
-        raise SpecError(f"zero count must be an integer >= 1, got {zeros!r}")
+    check_count(zeros, 1, "zero count")
     c1 = spec.c1
     if not (math.isfinite(c1) and c1 != 0.0):
         raise SpecError(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SpecError
+from .errors import SpecError, check_count, is_number
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,11 @@ class SolverConfig:
     eps0: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.d_grid_size, int) and self.d_grid_size >= 16):
-            raise SpecError(
-                f"d_grid_size must be an integer >= 16, got {self.d_grid_size!r}"
-            )
+        check_count(self.d_grid_size, 16, "d_grid_size")
         given = ("residual_tol", "rel_tol", "abs_tol")
         if self.eps0 is not None:
             given += ("eps0",)
         for name in given:
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and 0.0 < v and math.isfinite(v)):
+            if not (is_number(v) and 0.0 < v and math.isfinite(v)):
                 raise SpecError(f"{name} must be a positive finite number")

@@ -3,7 +3,8 @@
 Validation problems (bad parameters, malformed domains) raise
 :class:`SpecError`; failures of the numerical machinery at runtime raise
 subclasses of :class:`NumericsError`.  The CLI maps the former to exit
-code 2 and the latter to exit code 1.
+code 2 and the latter to exit code 1.  :func:`check_count` and
+:func:`is_number` are the one rule for count and number inputs.
 """
 
 from __future__ import annotations
@@ -52,3 +53,18 @@ class NearConstantShotError(NumericsError):
 
 class SearchError(NumericsError):
     """A bracketing or bisection search failed to isolate its target."""
+
+
+def is_number(value, kind=(int, float)) -> bool:
+    """``isinstance(value, kind)``, but false for a ``bool``.
+
+    Python counts ``True`` and ``False`` as the integers 1 and 0; as a
+    count or a tolerance they are a mistake, so the checks refuse them.
+    """
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_count(value, least: int, what: str) -> None:
+    """Raise :class:`SpecError` unless ``value`` is an integer >= ``least``."""
+    if not (is_number(value, int) and value >= least):
+        raise SpecError(f"{what} must be an integer >= {least}, got {value!r}")

@@ -8,17 +8,16 @@ hand sides are scalar math, and repeated runs must be bit-for-bit
 deterministic across processes.
 
 Every Dormand-Prince path of the package runs one step loop,
-:func:`_march`, and supplies only the stage sums of a trial step:
-:func:`integrate` the generic ones, keeping a dense interpolant per
-accepted step, and :func:`end_state` unrolled ones, keeping only the end
-state.  A field is written once, as a body of statements, and
-:func:`compile_field` turns it into both forms: the callable of
-:class:`IvpSpec`, and the trial step of :func:`end_state`, which
-:func:`_end_trial` generates from the tableau with the body pasted into
-every stage, so that no stage calls a function for its slope.  The
-shots of ``plapshoot.radial`` (one body for N = 1 and one for N > 1)
-and the eigenvalue angles of ``plapshoot.eigen`` are written so; a
-callable field is the one-line body that calls it.
+:func:`_march`, and one trial step, which :func:`_end_trial` generates
+from the tableau with the body of the field pasted into every stage, so
+that no stage calls a function for its slope.  A field is written once,
+as a body of statements, and :func:`compile_field` turns it into the
+callable of :class:`IvpSpec` and the trial step of :func:`end_state`,
+which keeps only the end state.  The shots of ``plapshoot.radial`` (one
+body for N = 1 and one for N > 1) and the eigenvalue angles of
+``plapshoot.eigen`` are written so.  :func:`integrate` runs the dense
+variant of the trial step, which also forms the interpolant weights of
+each step, for the one-line body that calls ``IvpSpec.rhs``.
 
 The dense output is what profiles and events build on: event
 location (:func:`crossings`) and profile sampling both evaluate the
@@ -84,7 +83,6 @@ _P = (
     (0.0, 40617522 / 29380423, -110615467 / 29380423,
      69997945 / 29380423),
 )
-_P_COLS = tuple(zip(*_P))
 
 # PI controller constants (classic dopri5 settings).  A step is
 # divided by a factor in [_FAC_LO, _FAC_HI]: it grows by at most 10
@@ -198,34 +196,12 @@ class DenseSolution:
         return tuple(out)
 
 
-def _dot(w, k, d: int) -> float:
-    """Sum of ``w[j] * k[j][d]`` over the weights ``w``, left to right.
-
-    Not the builtin ``sum``, which compensates its rounding from Python
-    3.12 on: the trial steps of :func:`end_state` add left to right, and
-    every path must take the same steps to the last bit on every version.
-    """
-    acc = 0.0
-    for j in range(len(w)):
-        acc += w[j] * k[j][d]
-    return acc
-
-
 def _rms(xs, scale) -> float:
     """Root mean square of ``xs[d] / scale[d]``, added left to right."""
     acc = 0.0
     for x, sc in zip(xs, scale):
         acc += (x / sc) ** 2
     return math.sqrt(acc / len(xs))
-
-
-def _error_norm(err, y_old, y_new, rel_tol, abs_tol) -> float:
-    acc = 0.0
-    for d in range(len(err)):
-        scale = abs_tol + rel_tol * max(abs(y_old[d]), abs(y_new[d]))
-        q = err[d] / scale
-        acc += q * q
-    return math.sqrt(acc / len(err))
 
 
 def _call_rhs(rhs, r, y, dim) -> tuple[float, ...]:
@@ -341,55 +317,34 @@ def _march(ivp: IvpSpec, trial, keep=None) -> tuple[tuple[float, ...], int, int]
 def integrate(ivp: IvpSpec) -> DenseSolution:
     """Integrate ``ivp`` over its full interval.
 
+    Runs :func:`_march` with the dense trial step that :func:`_end_trial`
+    generates for the one-line body that calls ``ivp.rhs``, so every
+    stage calls ``ivp.rhs`` and the steps are those of :func:`end_state`.
+    The number of components ``ivp.rhs`` returns is checked, with
+    :class:`SpecError`, at the start and at the first-step probe only; a
+    later stage that returns the wrong number raises the ``ValueError``
+    of the tuple unpacking.
+
     Raises :class:`IntegrationError` when the step budget runs out or
     the right hand side stops returning finite values; the exception
     carries the last abscissa that held a valid state.
     """
-    rhs = ivp.rhs
     dim = len(ivp.y0)
-    rel_tol = ivp.rel_tol
-    abs_tol = ivp.abs_tol
-    k = [()] * 7
-
-    def trial(r, h, y, k1):
-        # Stages 2..6, then the candidate endpoint and its slope (k7).
-        # A non-finite value anywhere means the trial step left the
-        # region where the right hand side makes sense; the step loop
-        # shrinks it and retries rather than give up.
-        k[0] = k1
-        for s in range(1, 6):
-            a = _A[s]
-            ys_stage = tuple(y[d] + h * _dot(a, k, d) for d in range(dim))
-            ks = _call_rhs(rhs, r + _C[s] * h, ys_stage, dim)
-            if not all(math.isfinite(c) for c in ks):
-                return math.inf, None, None, s
-            k[s] = ks
-        a = _A[6]
-        y_new = tuple(y[d] + h * _dot(a, k, d) for d in range(dim))
-        if not all(math.isfinite(c) for c in y_new):
-            return math.inf, None, None, 5
-        k7 = _call_rhs(rhs, r + h, y_new, dim)
-        if not all(math.isfinite(c) for c in k7):
-            return math.inf, None, None, 6
-        k[6] = k7
-        err_vec = tuple(h * _dot(_E, k, d) for d in range(dim))
-        return _error_norm(err_vec, y, y_new, rel_tol, abs_tol), y_new, k7, 6
-
+    reads = tuple(f"y{d}" for d in range(dim))
+    body = f"{''.join(f'f{d}, ' for d in range(dim))}= field(r, ({', '.join(reads)},))"
+    weights = [()]  # the interpolant weights of the last trial step
+    trial = _end_trial(dim, reads, (body,), ("field",), dense=True)(field=ivp.rhs)[1]
     rs = [ivp.r_start]
     ys = [ivp.y0]
     cells: list[tuple[float, ...]] = []
 
     def keep(r, y):
-        # Freeze the interpolant for this interval.
         r_lo = rs[-1]
-        cells.append(
-            (r_lo, r - r_lo, *ys[-1],
-             *(_dot(col, k, d) for d in range(dim) for col in _P_COLS))
-        )
+        cells.append((r_lo, r - r_lo, *ys[-1], *weights[0]))
         rs.append(r)
         ys.append(y)
 
-    n_evals = _march(ivp, trial, keep)[2]
+    n_evals = _march(ivp, trial(ivp.rel_tol, ivp.abs_tol, weights), keep)[2]
     return DenseSolution(rs=rs, ys=ys, cells=cells, n_rhs_evals=n_evals)
 
 
@@ -427,19 +382,25 @@ def compile_field(dim: int, reads: Sequence[str], body: Sequence[str], **consts)
 
 
 @lru_cache(maxsize=None)
-def _end_trial(dim: int, reads: tuple, body: tuple, consts: tuple):
+def _end_trial(dim: int, reads: tuple, body: tuple, consts: tuple, dense: bool = False):
     """Both forms of a field, generated from its body and the tableau.
 
     Returns ``make(**consts)``, which returns the two members of a
     :class:`Field`.  The trial step is written from ``_A``, ``_C`` and
     ``_E`` with the tableau's entries as literals: each sum adds its
-    nonzero terms left to right in tableau order, as :func:`integrate`
-    does, so both take the same steps to the last bit (a dropped zero
-    term can change only the sign of a zero).  Each stage sets ``r`` and
-    the components the body reads, then runs the body with its slopes
-    renamed to the stage's.  A value ``x`` is finite when ``x * 0.0`` is
-    zero, and ``max`` is a conditional expression: the verdicts and bits
-    of ``isfinite`` and ``max``, without a call.
+    nonzero terms left to right in tableau order, and not by the builtin
+    ``sum``, which compensates its rounding from Python 3.12 on, so that
+    every version takes the same steps to the last bit.  Each stage sets
+    ``r`` and the components the body reads, then runs the body with its
+    slopes renamed to the stage's.  A value ``x`` is finite when ``x *
+    0.0`` is zero, and ``max`` is a conditional expression: the verdicts
+    and bits of ``isfinite`` and ``max``, without a call.
+
+    With ``dense``, the trial step is that of :func:`integrate`: its
+    factory takes a list as a third argument, and a trial step that
+    stays finite stores in the list's first item the ``4 * dim``
+    interpolant weights of a :class:`DenseSolution` cell, summed from
+    ``_P`` in the same way.
     """
     ds = range(dim)
 
@@ -476,6 +437,9 @@ def _end_trial(dim: int, reads: tuple, body: tuple, consts: tuple):
             f"_q{d} = _h * ({summed(_E, d)})"
             f" / (_abs_tol + _rel_tol * (_a{d} if _a{d} >= _b{d} else _b{d}))",
         ]
+    if dense:
+        weights = (summed(col, d) for d in ds for col in zip(*_P))
+        step.append(f"_w[0] = {tup(weights)}")
     norm = " + ".join(f"_q{d} * _q{d}" for d in ds)
     step.append(
         f"return _sqrt(({norm}) / {dim}), {tup(names('_n'))}, {tup(names('_k7_'))}, 6"
@@ -487,7 +451,7 @@ def _end_trial(dim: int, reads: tuple, body: tuple, consts: tuple):
             "    def rhs(r, _y):\n",
             *(f"        {line}\n" for line in rhs),
             f"        return {tup(names('f'))}\n",
-            "    def trial(_rel_tol, _abs_tol):\n",
+            f"    def trial(_rel_tol, _abs_tol{', _w' if dense else ''}):\n",
             "        def step(_r, _h, _y, _k1):\n",
             *(f"            {line}\n" for line in step),
             "        return step\n",

@@ -32,17 +32,18 @@ half-periods that the start-up state does not have (see
 :func:`startup_state`).
 
 Shots come in two kinds.  ``shoot(d, spec, cfg)`` integrates with the
-generic dense :func:`~plapshoot.odeint.integrate` and returns a sampled
+dense :func:`~plapshoot.odeint.integrate` and returns a sampled
 :class:`Trajectory` with a :class:`ShotSummary` (zero radii included);
 validated solutions, the ``plapshoot shoot`` command and anything that
 plots a profile take this kind.  ``shoot(d, spec, cfg, profile=False)``
-keeps only the end state through :func:`~plapshoot.odeint.end_state`,
-the trial step generated from the Dormand-Prince tableau with the
-shot's field pasted into each stage, and returns a :class:`ShotEnd`;
-the scan and the bisection in :mod:`plapshoot.solver` take this kind.
-Both kinds step through :func:`~plapshoot.odeint._march`, the one step
-loop of the package, and the same states, so they give the same
-terminal angle to the last bit.
+keeps only the end state through :func:`~plapshoot.odeint.end_state`
+and returns a :class:`ShotEnd`; the scan and the bisection in
+:mod:`plapshoot.solver` take this kind.  Both kinds run the trial step
+that ``odeint`` generates from the Dormand-Prince tableau, the dense one
+with a call of the field's callable in each stage and the other with
+the field's body pasted in, and step through
+:func:`~plapshoot.odeint._march`, the one step loop of the package, so
+they give the same terminal angle to the last bit.
 
 Both kinds evaluate one field, written once as a body of statements,
 ``_SHOT_N1`` for N = 1 and ``_SHOT_N`` for N > 1, and compiled per shot
@@ -64,7 +65,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from .config import SolverConfig
-from .errors import IntegrationError, NearConstantShotError, SpecError
+from .errors import IntegrationError, NearConstantShotError, SpecError, check_count
 from .odeint import Field, IvpSpec, compile_field, crossings, end_state, integrate
 from .ptrig import _check_p, get_context, phi_p_inv, pi_p
 
@@ -232,8 +233,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         _check_p(self.p)
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise SpecError(f"dimension must be an integer >= 1, got {self.dim!r}")
+        check_count(self.dim, 1, "dimension")
         if self.g is not None:
             r = self.g.r_exp_for(self.p)
             if not self.p <= r < self.g.q:

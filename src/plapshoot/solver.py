@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .config import SolverConfig
-from .errors import NumericsError, SearchError, SpecError
+from .errors import NumericsError, SearchError, SpecError, check_count
 from .odeint import bisect_bracket, grow_bracket, illinois_bracket
 from .ptrig import pi_p
 from .radial import ProblemSpec, ShotSummary, Trajectory, shoot
@@ -277,8 +277,7 @@ def find_solutions(
     reported.  Records are sorted by zero count, then side, then ``d``.
     """
     cfg = cfg or SolverConfig()
-    if not (isinstance(max_zeros, int) and max_zeros >= 1):
-        raise SpecError(f"max_zeros must be an integer >= 1, got {max_zeros!r}")
+    check_count(max_zeros, 1, "max_zeros")
     if isinstance(sides, str):
         raise SpecError(
             f"sides must be a tuple of side names such as ('lower',),"
@@ -336,8 +335,7 @@ def rstar(
     :class:`SearchError` is raised, as it is when g keeps its sign.
     """
     cfg = cfg or SolverConfig()
-    if not (isinstance(k, int) and k >= 1):
-        raise SpecError(f"zero count must be an integer >= 1, got {k!r}")
+    check_count(k, 1, "zero count")
     if not (math.isfinite(r_cap) and r_cap > 0.0):
         raise SpecError(f"r_cap must be finite and > 0, got {r_cap!r}")
     if spec.c1 != 0.0:

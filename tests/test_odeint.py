@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from plapshoot import odeint
 from plapshoot.errors import IntegrationError, SpecError
 from plapshoot.odeint import (
+    DenseSolution,
     IvpSpec,
     bisect_bracket,
     compile_field,
@@ -163,6 +164,13 @@ def test_ivp_validation():
         IvpSpec(**{**ok, "y0": (float("inf"),)})
     with pytest.raises(SpecError):
         IvpSpec(**{**ok, "rel_tol": 0.0})
+
+
+@pytest.mark.parametrize("slopes", [(), (1.0,), (1.0, 2.0, 3.0)])
+def test_integrate_refuses_a_wrong_number_of_slopes(slopes):
+    ivp = IvpSpec(rhs=lambda r, y: slopes, r_start=0.0, r_end=1.0, y0=(1.0, 0.0))
+    with pytest.raises(SpecError, match=f"^rhs returned {len(slopes)} components"):
+        integrate(ivp)
 
 
 def test_crossings_linear_ramp():
@@ -501,17 +509,114 @@ def test_failed_trial_counts_the_evaluations_it_made(dim, reads):
         assert kind.trial(1e-6, 1e-6)(0.0, 2.0, y, big) == (math.inf, None, None, 5)
 
 
+def _dot(w, k, d):
+    """Sum of ``w[j] * k[j][d]`` over the weights ``w``, left to right."""
+    acc = 0.0
+    for j in range(len(w)):
+        acc += w[j] * k[j][d]
+    return acc
+
+
+def _error_norm(err, y_old, y_new, rel_tol, abs_tol):
+    acc = 0.0
+    for d in range(len(err)):
+        scale = abs_tol + rel_tol * max(abs(y_old[d]), abs(y_new[d]))
+        q = err[d] / scale
+        acc += q * q
+    return math.sqrt(acc / len(err))
+
+
+def _reference_integrate(ivp):
+    """``integrate`` by a plain Dormand-Prince stage loop over the tableau.
+
+    The oracle of the generated trial steps: it runs the same step loop,
+    ``odeint._march``, with a trial step that loops over the stages of
+    ``odeint._A``, ``_C`` and ``_E`` and calls ``ivp.rhs`` in each, and
+    sums the interpolant weights of every accepted step from ``_P``.
+    """
+    rhs = ivp.rhs
+    dim = len(ivp.y0)
+    k = [()] * 7
+
+    def trial(r, h, y, k1):
+        # Stages 2..6, then the candidate endpoint and its slope (k7); a
+        # non-finite value anywhere fails the trial.
+        k[0] = k1
+        for s in range(1, 6):
+            a = odeint._A[s]
+            ys_stage = tuple(y[d] + h * _dot(a, k, d) for d in range(dim))
+            ks = odeint._call_rhs(rhs, r + odeint._C[s] * h, ys_stage, dim)
+            if not all(math.isfinite(c) for c in ks):
+                return math.inf, None, None, s
+            k[s] = ks
+        a = odeint._A[6]
+        y_new = tuple(y[d] + h * _dot(a, k, d) for d in range(dim))
+        if not all(math.isfinite(c) for c in y_new):
+            return math.inf, None, None, 5
+        k7 = odeint._call_rhs(rhs, r + h, y_new, dim)
+        if not all(math.isfinite(c) for c in k7):
+            return math.inf, None, None, 6
+        k[6] = k7
+        err_vec = tuple(h * _dot(odeint._E, k, d) for d in range(dim))
+        return _error_norm(err_vec, y, y_new, ivp.rel_tol, ivp.abs_tol), y_new, k7, 6
+
+    rs = [ivp.r_start]
+    ys = [ivp.y0]
+    cells = []
+
+    def keep(r, y):
+        r_lo = rs[-1]
+        cells.append(
+            (r_lo, r - r_lo, *ys[-1],
+             *(_dot(col, k, d) for d in range(dim) for col in zip(*odeint._P)))
+        )
+        rs.append(r)
+        ys.append(y)
+
+    n_evals = odeint._march(ivp, trial, keep)[2]
+    return DenseSolution(rs=rs, ys=ys, cells=cells, n_rhs_evals=n_evals)
+
+
+def _bits(xs):
+    return tuple(x.hex() for x in xs)
+
+
+def _weight_bits(xs):
+    """The bits of each interpolant weight, but one zero: the generated
+    weights drop the zero terms of ``_P`` and start from their first
+    term, which can change only the sign of a zero."""
+    return tuple((x + 0.0).hex() for x in xs)
+
+
 def _end_or_error(run):
     try:
         y_end, n_steps, n_evals = run()
     except IntegrationError as exc:
         return type(exc), str(exc), exc.last_r
-    return tuple(c.hex() for c in y_end), n_steps, n_evals
+    return _bits(y_end), n_steps, n_evals
 
 
-def _integrate_end(ivp):
-    sol = integrate(ivp)
-    return sol.y_end, sol.n_steps, sol.n_rhs_evals
+def _dense_or_error(run):
+    """The bits of a dense solution: its end, counts, mesh and cells."""
+    try:
+        sol = run()
+    except IntegrationError as exc:
+        return type(exc), str(exc), exc.last_r
+    head = 2 + len(sol.y_end)  # r_lo, h and the state; the weights follow
+    return (
+        _bits(sol.y_end), sol.n_steps, sol.n_rhs_evals, _bits(sol.rs),
+        tuple(_bits(cell[:head]) + _weight_bits(cell[head:]) for cell in sol.cells),
+    )
+
+
+def _compare_with_reference(ivp, field):
+    # Both generated trial steps against the stage loop, under a budget
+    # of 20 000 step attempts.
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(odeint, "MAX_STEPS", 20_000)
+        reference = _dense_or_error(lambda: _reference_integrate(ivp))
+        assert _dense_or_error(lambda: integrate(ivp)) == reference
+        assert _end_or_error(lambda: end_state(ivp, field)) == reference[:3]
 
 
 _coef = st.floats(-2.0, 2.0)
@@ -564,12 +669,9 @@ def _angle_like(coefs, r, th):
 @given(_smooth_ivps(3, _shot_like))
 def test_end_state_equals_integrate_on_three_components(case):
     # The shot's kind: the field reads two of three components and
-    # returns a tuple.  Equal to the bit, steps and evaluations included.
-    ivp, field = case
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(odeint, "MAX_STEPS", 20_000)
-        full = _end_or_error(lambda: _integrate_end(ivp))
-        assert _end_or_error(lambda: end_state(ivp, field)) == full
+    # returns a tuple.  integrate and end_state both equal the reference
+    # stepper to the bit, steps, evaluations and cells included.
+    _compare_with_reference(*case)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -577,11 +679,7 @@ def test_end_state_equals_integrate_on_three_components(case):
 def test_end_state_equals_integrate_on_one_scalar_component(case):
     # The eigenvalue angle's kind: one component, and a field that
     # returns its slope as a float.
-    ivp, field = case
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(odeint, "MAX_STEPS", 20_000)
-        full = _end_or_error(lambda: _integrate_end(ivp))
-        assert _end_or_error(lambda: end_state(ivp, field)) == full
+    _compare_with_reference(*case)
 
 
 def _logged(side, calls):

@@ -8,8 +8,9 @@ import pytest
 from scipy.integrate import solve_bvp
 
 from plapshoot import radial, solver
+from plapshoot.branch import bifurcation_onset
 from plapshoot.config import SolverConfig
-from plapshoot.eigen import eigen_angle
+from plapshoot.eigen import eigen_angle, eigenvalue
 from plapshoot.errors import (
     NearConstantShotError,
     NumericsError,
@@ -510,3 +511,26 @@ def test_annulus_solutions_exist_when_wide_enough():
     for rec in recs:
         assert rec.summary.min_u > 0.0
         assert rec.zeros == 1
+
+
+_BOOL_INPUTS = {
+    "d_grid_size": lambda: SolverConfig(d_grid_size=True),
+    "rel_tol": lambda: SolverConfig(rel_tol=True),
+    "abs_tol": lambda: SolverConfig(abs_tol=True),
+    "residual_tol": lambda: SolverConfig(residual_tol=True),
+    "eps0": lambda: SolverConfig(eps0=True),
+    "dim": lambda: ProblemSpec(p=2.0, dim=True, domain=Ball(1.0)),
+    "eigenvalue k": lambda: eigenvalue(True, ProblemSpec(p=2.0, dim=1, domain=Ball(1.0))),
+    "max_zeros": lambda: find_solutions(ball(), CFG, max_zeros=True),
+    "rstar k": lambda: rstar(True, ball(p=1.5), CFG_COARSE),
+    "onset zeros": lambda: bifurcation_onset(ball(), True, CFG),
+}
+
+
+@pytest.mark.parametrize("call", _BOOL_INPUTS.values(), ids=_BOOL_INPUTS)
+def test_a_bool_is_neither_a_count_nor_a_number(call, monkeypatch):
+    # isinstance(True, int) holds, yet no count or tolerance takes True
+    # for 1.  Each input is refused before any shot.
+    monkeypatch.setattr(solver, "shoot", None)
+    with pytest.raises(SpecError, match="must be"):
+        call()
