@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .config import SolverConfig
-from .errors import SearchError, SpecError, check_count
+from .errors import SearchError, SpecError, check_count, check_number
 from .odeint import illinois_bracket
 from .radial import ProblemSpec
 from .solver import _records_for_side, _theta_end, find_solutions
@@ -89,8 +89,8 @@ def branch_sweep(
         raise SpecError(f"param_name must be one of {_PARAMS}, got {param_name!r}")
     if not values:
         raise SpecError("parameter sweep needs at least one value")
-    if any(not math.isfinite(v) for v in values):
-        raise SpecError("parameter values must be finite")
+    for v in values:
+        check_number(v, "parameter value")
     spec._require_g()
 
     rows: list[BranchPoint] = []
@@ -153,7 +153,7 @@ def bifurcation_onset(
     spec._require_g()
     check_count(zeros, 1, "zero count")
     c1 = spec.c1
-    if not (math.isfinite(c1) and c1 != 0.0):
+    if not 0.0 < c1 < math.inf:
         raise SpecError(
             "onset in q requires a finite nonzero phase limit (p = 2);"
             f" this problem has c1={c1!r}"
@@ -161,8 +161,8 @@ def bifurcation_onset(
     floor = spec.g.r_exp_for(spec.p)
     lo = q_lo if q_lo is not None else floor + 0.05
     hi = q_hi if q_hi is not None else 200.0
-    if not floor < lo < hi:
-        raise SpecError(f"need {floor} < q_lo < q_hi, got ({lo!r}, {hi!r})")
+    check_number(lo, "q_lo", above=floor)
+    check_number(hi, "q_hi", above=lo)
     target = (zeros + 1) * spec.pi_p
 
     def h(q: float) -> float:

@@ -47,11 +47,9 @@ def _parse_g(text: str) -> Nonlinearity:
     )
 
 
-def _spec_from(args, need_g: bool = True) -> ProblemSpec:
+def _spec_from(args) -> ProblemSpec:
     g_text = getattr(args, "g", None)
     g = _parse_g(g_text) if g_text is not None else None
-    if need_g and g is None:
-        raise SpecError("this command needs a nonlinearity (--g)")
     if args.annulus is not None:
         domain: Ball | Annulus = Annulus(args.annulus[0], args.annulus[1])
     else:
@@ -137,7 +135,7 @@ def cmd_ptrig(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    spec = _spec_from(args, need_g=False)
+    spec = _spec_from(args)
     res = eigenvalue(args.k, spec, _config_from(args))
     _emit_json(
         {**spec.describe(), "k": res.k, "lambda": res.lam, "residual": res.residual}

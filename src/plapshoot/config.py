@@ -15,10 +15,9 @@ when roots are accepted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import SpecError, check_count, is_number
+from .errors import check_count, check_number
 
 
 @dataclass(frozen=True)
@@ -47,6 +46,4 @@ class SolverConfig:
         if self.eps0 is not None:
             given += ("eps0",)
         for name in given:
-            v = getattr(self, name)
-            if not (is_number(v) and 0.0 < v and math.isfinite(v)):
-                raise SpecError(f"{name} must be a positive finite number")
+            check_number(getattr(self, name), name, above=0.0)

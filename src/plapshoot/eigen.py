@@ -31,11 +31,10 @@ trial step is generated from the same tableau.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .config import SolverConfig
-from .errors import SearchError, SpecError, check_count
+from .errors import SearchError, SpecError, check_count, check_number
 from .odeint import (
     IvpSpec,
     compile_field,
@@ -91,8 +90,7 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
     :class:`SpecError` if the start-up radius is so small that the
     weight ``r^(-(N-1)/p)`` of the angle equation overflows.
     """
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise SpecError(f"lam must be finite and >= 0, got {lam!r}")
+    check_number(lam, "lam", least=0.0)
     cfg = cfg or SolverConfig()
     p = spec.p
     pp = spec.pprime
@@ -187,8 +185,7 @@ def eigenfunction(
     ``PROFILE_NODES`` evenly spaced radii; useful for inspecting the
     profile behind an :class:`EigenResult`.  The flux is ``r^(N-1) phi_p(w')``.
     """
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise SpecError(f"lam must be finite and >= 0, got {lam!r}")
+    check_number(lam, "lam", least=0.0)
     cfg = cfg or SolverConfig()
     p = spec.p
     pp = spec.pprime

@@ -4,10 +4,13 @@ Validation problems (bad parameters, malformed domains) raise
 :class:`SpecError`; failures of the numerical machinery at runtime raise
 subclasses of :class:`NumericsError`.  The CLI maps the former to exit
 code 2 and the latter to exit code 1.  :func:`check_count` and
-:func:`is_number` are the one rule for count and number inputs.
+:func:`check_number`, both built on :func:`is_number`, are the one rule
+for the counts and numbers a caller passes in.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class PlapshootError(Exception):
@@ -68,3 +71,21 @@ def check_count(value, least: int, what: str) -> None:
     """Raise :class:`SpecError` unless ``value`` is an integer >= ``least``."""
     if not (is_number(value, int) and value >= least):
         raise SpecError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+def check_number(value, what: str, above=None, least=None) -> None:
+    """Raise :class:`SpecError` unless ``value`` is a finite number in range.
+
+    A number is an ``int`` or ``float`` that is not a ``bool``
+    (:func:`is_number`); it must lie above ``above`` and at least at
+    ``least`` where either is given.
+    """
+    if not (
+        is_number(value)
+        and math.isfinite(value)
+        and (above is None or value > above)
+        and (least is None or value >= least)
+    ):
+        bound = f" > {above!r}" if above is not None else ""
+        bound = f" >= {least!r}" if least is not None else bound
+        raise SpecError(f"{what} must be a finite number{bound}, got {value!r}")

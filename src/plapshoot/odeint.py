@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import IntegrationError, SpecError
+from .errors import IntegrationError, SpecError, check_number
 
 RhsFunc = Callable[[float, tuple[float, ...]], Sequence[float]]
 
@@ -121,16 +121,12 @@ class IvpSpec:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (math.isfinite(self.r_start) and math.isfinite(self.r_end)):
-            raise SpecError("integration interval must be finite")
-        if not self.r_end > self.r_start:
-            raise SpecError(
-                f"need r_end > r_start, got [{self.r_start}, {self.r_end}]"
-            )
+        check_number(self.r_start, "r_start")
+        check_number(self.r_end, "r_end", above=self.r_start)
         if len(self.y0) == 0 or not all(math.isfinite(c) for c in self.y0):
             raise SpecError("initial state must be non-empty and finite")
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise SpecError("tolerances must be positive")
+        check_number(self.rel_tol, "rel_tol", above=0.0)
+        check_number(self.abs_tol, "abs_tol", above=0.0)
 
 
 @dataclass
@@ -217,34 +213,35 @@ def _initial_step(ivp: IvpSpec, f0) -> float:
     """Cheap two-evaluation guess for the first step size.
 
     Costs one rhs evaluation at a probe point.  If the guess underflows
-    or the probe is not finite (or raises :class:`IntegrationError`),
-    the first step is 1e-6 of the interval instead.
+    or the probe is not finite (or raises :class:`IntegrationError`), or
+    a scaled value squares past the float range (``abs_tol`` below about
+    1e-155), the first step is 1e-6 of the interval instead.
     """
     y0 = ivp.y0
     dim = len(y0)
     span = ivp.r_end - ivp.r_start
     scale = [ivp.abs_tol + ivp.rel_tol * abs(c) for c in y0]
-    d0 = _rms(y0, scale)
-    d1 = _rms(f0, scale)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    f1 = (math.nan,)  # a failed probe
-    if h0 > 0.0:
-        y1 = tuple(y0[d] + h0 * f0[d] for d in range(dim))
-        try:
+    try:
+        d0 = _rms(y0, scale)
+        d1 = _rms(f0, scale)
+        h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+        h0 = min(h0, span)
+        f1 = (math.nan,)  # a failed probe
+        if h0 > 0.0:
+            y1 = tuple(y0[d] + h0 * f0[d] for d in range(dim))
             f1 = _call_rhs(ivp.rhs, ivp.r_start + h0, y1, dim)
-        except IntegrationError:
-            pass
-    if not all(math.isfinite(c) for c in f1):
-        # The guess underflowed or the probe point exploded; start
-        # conservatively instead.
-        return 1e-6 * span
-    d2 = _rms([f1[d] - f0[d] for d in range(dim)], scale) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span)
+        if all(math.isfinite(c) for c in f1):
+            d2 = _rms([f1[d] - f0[d] for d in range(dim)], scale) / h0
+            if max(d1, d2) <= 1e-15:
+                h1 = max(1e-6, h0 * 1e-3)
+            else:
+                h1 = (0.01 / max(d1, d2)) ** 0.2
+            return min(100 * h0, h1, span)
+    except (IntegrationError, OverflowError):
+        pass
+    # The guess underflowed, the probe point exploded or a square
+    # overflowed; start conservatively instead.
+    return 1e-6 * span
 
 
 def _march(ivp: IvpSpec, trial, keep=None) -> tuple[tuple[float, ...], int, int]:

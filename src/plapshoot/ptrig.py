@@ -27,17 +27,12 @@ import math
 from bisect import bisect_right
 from functools import lru_cache
 
-from .errors import NumericsError, SpecError
+from .errors import NumericsError, SpecError, check_number
 from .odeint import IvpSpec, illinois_bracket, integrate
 
 # Below this angle the truncated series is used instead of the table;
 # its omitted terms are O(delta**(2q)) <= 1e-16 for the p range allowed.
 _SERIES_CUTOFF = 1e-6
-
-
-def _check_p(p: float) -> None:
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1.0):
-        raise SpecError(f"exponent p must be a finite number > 1, got {p!r}")
 
 
 def phi_p(s: float, p: float) -> float:
@@ -46,7 +41,7 @@ def phi_p(s: float, p: float) -> float:
     Written as ``sign(s) * |s|**(p-1)`` so that fractional exponents
     never see a negative base and p < 2 causes no blow-up at s = 0.
     """
-    _check_p(p)
+    check_number(p, "exponent p", above=1.0)
     if s == 0.0:
         return 0.0
     return math.copysign(abs(s) ** (p - 1.0), s)
@@ -54,13 +49,13 @@ def phi_p(s: float, p: float) -> float:
 
 def phi_p_inv(s: float, p: float) -> float:
     """Inverse of :func:`phi_p`, which is the power map of the conjugate."""
-    _check_p(p)
+    check_number(p, "exponent p", above=1.0)
     return phi_p(s, p / (p - 1.0))
 
 
 def pi_p(p: float) -> float:
     """Half-period of the generalized trigonometric pair."""
-    _check_p(p)
+    check_number(p, "exponent p", above=1.0)
     return 2.0 * math.pi * (p - 1.0) ** (1.0 / p) / (p * math.sin(math.pi / p))
 
 
@@ -79,7 +74,7 @@ class PTrigContext:
     """
 
     def __init__(self, p: float):
-        _check_p(p)
+        check_number(p, "exponent p", above=1.0)
         self.p = p
         self.pprime = pp = p / (p - 1.0)
         self.pi_p = pi_p(p)
@@ -220,4 +215,5 @@ class PTrigContext:
 @lru_cache(maxsize=64)
 def get_context(p: float) -> PTrigContext:
     """Shared per-exponent context; building one is the slow part."""
+    check_number(p, "exponent p", above=1.0)
     return PTrigContext(float(p))

@@ -65,9 +65,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from .config import SolverConfig
-from .errors import IntegrationError, NearConstantShotError, SpecError, check_count
+from .errors import IntegrationError, NearConstantShotError, SpecError
+from .errors import check_count, check_number
 from .odeint import Field, IvpSpec, compile_field, crossings, end_state, integrate
-from .ptrig import _check_p, get_context, phi_p_inv, pi_p
+from .ptrig import get_context, phi_p_inv, pi_p
 
 # A shot has collapsed onto the constant state once the squared
 # phase-plane radius falls below this floor: the angle is then no longer
@@ -139,8 +140,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise SpecError(f"ball radius must be positive, got {self.radius!r}")
+        check_number(self.radius, "ball radius", above=0.0)
 
     @property
     def r_outer(self) -> float:
@@ -155,16 +155,8 @@ class Annulus:
     r_outer: float
 
     def __post_init__(self):
-        ok = (
-            math.isfinite(self.r_inner)
-            and math.isfinite(self.r_outer)
-            and 0.0 < self.r_inner < self.r_outer
-        )
-        if not ok:
-            raise SpecError(
-                f"need 0 < r_inner < r_outer, got ({self.r_inner!r}, "
-                f"{self.r_outer!r})"
-            )
+        check_number(self.r_inner, "r_inner", above=0.0)
+        check_number(self.r_outer, "r_outer", above=self.r_inner)
 
 
 @dataclass(frozen=True)
@@ -184,14 +176,9 @@ class Nonlinearity:
     r_exp: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.q) and self.q > 1.0):
-            raise SpecError(f"exponent q must be finite and > 1, got {self.q!r}")
-        if self.r_exp is not None and not (
-            math.isfinite(self.r_exp) and self.r_exp > 1.0
-        ):
-            raise SpecError(
-                f"exponent r must be finite and > 1, got {self.r_exp!r}"
-            )
+        check_number(self.q, "exponent q", above=1.0)
+        if self.r_exp is not None:
+            check_number(self.r_exp, "exponent r", above=1.0)
 
     def r_exp_for(self, p: float) -> float:
         """The exponent r of ``f``: ``r_exp``, or p for the pure power."""
@@ -232,8 +219,12 @@ class ProblemSpec:
     g: Nonlinearity | None = None
 
     def __post_init__(self):
-        _check_p(self.p)
+        check_number(self.p, "exponent p", above=1.0)
         check_count(self.dim, 1, "dimension")
+        if not isinstance(self.domain, (Ball, Annulus)):
+            raise SpecError(f"domain must be a Ball or an Annulus, got {self.domain!r}")
+        if not isinstance(self.g, (Nonlinearity, type(None))):
+            raise SpecError(f"g must be a Nonlinearity or None, got {self.g!r}")
         if self.g is not None:
             r = self.g.r_exp_for(self.p)
             if not self.p <= r < self.g.q:
@@ -398,15 +389,15 @@ def startup_state(d: float, spec: ProblemSpec, eps0: float) -> tuple[float, floa
     inner radius and ``eps0`` is ignored.
     """
     spec._require_g()
-    if not (math.isfinite(d) and d >= 0.0):
-        raise SpecError(f"shot value d must be finite and >= 0, got {d!r}")
+    check_number(d, "shot value d", least=0.0)
     if d == 1.0:
         raise SpecError("d = 1 is the constant solution; shots need d != 1")
     pip = spec.pi_p
     anchor = pip if d < 1.0 else 0.0
     if not spec.is_ball:
         return (d, 0.0, anchor)
-    if not 0.0 < eps0 < spec.r_outer / 2.0:
+    check_number(eps0, "eps0", above=0.0)
+    if not eps0 < spec.r_outer / 2.0:
         raise SpecError(f"eps0 must lie in (0, R/2), got {eps0!r}")
     p = spec.p
     pp = spec.pprime

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .config import SolverConfig
-from .errors import NumericsError, SearchError, SpecError, check_count
+from .errors import NumericsError, SearchError, SpecError, check_count, check_number
 from .odeint import bisect_bracket, grow_bracket, illinois_bracket
 from .ptrig import pi_p
 from .radial import ProblemSpec, ShotSummary, Trajectory, shoot
@@ -336,8 +336,7 @@ def rstar(
     """
     cfg = cfg or SolverConfig()
     check_count(k, 1, "zero count")
-    if not (math.isfinite(r_cap) and r_cap > 0.0):
-        raise SpecError(f"r_cap must be finite and > 0, got {r_cap!r}")
+    check_number(r_cap, "r_cap", above=0.0)
     if spec.c1 != 0.0:
         raise SpecError(
             "threshold radius requires a vanishing phase limit (p < 2);"

@@ -257,11 +257,13 @@ def test_branch_sweep_rejects_repeated_or_no_sides():
 @pytest.mark.parametrize("r_exp", [None, 2.0, 2.5])
 def test_onset_default_q_lo_sits_above_the_lower_exponent(r_exp):
     # The default q_lo is r + 0.05, with r = p for the pure power; a
-    # q_hi under it is rejected before any shot, naming both ends.
+    # q_hi under it is rejected before any shot, naming q_hi, its bound
+    # q_lo and the value given.
     spec = ProblemSpec(
         p=2.0, dim=1, domain=Ball(1.0), g=Nonlinearity(q=4.0, r_exp=r_exp)
     )
     floor = 2.0 if r_exp is None else r_exp
     with pytest.raises(SpecError) as exc:
         bifurcation_onset(spec, 1, CFG, q_hi=floor + 0.01)
-    assert f"need {floor} < q_lo < q_hi, got ({floor + 0.05!r}," in str(exc.value)
+    want = f"q_hi must be a finite number > {floor + 0.05!r}, got {floor + 0.01!r}"
+    assert want in str(exc.value)

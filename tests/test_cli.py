@@ -8,8 +8,10 @@ import math
 
 import pytest
 
+from plapshoot import cli
 from plapshoot.cli import build_parser, run
 from plapshoot.config import SolverConfig
+from plapshoot.eigen import eigenvalue
 from plapshoot.ptrig import get_context, pi_p
 from plapshoot.radial import (
     Annulus,
@@ -89,6 +91,37 @@ def test_ptrig_refuses_theta_with_table(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "not allowed with argument" in err
+
+
+def test_ptrig_table_of_one_row_exits_two(capsys):
+    assert run(["ptrig", "--p", "2", "--table", "1"]) == 2
+    assert "--table needs at least 2 rows" in capsys.readouterr().err
+
+
+def test_eigen_tol_sets_both_tolerances(capsys, monkeypatch):
+    configs = []
+
+    def recorded(k, spec, cfg):
+        configs.append(cfg)
+        return eigenvalue(k, spec, cfg)
+
+    monkeypatch.setattr(cli, "eigenvalue", recorded)
+    run_json(capsys, ["eigen", "--p", "2", "--k", "2", "--tol", "1e-9"])
+    [cfg] = configs
+    assert cfg.rel_tol == 1e-9
+    assert cfg.abs_tol == pytest.approx(1e-11, rel=1e-15)
+
+
+@pytest.mark.parametrize("tol", ["1e-160", "1e-300"])
+def test_eigen_tolerance_past_the_float_range_exits_one(capsys, tol):
+    # abs_tol = tol / 100: squaring a slope scaled by it in the first
+    # step guess overflows; that is a fallback step, not a traceback,
+    # and the run then fails as numerics.
+    assert run(["eigen", "--p", "2", "--k", "2", "--tol", tol]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numerical failure: step size underflow" in err
+    assert "Traceback" not in err
 
 
 def test_eigen_segment(capsys):
@@ -290,7 +323,20 @@ def test_branch_rejects_short_sweep(capsys):
 def test_rstar_bad_r_cap_exits_two(capsys, r_cap):
     argv = ["rstar", "--p", "1.8", "--g", "pow:3", "--k", "1", "--r-cap", r_cap]
     assert run(argv) == 2
-    assert "r_cap must be finite and > 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"r_cap must be a finite number > 0.0, got {float(r_cap)!r}" in err
+
+
+def test_solve_with_a_combined_nonlinearity(capsys):
+    doc = run_json(
+        capsys,
+        [
+            "solve", "--p", "2", "--g", "combo:15,3", "--grid", "100",
+            "--max-zeros", "1", "--sides", "lower",
+        ],
+    )
+    assert doc["g"] == "combo:15,3"
+    assert [sol["zeros"] for sol in doc["solutions"]] == [1]
 
 
 def test_solve_upper_side_at_large_q(capsys):
@@ -324,7 +370,7 @@ def test_rstar_rejects_bad_ratio(capsys):
         ]
     )
     assert rc == 2
-    assert "r_inner < r_outer" in capsys.readouterr().err
+    assert "r_outer must be a finite number > 1.5, got 1.0" in capsys.readouterr().err
 
 
 def test_rstar_annulus_reports_its_ratio(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from bisect import insort
 
 import pytest
@@ -453,11 +454,26 @@ def test_config_validation():
     assert ball.start_radius(SolverConfig()) == pytest.approx(2e-8)
 
 
+def test_a_tolerance_past_the_float_range_starts_with_a_small_step():
+    # v starts at 0, so its error scale is abs_tol itself: squaring its
+    # slope over 1e-160 in the first step guess overflows.  The guess
+    # falls back to 1e-6 of the interval and the shot lands on the
+    # default's angle.
+    spec = ProblemSpec(p=2.0, dim=2, domain=Annulus(0.5, 1.0), g=Nonlinearity(q=5.0))
+    for profile in (True, False):
+        tiny = shoot(0.5, spec, SolverConfig(abs_tol=1e-160), profile=profile)
+        default = shoot(0.5, spec, SolverConfig(), profile=profile)
+        if profile:
+            tiny, default = tiny[1], default[1]
+        assert tiny.theta_end == pytest.approx(default.theta_end, abs=1e-11)
+
+
 @pytest.mark.parametrize("eps0", [math.inf, math.nan, 0.0, -1.0])
 def test_config_rejects_a_bad_eps0(eps0):
     # An infinite eps0 used to pass until the first shot; nan was
     # refused as "must be positive".
-    with pytest.raises(SpecError, match="eps0 must be a positive finite number"):
+    want = f"eps0 must be a finite number > 0.0, got {eps0!r}"
+    with pytest.raises(SpecError, match=re.escape(want)):
         SolverConfig(eps0=eps0)
 
 

@@ -2,24 +2,33 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
 
-from plapshoot import radial, solver
-from plapshoot.branch import bifurcation_onset
+from plapshoot import odeint, radial, solver
+from plapshoot.branch import bifurcation_onset, branch_sweep
 from plapshoot.config import SolverConfig
-from plapshoot.eigen import eigen_angle, eigenvalue
+from plapshoot.eigen import eigen_angle, eigenfunction, eigenvalue
 from plapshoot.errors import (
+    IntegrationError,
     NearConstantShotError,
     NumericsError,
     SearchError,
     SpecError,
 )
-from plapshoot.odeint import bisect_bracket
-from plapshoot.ptrig import pi_p
-from plapshoot.radial import Annulus, Ball, Nonlinearity, ProblemSpec, shoot
+from plapshoot.odeint import IvpSpec, bisect_bracket
+from plapshoot.ptrig import PTrigContext, get_context, phi_p, phi_p_inv, pi_p
+from plapshoot.radial import (
+    Annulus,
+    Ball,
+    Nonlinearity,
+    ProblemSpec,
+    shoot,
+    startup_state,
+)
 from plapshoot.solver import (
     D_MAX,
     D_MAX_UPPER,
@@ -385,7 +394,8 @@ def test_rstar_runs_one_scan_and_routes_every_shot(monkeypatch):
 @pytest.mark.parametrize("r_cap", [math.nan, -5.0, 0.0, math.inf])
 def test_rstar_rejects_a_bad_r_cap_before_any_shot(r_cap, monkeypatch):
     monkeypatch.setattr(solver, "shoot", None)
-    with pytest.raises(SpecError, match="r_cap must be finite and > 0"):
+    want = f"r_cap must be a finite number > 0.0, got {r_cap!r}"
+    with pytest.raises(SpecError, match=re.escape(want)):
         rstar(1, ball(p=1.8, q=3.0), SolverConfig(d_grid_size=40), r_cap=r_cap)
 
 
@@ -513,24 +523,106 @@ def test_annulus_solutions_exist_when_wide_enough():
         assert rec.zeros == 1
 
 
+def _solve_with_failing_shots(monkeypatch, caplog, fails):
+    """Roots of the q = 50 problem with and without ``solver.shoot``
+    raising :class:`IntegrationError` where ``fails(d, profile)``.
+    """
+    cfg = SolverConfig(d_grid_size=100)
+    clean = find_solutions(ball(q=50.0), cfg, max_zeros=2)
+    real = solver.shoot
+
+    def shoot_or_fail(d, spec, cfg=None, *, profile=True):
+        if fails(clean, d, profile):
+            raise IntegrationError("injected failure", d)
+        return real(d, spec, cfg, profile=profile)
+
+    monkeypatch.setattr(solver, "shoot", shoot_or_fail)
+    with caplog.at_level(logging.WARNING, logger="plapshoot.solver"):
+        return clean, find_solutions(ball(q=50.0), cfg, max_zeros=2)
+
+
+def test_a_failed_bisection_shot_skips_only_its_bracket(monkeypatch, caplog):
+    # Every shot off the scan grid within 0.01 of the one-zero root
+    # fails: that bracket is logged and skipped, the two-zero root kept.
+    grid = set(d_grid(SolverConfig(d_grid_size=100)))
+    clean, recs = _solve_with_failing_shots(
+        monkeypatch,
+        caplog,
+        lambda clean, d, profile: d not in grid and abs(d - clean[0].d) < 0.01,
+    )
+    assert [rec.zeros for rec in clean] == [1, 2]
+    assert recs == clean[1:]
+    assert any("while bisecting a bracket" in msg for msg in caplog.messages)
+
+
+def test_a_failed_validation_shot_drops_its_candidate(monkeypatch, caplog):
+    # The full shot at the two-zero root fails: that candidate is dropped
+    # with a warning, the one-zero root kept.
+    clean, recs = _solve_with_failing_shots(
+        monkeypatch, caplog, lambda clean, d, profile: profile and d == clean[1].d
+    )
+    assert [rec.zeros for rec in clean] == [1, 2]
+    assert recs == clean[:1]
+    assert any(
+        msg.startswith(f"full shot failed at candidate d={clean[1].d:.17g}")
+        for msg in caplog.messages
+    )
+
+
+def _ivp(**kw):
+    base = dict(rhs=lambda r, y: y, r_start=0.0, r_end=1.0, y0=(1.0,))
+    return IvpSpec(**{**base, **kw})
+
+
+# Every count and number a caller passes, each as a call that takes
+# the value to pass.
 _BOOL_INPUTS = {
-    "d_grid_size": lambda: SolverConfig(d_grid_size=True),
-    "rel_tol": lambda: SolverConfig(rel_tol=True),
-    "abs_tol": lambda: SolverConfig(abs_tol=True),
-    "residual_tol": lambda: SolverConfig(residual_tol=True),
-    "eps0": lambda: SolverConfig(eps0=True),
-    "dim": lambda: ProblemSpec(p=2.0, dim=True, domain=Ball(1.0)),
-    "eigenvalue k": lambda: eigenvalue(True, ProblemSpec(p=2.0, dim=1, domain=Ball(1.0))),
-    "max_zeros": lambda: find_solutions(ball(), CFG, max_zeros=True),
-    "rstar k": lambda: rstar(True, ball(p=1.5), CFG_COARSE),
-    "onset zeros": lambda: bifurcation_onset(ball(), True, CFG),
+    "d_grid_size": lambda v: SolverConfig(d_grid_size=v),
+    "rel_tol": lambda v: SolverConfig(rel_tol=v),
+    "abs_tol": lambda v: SolverConfig(abs_tol=v),
+    "residual_tol": lambda v: SolverConfig(residual_tol=v),
+    "eps0": lambda v: SolverConfig(eps0=v),
+    "dim": lambda v: ProblemSpec(p=2.0, dim=v, domain=Ball(1.0)),
+    "eigenvalue k": lambda v: eigenvalue(v, ProblemSpec(p=2.0, dim=1, domain=Ball(1.0))),
+    "max_zeros": lambda v: find_solutions(ball(), CFG, max_zeros=v),
+    "rstar k": lambda v: rstar(v, ball(p=1.5), CFG_COARSE),
+    "onset zeros": lambda v: bifurcation_onset(ball(), v, CFG),
+    "ball radius": lambda v: Ball(v),
+    "r_inner": lambda v: Annulus(v, 1.0),
+    "r_outer": lambda v: Annulus(0.5, v),
+    "q": lambda v: Nonlinearity(q=v),
+    "r_exp": lambda v: Nonlinearity(q=5.0, r_exp=v),
+    "p": lambda v: ProblemSpec(p=v, dim=1, domain=Ball(1.0)),
+    "domain": lambda v: ProblemSpec(p=2.0, dim=1, domain=v),
+    "g": lambda v: ProblemSpec(p=2.0, dim=1, domain=Ball(1.0), g=v),
+    "phi_p p": lambda v: phi_p(0.5, v),
+    "phi_p_inv p": lambda v: phi_p_inv(0.5, v),
+    "pi_p p": lambda v: pi_p(v),
+    "PTrigContext p": lambda v: PTrigContext(v),
+    "get_context p": lambda v: get_context(v),
+    "shoot d": lambda v: shoot(v, ball(), CFG),
+    "startup_state d": lambda v: startup_state(v, ball(), 1e-8),
+    "startup_state eps0": lambda v: startup_state(0.5, ball(), v),
+    "eigen_angle lam": lambda v: eigen_angle(v, ball()),
+    "eigenfunction lam": lambda v: eigenfunction(v, ball()),
+    "rstar r_cap": lambda v: rstar(1, ball(p=1.5), CFG_COARSE, r_cap=v),
+    "branch_sweep value": lambda v: branch_sweep(ball(), "q", [12.0, v], CFG),
+    "onset q_lo": lambda v: bifurcation_onset(ball(), 1, CFG, q_lo=v),
+    "onset q_hi": lambda v: bifurcation_onset(ball(), 1, CFG, q_hi=v),
+    "IvpSpec r_start": lambda v: _ivp(r_start=v),
+    "IvpSpec r_end": lambda v: _ivp(r_end=v),
+    "IvpSpec rel_tol": lambda v: _ivp(rel_tol=v),
+    "IvpSpec abs_tol": lambda v: _ivp(abs_tol=v),
 }
 
 
 @pytest.mark.parametrize("call", _BOOL_INPUTS.values(), ids=_BOOL_INPUTS)
 def test_a_bool_is_neither_a_count_nor_a_number(call, monkeypatch):
-    # isinstance(True, int) holds, yet no count or tolerance takes True
-    # for 1.  Each input is refused before any shot.
+    # isinstance(True, int) holds, yet no count or number takes True
+    # for 1; nor a numeric string, NaN or an infinity.  Each is refused
+    # before any integration.
     monkeypatch.setattr(solver, "shoot", None)
-    with pytest.raises(SpecError, match="must be"):
-        call()
+    monkeypatch.setattr(odeint, "_march", None)
+    for value in (True, "3", math.nan, math.inf, -math.inf):
+        with pytest.raises(SpecError, match="must be"):
+            call(value)
