@@ -21,7 +21,7 @@ import sys
 from .branch import BranchTable, branch_sweep
 from .config import SolverConfig
 from .eigen import eigenvalue
-from .errors import NumericsError, SpecError
+from .errors import NumericsError, SpecError, check_count
 from .ptrig import get_context
 from .radial import Annulus, Ball, Nonlinearity, ProblemSpec, shoot
 from .solver import find_solutions, rstar
@@ -105,8 +105,7 @@ def cmd_ptrig(args) -> int:
     ctx = get_context(args.p)
     if args.table is not None:
         n = args.table
-        if n < 2:
-            raise SpecError("--table needs at least 2 rows")
+        check_count(n, 2, "--table")
         rows = []
         for i in range(n):
             theta = 2.0 * ctx.pi_p * i / (n - 1)
@@ -245,8 +244,7 @@ def _branch_svg(table: BranchTable, path: str) -> None:
 def cmd_branch(args) -> int:
     spec = _spec_from(args)
     cfg = _config_from(args)
-    if args.steps < 2:
-        raise SpecError("--steps must be at least 2")
+    check_count(args.steps, 2, "--steps")
     values = [
         args.start + (args.stop - args.start) * i / (args.steps - 1)
         for i in range(args.steps)

@@ -10,7 +10,7 @@ for the counts and numbers a caller passes in.
 
 from __future__ import annotations
 
-import math
+import sys
 
 
 class PlapshootError(Exception):
@@ -68,21 +68,29 @@ def is_number(value, kind=(int, float)) -> bool:
 
 
 def check_count(value, least: int, what: str) -> None:
-    """Raise :class:`SpecError` unless ``value`` is an integer >= ``least``."""
-    if not (is_number(value, int) and value >= least):
-        raise SpecError(f"{what} must be an integer >= {least}, got {value!r}")
+    """Raise :class:`SpecError` unless ``value`` is an integer in range.
+
+    The range runs from ``least`` to ``sys.maxsize``: every count bounds
+    a ``range`` or a list.
+    """
+    if not (is_number(value, int) and least <= value <= sys.maxsize):
+        raise SpecError(
+            f"{what} must be an integer in [{least}, {sys.maxsize}], got {value!r}"
+        )
 
 
 def check_number(value, what: str, above=None, least=None) -> None:
     """Raise :class:`SpecError` unless ``value`` is a finite number in range.
 
     A number is an ``int`` or ``float`` that is not a ``bool``
-    (:func:`is_number`); it must lie above ``above`` and at least at
-    ``least`` where either is given.
+    (:func:`is_number`); it is finite if its magnitude is at most the
+    largest float, which also refuses an ``int`` that would not convert
+    to one.  It must lie above ``above`` and at least at ``least`` where
+    either is given.
     """
     if not (
         is_number(value)
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max
         and (above is None or value > above)
         and (least is None or value >= least)
     ):

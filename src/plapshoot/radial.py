@@ -23,12 +23,8 @@ zero of ``u - 1``, and its terminal value is the quantity every root
 search in this package brackets and closes in on.
 
 On a ball a shot's angle starts at its anchor (a half-period below
-``d = 1``, zero above) plus the series increment while that is at most
-``SERIES_ANGLE_MAX`` half-periods, and plus the exact generalised polar
-angle of the start-up state, within a quarter period, past it.  The
-series is kept where it is exact to far below any tolerance, because
-it is free and leaves those shots' bits alone; past it, it would count
-half-periods that the start-up state does not have (see
+``d = 1``, zero above) plus the exact generalised polar angle of the
+start-up state, which lies within a quarter period of the anchor (see
 :func:`startup_state`).
 
 Shots come in two kinds.  ``shoot(d, spec, cfg)`` integrates with the
@@ -74,11 +70,6 @@ from .ptrig import get_context, phi_p_inv, pi_p
 # phase-plane radius falls below this floor: the angle is then no longer
 # trustworthy.
 RHO_FLOOR = 1e-12
-
-# Largest start-up angle increment, in half-periods, that a ball shot
-# takes from the series; past it the angle of the start-up state is
-# computed exactly.
-SERIES_ANGLE_MAX = 1e-6
 
 # Size of the uniform grid added to a profiled shot's accepted mesh, so
 # that plots stay faithful where steps are long.
@@ -371,20 +362,13 @@ def startup_state(d: float, spec: ProblemSpec, eps0: float) -> tuple[float, floa
     """State ``(u, v, theta)`` at the start of a shot from ``u = d``.
 
     On a ball ``u`` and ``v`` are the series expansion at ``r = eps0``:
-    the flux grows like ``-f(d) r^N / N``.  The angle leaves its anchor
-    (one half-period below ``d = 1``, zero above) by the series increment
-    ``|f(d)| eps0^N / (N |d - 1|^(p-1))`` while that is at most
-    ``SERIES_ANGLE_MAX`` half-periods.  There it is off the exact angle
-    by about 1e-17 for p <= 2 and 2e-13 at p = 4, far below any
-    tolerance here; it costs no table look-up and keeps the bits of the
-    shots that start next to the constant state.  Past it the
-    increment, a linearisation, grows without bound with ``f(d)`` and
-    adds half-periods that the start-up state does not have; so the
-    angle is the anchor plus the exact generalised polar angle of
-    ``(|u - 1|, |v|)``, from :meth:`~plapshoot.ptrig.PTrigContext.angle`,
-    which lies within a quarter period past the anchor.  A start-up
-    state that is not finite, also where ``phi_p^-1(f(d)/N)`` overflows,
-    keeps the series angle, and its shot fails.
+    the flux grows like ``-f(d) r^N / N``.  The angle is the anchor (one
+    half-period below ``d = 1``, zero above) plus the exact generalised
+    polar angle of ``(|u - 1|, |v|)``, from
+    :meth:`~plapshoot.ptrig.PTrigContext.angle`.  A state with ``v = 0``
+    starts at the anchor, and so does one that is not finite (where
+    ``phi_p^-1(f(d)/N)`` overflows; its shot fails).  A state with
+    ``u = 1`` starts a quarter period past the anchor.
     On an annulus the boundary condition is imposed exactly at the
     inner radius and ``eps0`` is ignored.
     """
@@ -409,9 +393,8 @@ def startup_state(d: float, spec: ProblemSpec, eps0: float) -> tuple[float, floa
     except OverflowError:
         # |f(d)/N|^(p'-1) overflows for p < 2 at moderate d: saturate.
         u = d - math.copysign(math.inf, fd)
-    inc = fd * math.copysign(1.0, d - 1.0) * eps0**n / (n * abs(d - 1.0) ** (p - 1.0))
-    if inc <= SERIES_ANGLE_MAX * pip or not math.isfinite(u):
-        return (u, v, anchor + inc)
+    if v == 0.0 or not (math.isfinite(u) and math.isfinite(v)):
+        return (u, v, anchor)
     if u == 1.0:
         return (u, v, anchor + 0.5 * pip)
     # The point (c, s) of the p-circle on the ray through (|u-1|, |v|),

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 
@@ -95,7 +96,8 @@ def test_ptrig_refuses_theta_with_table(capsys):
 
 def test_ptrig_table_of_one_row_exits_two(capsys):
     assert run(["ptrig", "--p", "2", "--table", "1"]) == 2
-    assert "--table needs at least 2 rows" in capsys.readouterr().err
+    want = f"--table must be an integer in [2, {sys.maxsize}], got 1"
+    assert want in capsys.readouterr().err
 
 
 def test_eigen_tol_sets_both_tolerances(capsys, monkeypatch):
@@ -219,6 +221,29 @@ def test_eps0_with_annulus_exits_two(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert "an annulus starts at its inner radius 0.5" in err
+
+
+_HUGE = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eigen", "--k", _HUGE],
+        ["solve", "--g", "pow:5", "--max-zeros", _HUGE],
+        ["rstar", "--g", "pow:3", "--k", _HUGE],
+        ["branch", "--g", "pow:5", "--start", "4", "--stop", "5", "--steps", _HUGE],
+        ["ptrig", "--table", _HUGE],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_count_past_the_float_range_exits_two(capsys, argv):
+    # Each of these once ended in a bare OverflowError.
+    assert run(argv + ["--p", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be an integer in [" in err
+    assert "Traceback" not in err
 
 
 def test_missing_required_flag_exits_two():

@@ -203,6 +203,16 @@ def test_crossings_multiple_levels_sorted():
         assert math.cos(r) == pytest.approx(level, abs=1e-8)
 
 
+def test_crossings_on_an_interior_knot_reported_once():
+    # The level is met exactly at a knot: the interval that ends there
+    # reports it, and the one that starts there does not again.
+    sol = integrate(exp_ivp())
+    k = len(sol.rs) // 2
+    assert 0 < k < len(sol.rs) - 1
+    level = sol.ys[k][0]
+    assert crossings(sol, 0, [level]) == [(sol.rs[k], level, 1)]
+
+
 def test_crossings_level_never_reached():
     sol = integrate(rotation_ivp())
     assert crossings(sol, 0, [2.0]) == []

@@ -2,13 +2,15 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from scipy.special import betaincinv
 
-from plapshoot.errors import SpecError
+from plapshoot import ptrig
+from plapshoot.errors import NumericsError, SpecError
 from plapshoot.odeint import IvpSpec, crossings, integrate
-from plapshoot.ptrig import get_context, phi_p, phi_p_inv, pi_p
+from plapshoot.ptrig import PTrigContext, get_context, phi_p, phi_p_inv, pi_p
 from plapshoot.radial import Ball, ProblemSpec
 
 P_GRID = (1.3, 4 / 3, 1.5, 2.0, 2.5, 3.0, 4.0)
@@ -195,6 +197,15 @@ def test_closed_form_oracle():
 
 def test_context_is_cached():
     assert get_context(2.5) is get_context(2.5)
+
+
+def test_quarter_table_that_misses_its_endpoint_is_refused(monkeypatch):
+    # The quarter period must end at (0, sin_p max); an integration that
+    # ends elsewhere builds no table.
+    missed = SimpleNamespace(y_end=(0.5, 0.5))
+    monkeypatch.setattr(ptrig, "integrate", lambda ivp: missed)
+    with pytest.raises(NumericsError, match="p=2.5 failed its endpoint check"):
+        PTrigContext(2.5)
 
 
 def test_pair_rejects_non_finite_angle():

@@ -165,6 +165,58 @@ def test_startup_state_annulus_is_exact():
     assert startup_state(3.0, spec, 0.0) == (3.0, 0.0, 0.0)
 
 
+def test_startup_state_with_zero_flux_starts_at_the_anchor():
+    # f(0) = 0 gives v = -0.0, whose logarithm the exact angle would take.
+    state = startup_state(0.0, ball_spec(), 1e-8)
+    assert [x.hex() for x in state] == [x.hex() for x in (0.0, -0.0, math.pi)]
+
+
+def test_startup_state_on_the_constant_level_starts_a_quarter_period_on():
+    # f(2) = 2 for q = 3, so u = 2 - 2 * 1^2 / 2 = 1 exactly at eps0 = 1.
+    u, v, theta = startup_state(2.0, ball_spec(q=3.0, radius=4.0), 1.0)
+    assert (u, v, theta) == (1.0, -2.0, 0.5 * math.pi)
+
+
+def _integrated_startup_state(d, spec, eps0):
+    # The shot's own field, integrated from a thousandth of eps0, where
+    # the series is exact to far below this check, out to eps0.
+    ivp = odeint.IvpSpec(
+        rhs=radial._make_field(spec, d).rhs,
+        r_start=1e-3 * eps0,
+        r_end=eps0,
+        y0=startup_state(d, spec, 1e-3 * eps0),
+        rel_tol=1e-13,
+        abs_tol=1e-16,
+    )
+    return integrate(ivp).y_end
+
+
+_SERIES_BREAKS = pytest.mark.xfail(
+    strict=True,
+    reason="f(d) eps0^2 is no longer small: at d = 1.5 the series gives"
+    " u = -12.05 (N = 1) and -5.28 (N = 2) against 0.619 and 1.338",
+)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize(
+    "d",
+    [0.5, 0.99, 1.01, 1.05, 1.1, pytest.param(1.5, marks=_SERIES_BREAKS)],
+)
+def test_startup_series_agrees_with_the_integrated_field(d, dim):
+    # p = 2, q = 100: up to d = 1.1 the series start-up state is the
+    # field's own state at eps0.  Past d = 1.2 it drifts off (v by 9e-8
+    # relative at d = 1.2, 2e-4 at d = 1.3) and at d = 1.5 it is
+    # meaningless, though 124 of the 400 upper scan nodes lie past 1.2.
+    spec = ball_spec(p=2.0, dim=dim, q=100.0)
+    eps0 = 1e-8
+    u, v, theta = startup_state(d, spec, eps0)
+    u_ref, v_ref, theta_ref = _integrated_startup_state(d, spec, eps0)
+    assert u == pytest.approx(u_ref, rel=1e-10, abs=0.0)
+    assert v == pytest.approx(v_ref, rel=1e-10, abs=0.0)
+    assert theta == pytest.approx(theta_ref, rel=0.0, abs=1e-10)
+
+
 def test_shot_against_fixed_step_reference():
     traj, summ = shoot(0.5, ball_spec(q=15.0))
     assert summ.theta_end == pytest.approx(REF_THETA_END, abs=1e-7)

@@ -230,6 +230,34 @@ def test_validated_record_rejects_a_non_root(caplog):
     )
 
 
+def test_validated_record_rejects_a_root_with_the_wrong_zero_count(q100_lower, caplog):
+    # A true one-zero root, on its own target, offered as a two-zero one.
+    rec = q100_lower[0]
+    pip = pi_p(2.0)
+    with caplog.at_level(logging.WARNING, logger="plapshoot.solver"):
+        got = solver._validated_record(
+            ball(q=100.0), CFG, rec.d, "lower", 2, rec.theta_end, 1e-8 * pip
+        )
+    assert got is None
+    [msg] = [m for m in caplog.messages if "rejecting candidate" in m]
+    assert msg.endswith("(side=lower, zeros=2): zero count 1 != 2")
+
+
+def test_validated_record_rejects_a_profile_indistinguishable_from_constant(caplog):
+    # p = 1.5, d = 1 + 1e-6: the shot neither collapses nor moves u by
+    # more than about 6e-11.
+    spec = ball(p=1.5)
+    _, summ = shoot(1.000001, spec, CFG)
+    assert summ.max_u - summ.min_u < 1e-6
+    with caplog.at_level(logging.WARNING, logger="plapshoot.solver"):
+        got = solver._validated_record(
+            spec, CFG, 1.000001, "upper", 0, summ.theta_end, 1e-8
+        )
+    assert got is None
+    [msg] = [m for m in caplog.messages if "rejecting candidate" in m]
+    assert msg.endswith("profile indistinguishable from constant")
+
+
 def test_root_stable_under_tighter_tolerance(q100_lower):
     tight = SolverConfig(d_grid_size=400, rel_tol=1e-11, abs_tol=1e-13)
     recs = find_solutions(ball(q=100.0), tight, max_zeros=1, sides=("lower",))
@@ -619,10 +647,10 @@ _BOOL_INPUTS = {
 @pytest.mark.parametrize("call", _BOOL_INPUTS.values(), ids=_BOOL_INPUTS)
 def test_a_bool_is_neither_a_count_nor_a_number(call, monkeypatch):
     # isinstance(True, int) holds, yet no count or number takes True
-    # for 1; nor a numeric string, NaN or an infinity.  Each is refused
-    # before any integration.
+    # for 1; nor a numeric string, NaN, an infinity or an int past the
+    # float range.  Each is refused before any integration.
     monkeypatch.setattr(solver, "shoot", None)
     monkeypatch.setattr(odeint, "_march", None)
-    for value in (True, "3", math.nan, math.inf, -math.inf):
+    for value in (True, "3", math.nan, math.inf, -math.inf, 10**400):
         with pytest.raises(SpecError, match="must be"):
             call(value)
