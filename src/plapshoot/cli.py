@@ -1,13 +1,13 @@
 """Command line front end.
 
-Every subcommand prints a JSON document to stdout.  Commands whose
-natural output is a table (a trig table, a shot profile, a branch
-sweep) switch stdout to CSV with ``--format csv``, or write the CSV to
-``--out FILE`` while keeping the JSON summary on stdout; ``solve --out
-PREFIX`` writes one profile CSV per solution.  Each subcommand accepts
-only the flags it reads.  Exit codes:
-0 on success, 1 when a numerical routine fails, 2 for invalid usage or
-parameters.
+Every subcommand prints a JSON document to stdout.  One flag says
+where a table (a trig table, a shot profile, a branch sweep) goes:
+without ``--out`` it is in the JSON, ``--out FILE`` writes it as CSV to
+FILE and keeps the JSON summary on stdout, and ``--out -`` prints the
+CSV alone.  ``solve --out PREFIX`` writes one profile CSV per solution
+and takes no ``-``.  Each subcommand accepts only the flags it reads,
+and refuses a flag that it would not use.  Exit codes: 0 on success,
+1 when a numerical routine fails, 2 for invalid usage or parameters.
 """
 
 from __future__ import annotations
@@ -82,15 +82,15 @@ def _write_csv(fh, header: list[str], rows) -> None:
 
 
 def _write_table(args, header: list[str], rows: list[list[float]], summary: dict):
-    """CSV to --out (summary JSON to stdout) or, with --format csv, to stdout."""
-    if args.out is not None:
+    """The table in the JSON, as CSV to --out FILE, or with --out - as CSV alone."""
+    if args.out is None:
+        _emit_json(dict(summary, header=header, rows=rows))
+    elif args.out == "-":
+        _write_csv(sys.stdout, header, rows)
+    else:
         with open(args.out, "w", newline="") as fh:
             _write_csv(fh, header, rows)
         _emit_json(dict(summary, out=args.out))
-    elif args.format == "csv":
-        _write_csv(sys.stdout, header, rows)
-    else:
-        _emit_json(dict(summary, header=header, rows=rows))
 
 
 # Columns of a shot profile, as shoot --out and solve --out write them.
@@ -118,6 +118,8 @@ def cmd_ptrig(args) -> int:
             {"p": args.p, "pi_p": ctx.pi_p, "n": n},
         )
         return 0
+    if args.out is not None:
+        raise SpecError("--out needs --table: a single --theta makes no table")
     c, s = ctx.pair(args.theta)
     defect = abs((args.p - 1.0) * abs(s) ** ctx.pprime + abs(c) ** args.p - 1.0)
     _emit_json(
@@ -167,6 +169,8 @@ def _record_doc(rec) -> dict:
 
 
 def cmd_solve(args) -> int:
+    if args.out == "-":
+        raise SpecError("solve --out is a file prefix: profiles cannot share stdout")
     spec = _spec_from(args)
     cfg = _config_from(args)
     records = find_solutions(spec, cfg, max_zeros=args.max_zeros, sides=args.sides)
@@ -188,15 +192,12 @@ def cmd_solve(args) -> int:
 
 
 def _branch_svg(table: BranchTable, path: str) -> None:
-    """Minimal standalone plot: one polyline per branch family."""
+    """Minimal standalone plot: one polyline per branch family, if any."""
     width, height, margin = 640, 480, 50
     rows = table.rows
-    if not rows:
-        raise SpecError("branch table is empty; nothing to plot")
-    x_lo = min(r.param for r in rows)
-    x_hi = max(r.param for r in rows)
-    y_lo = min(r.d for r in rows)
-    y_hi = max(r.d for r in rows)
+    xs = [r.param for r in rows] or [0.0]
+    ys = [r.d for r in rows] or [0.0]
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
@@ -339,14 +340,12 @@ def _add_search(sp, verb: str):
 
 
 def _add_table_output(sp):
-    """The flags _write_table reads."""
+    """The flag _write_table reads."""
     sp.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="json",
-        help="stdout format: JSON, or the table as CSV",
+        "--out",
+        default=None,
+        help="write the table as CSV to this file, or with - to stdout alone",
     )
-    sp.add_argument("--out", default=None, help="write table output to this file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_output(sp)
     sp.add_argument("--g", required=True, help="pow:<q> or combo:<q>,<r>")
     sp.add_argument(
-        "--param", choices=("q", "R"), default="q", help="sweep parameter"
+        "--param", choices=("q", "R"), default="q", help="overrides --g's q or --r"
     )
     sp.add_argument("--start", type=float, required=True, help="sweep start")
     sp.add_argument("--stop", type=float, required=True, help="sweep stop")

@@ -43,7 +43,7 @@ def test_ptrig_single_angle(capsys):
 
 
 def test_ptrig_table_csv_stdout(capsys):
-    rc = run(["ptrig", "--p", "3", "--table", "9", "--format", "csv"])
+    rc = run(["ptrig", "--p", "3", "--table", "9", "--out", "-"])
     out = capsys.readouterr().out
     assert rc == 0
     rows = list(csv.reader(out.strip().splitlines()))
@@ -75,6 +75,55 @@ def test_ptrig_table_file_roundtrips_doubles(capsys, tmp_path):
         assert float(row[0]) == theta
         assert float(row[1]) == c
         assert float(row[2]) == s
+
+
+_TABLES = {
+    "ptrig": ["ptrig", "--p", "3", "--table", "9"],
+    "shoot": ["shoot", "--p", "2", "--g", "pow:15", "--d", "0.5"],
+    "branch": [
+        "branch", "--p", "2", "--g", "pow:15", "--start", "12", "--stop", "20",
+        "--steps", "2", "--max-zeros", "1", "--sides", "lower", "--grid", "40",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TABLES))
+def test_out_dash_prints_the_csv_that_out_file_writes(
+    capsys, tmp_path, monkeypatch, command
+):
+    path = tmp_path / "table.csv"
+    doc = run_json(capsys, _TABLES[command] + ["--out", str(path)])
+    assert doc["out"] == str(path)
+    # `-` once named a file: now it is stdout, with nothing but the CSV.
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert run(_TABLES[command] + ["--out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) > 2
+    assert out == path.read_bytes().decode()
+    assert list(cwd.iterdir()) == []
+
+
+def test_ptrig_theta_with_out_exits_two(capsys, tmp_path):
+    # A single angle makes no table; --out was once dropped here.
+    path = tmp_path / "t.csv"
+    assert run(["ptrig", "--p", "3", "--theta", "1", "--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--out needs --table" in err
+    assert not path.exists()
+
+
+def test_solve_out_dash_exits_two(capsys, tmp_path, monkeypatch):
+    # solve's --out is a file prefix; `-` once wrote `--lower-j1-0.csv`.
+    monkeypatch.chdir(tmp_path)
+    argv = ["solve", "--p", "2", "--g", "pow:15", "--max-zeros", "1"]
+    assert run(argv + ["--sides", "lower", "--grid", "40", "--out", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "solve --out is a file prefix" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ptrig_requires_theta_or_table(capsys):
@@ -334,6 +383,29 @@ def test_branch_sweep_with_svg(capsys, tmp_path):
     assert "polyline" in text
 
 
+def test_empty_branch_sweep_draws_an_empty_frame(capsys, tmp_path):
+    # The p = 2 onset of the one-crossing branch is at q = 2 + pi^2 ~ 11.87,
+    # so a sweep over q in [3, 4] finds nothing; that was once bad usage.
+    svg = tmp_path / "empty.svg"
+    doc = run_json(
+        capsys,
+        [
+            "branch", "--p", "2", "--g", "pow:3", "--start", "3", "--stop", "4",
+            "--steps", "2", "--max-zeros", "1", "--sides", "lower",
+            "--grid", "16", "--svg", str(svg),
+        ],
+    )
+    assert doc["n_rows"] == 0
+    assert doc["rows"] == []
+    assert doc["svg"] == str(svg)
+    text = svg.read_text()
+    assert text.startswith("<svg")
+    assert "<rect" in text
+    assert ">q</text>" in text
+    assert "polyline" not in text
+    assert text.endswith("</svg>")
+
+
 def test_branch_rejects_short_sweep(capsys):
     rc = run(
         [
@@ -426,14 +498,14 @@ def _flags(sp):
 def test_each_subcommand_takes_only_the_flags_it_reads():
     problem = ["--p", "--n", "--r", "--annulus", "--tol", "--eps0"]
     expected = {
-        "ptrig": ["--p", "--format", "--out", "--theta", "--table"],
+        "ptrig": ["--p", "--out", "--theta", "--table"],
         "eigen": problem + ["--k"],
-        "shoot": problem + ["--format", "--out", "--g", "--d"],
+        "shoot": problem + ["--out", "--g", "--d"],
         "solve": problem
         + ["--grid", "--out", "--g", "--max-zeros", "--sides"],
         "branch": problem
         + [
-            "--grid", "--format", "--out", "--g", "--param", "--start",
+            "--grid", "--out", "--g", "--param", "--start",
             "--stop", "--steps", "--max-zeros", "--sides", "--svg",
         ],
         "rstar": problem + ["--grid", "--g", "--k", "--r-cap"],
@@ -445,8 +517,8 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     )
     got = {name: _flags(sp) for name, sp in sub.choices.items()}
     assert got == expected
-    assert sum(len(flags) for flags in expected.values()) == 60
-    assert len({f for flags in expected.values() for f in flags}) == 22
+    assert sum(len(flags) for flags in expected.values()) == 57
+    assert len({f for flags in expected.values() for f in flags}) == 21
 
 
 @pytest.mark.parametrize(
@@ -461,6 +533,12 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
             "rstar", "--p", "1.8", "--g", "pow:3", "--k", "1",
             "--annulus-ratio", "0.1",
         ],
+        # With the solve and rstar cases above, --format is unknown on
+        # every subcommand: --out alone says where a table goes.
+        _TABLES["ptrig"] + ["--format", "csv"],
+        ["eigen", "--p", "2", "--k", "2", "--format", "csv"],
+        _TABLES["shoot"] + ["--format", "csv"],
+        _TABLES["branch"] + ["--format", "json"],
     ],
 )
 def test_removed_flags_are_unknown(capsys, argv):
