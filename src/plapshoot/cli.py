@@ -4,10 +4,10 @@ Every subcommand prints a JSON document to stdout.  One flag says
 where a table (a trig table, a shot profile, a branch sweep) goes:
 without ``--out`` it is in the JSON, ``--out FILE`` writes it as CSV to
 FILE and keeps the JSON summary on stdout, and ``--out -`` prints the
-CSV alone.  ``solve --out PREFIX`` writes one profile CSV per solution
-and takes no ``-``.  Each subcommand accepts only the flags it reads,
-and refuses a flag that it would not use.  Exit codes: 0 on success,
-1 when a numerical routine fails, 2 for invalid usage or parameters.
+CSV alone.  Each subcommand accepts only the flags it reads, and
+refuses a flag that it would not use.  Exit codes: 0 on success, 1 when
+a numerical routine fails or a reader closes stdout early (quietly), 2
+for invalid usage or parameters, an unwritable output path included.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 
 from .branch import BranchTable, branch_sweep
@@ -81,6 +82,14 @@ def _write_csv(fh, header: list[str], rows) -> None:
         writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
 
 
+def _open_out(path: str):
+    """Open an output file; a path that cannot be opened is bad usage."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_table(args, header: list[str], rows: list[list[float]], summary: dict):
     """The table in the JSON, as CSV to --out FILE, or with --out - as CSV alone."""
     if args.out is None:
@@ -88,17 +97,9 @@ def _write_table(args, header: list[str], rows: list[list[float]], summary: dict
     elif args.out == "-":
         _write_csv(sys.stdout, header, rows)
     else:
-        with open(args.out, "w", newline="") as fh:
+        with _open_out(args.out) as fh:
             _write_csv(fh, header, rows)
         _emit_json(dict(summary, out=args.out))
-
-
-# Columns of a shot profile, as shoot --out and solve --out write them.
-_PROFILE_HEADER = ["r", "u", "v", "theta", "rho_sq"]
-
-
-def _profile_rows(traj) -> list[tuple[float, ...]]:
-    return list(zip(traj.r, traj.u, traj.v, traj.theta, traj.rho_sq))
 
 
 def cmd_ptrig(args) -> int:
@@ -146,10 +147,10 @@ def cmd_eigen(args) -> int:
 
 def cmd_shoot(args) -> int:
     spec = _spec_from(args)
-    cfg = _config_from(args)
-    traj, summ = shoot(args.d, spec, cfg)
+    traj, summ = shoot(args.d, spec, _config_from(args))
+    rows = list(zip(traj.r, traj.u, traj.v, traj.theta, traj.rho_sq))
     summary = {**spec.describe(), **dataclasses.asdict(summ)}
-    _write_table(args, _PROFILE_HEADER, _profile_rows(traj), summary)
+    _write_table(args, ["r", "u", "v", "theta", "rho_sq"], rows, summary)
     return 0
 
 
@@ -169,16 +170,9 @@ def _record_doc(rec) -> dict:
 
 
 def cmd_solve(args) -> int:
-    if args.out == "-":
-        raise SpecError("solve --out is a file prefix: profiles cannot share stdout")
     spec = _spec_from(args)
     cfg = _config_from(args)
     records = find_solutions(spec, cfg, max_zeros=args.max_zeros, sides=args.sides)
-    if args.out is not None:
-        for i, rec in enumerate(records):
-            path = f"{args.out}-{rec.side}-j{rec.zeros}-{i}.csv"
-            with open(path, "w", newline="") as fh:
-                _write_csv(fh, _PROFILE_HEADER, _profile_rows(rec.trajectory))
     _emit_json(
         {
             **spec.describe(),
@@ -238,11 +232,13 @@ def _branch_svg(table: BranchTable, path: str) -> None:
             f' font-size="11" fill="{color}">j={zeros} {side}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with _open_out(path) as fh:
         fh.write("\n".join(parts))
 
 
 def cmd_branch(args) -> int:
+    if args.svg == "-":
+        raise SpecError("--svg needs a file: the table owns stdout")
     spec = _spec_from(args)
     cfg = _config_from(args)
     check_count(args.steps, 2, "--steps")
@@ -253,8 +249,6 @@ def cmd_branch(args) -> int:
     table = branch_sweep(
         spec, args.param, values, cfg, max_zeros=args.max_zeros, sides=args.sides
     )
-    if args.svg is not None:
-        _branch_svg(table, args.svg)
     rows = [
         [r.param, r.d, r.side, r.zeros, r.theta_end, r.residual, int(r.fold)]
         for r in table.rows
@@ -265,6 +259,7 @@ def cmd_branch(args) -> int:
         "metadata": table.metadata,
     }
     if args.svg is not None:
+        _branch_svg(table, args.svg)
         summary["svg"] = args.svg
     _write_table(
         args,
@@ -396,11 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=fmt,
     )
     _add_problem(sp)
-    sp.add_argument(
-        "--out",
-        default=None,
-        help="write each solution profile to OUT-<side>-j<zeros>-<i>.csv",
-    )
     sp.add_argument("--g", required=True, help="pow:<q> or combo:<q>,<r>")
     _add_search(sp, "search")
     sp.set_defaults(func=cmd_solve)
@@ -451,7 +441,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # A reader closed stdout: stop quietly, and let the flush at exit
+        # write to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

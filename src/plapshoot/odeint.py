@@ -513,9 +513,10 @@ def bisect_bracket(
     and ``hi`` are adjacent doubles, or after 200 halvings; an exact
     zero of ``side`` is returned at once.
 
-    Its one caller, :func:`plapshoot.solver._bisect_on_angle`, keeps it
-    because the benchmark's tests pin that search at 498 shots, 2 of
-    them collapsed, on the seed-0 solve.
+    Its one caller in the package, :func:`plapshoot.solver._bisect_on_angle`,
+    keeps it because the benchmark's tests pin that search at 498 shots,
+    2 of them collapsed, on the seed-0 solve.  ``_old_rstar`` in
+    ``tests/test_solver.py`` uses it as the reference for ``rstar``.
     """
     lo_negative = side_lo < 0.0
     for _ in range(_BISECT_MAX_ITERS):

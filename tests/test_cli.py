@@ -3,8 +3,11 @@
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
@@ -22,7 +25,7 @@ from plapshoot.radial import (
     ShotSummary,
     shoot,
 )
-from plapshoot.solver import rstar
+from plapshoot.solver import find_solutions, rstar
 
 
 def run_json(capsys, argv):
@@ -115,15 +118,65 @@ def test_ptrig_theta_with_out_exits_two(capsys, tmp_path):
     assert not path.exists()
 
 
-def test_solve_out_dash_exits_two(capsys, tmp_path, monkeypatch):
-    # solve's --out is a file prefix; `-` once wrote `--lower-j1-0.csv`.
+_SVG_EMPTY = [
+    "branch", "--p", "2", "--g", "pow:3", "--start", "3", "--stop", "4",
+    "--steps", "2", "--max-zeros", "1", "--sides", "lower", "--grid", "16",
+]
+
+
+def test_svg_dash_exits_two_before_the_sweep(capsys, tmp_path, monkeypatch):
+    # The table owns stdout; `-` once wrote the plot to a file named `-`.
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "branch_sweep", no_sweep)
     monkeypatch.chdir(tmp_path)
-    argv = ["solve", "--p", "2", "--g", "pow:15", "--max-zeros", "1"]
-    assert run(argv + ["--sides", "lower", "--grid", "40", "--out", "-"]) == 2
+    assert run(_SVG_EMPTY + ["--svg", "-"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "solve --out is a file prefix" in err
+    assert "--svg needs a file" in err
     assert list(tmp_path.iterdir()) == []
+
+
+_OUTPUTS = {
+    "ptrig": _TABLES["ptrig"] + ["--out"],
+    "shoot": _TABLES["shoot"] + ["--out"],
+    "branch-svg": _SVG_EMPTY + ["--svg"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+@pytest.mark.parametrize("command", sorted(_OUTPUTS))
+def test_unwritable_output_path_exits_two(capsys, tmp_path, command, where):
+    # Each of these once ended in a FileNotFoundError or IsADirectoryError
+    # traceback and exit 1, the code of a numerical failure.
+    if where == "missing-parent":
+        path, reason = tmp_path / "missing" / "x", "No such file or directory"
+    else:
+        path, reason = tmp_path, "Is a directory"
+    assert run(_OUTPUTS[command] + [str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {path}: {reason}\n"
+
+
+def test_a_reader_closing_stdout_stops_the_command_quietly():
+    # Once a BrokenPipeError traceback: now exit 1 with nothing on stderr.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "plapshoot.cli", "ptrig", "--p", "2",
+         "--table", "20000", "--out", "-"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.readline() == b"theta,cos_p,sin_p\r\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_ptrig_requires_theta_or_table(capsys):
@@ -338,14 +391,12 @@ def test_shoot_json_keys_are_the_problem_then_the_summary(capsys):
     assert list(doc) == problem + summary + ["header", "rows"]
 
 
-def test_solve_reports_and_dumps_profiles(capsys, tmp_path):
-    prefix = tmp_path / "sol"
+def test_solve_reports_each_solution(capsys):
     doc = run_json(
         capsys,
         [
             "solve", "--p", "2", "--g", "pow:100",
-            "--max-zeros", "1", "--sides", "lower",
-            "--grid", "400", "--out", str(prefix),
+            "--max-zeros", "1", "--sides", "lower", "--grid", "400",
         ],
     )
     assert doc["n_solutions"] == 1
@@ -354,12 +405,33 @@ def test_solve_reports_and_dumps_profiles(capsys, tmp_path):
     assert sol["zeros"] == 1
     assert sol["d"] == pytest.approx(0.680362, abs=1e-4)
     assert len(sol["zero_radii"]) == 1
-    csv_path = tmp_path / "sol-lower-j1-0.csv"
-    assert csv_path.exists()
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["r", "u", "v", "theta", "rho_sq"]
-    assert len(rows) > 100
+
+
+def test_shoot_at_a_solved_d_prints_that_solution_profile(capsys):
+    # solve reports each d; shoot --d with the same problem flags gives
+    # the profile: the validation shot and shoot share the tolerances and
+    # the start radius, --grid does not enter a shot, and JSON floats
+    # round-trip exactly.
+    problem = ["--p", "2", "--g", "pow:15"]
+    search = ["--max-zeros", "1", "--sides", "lower,upper", "--grid", "100"]
+    doc = run_json(capsys, ["solve", *problem, *search])
+    spec = ProblemSpec(p=2.0, dim=1, domain=Ball(1.0), g=Nonlinearity(q=15.0))
+    records = find_solutions(
+        spec, SolverConfig(d_grid_size=100), max_zeros=1, sides=("lower", "upper")
+    )
+    assert [(s["side"], s["zeros"]) for s in doc["solutions"]] == [
+        ("lower", 1), ("upper", 1),
+    ]
+    for sol, rec in zip(doc["solutions"], records, strict=True):
+        assert sol["d"] == rec.d
+        traj = rec.trajectory
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["r", "u", "v", "theta", "rho_sq"])
+        for row in zip(traj.r, traj.u, traj.v, traj.theta, traj.rho_sq):
+            writer.writerow([format(x, ".17g") for x in row])
+        assert run(["shoot", *problem, "--d", repr(sol["d"]), "--out", "-"]) == 0
+        assert capsys.readouterr().out == want.getvalue()
 
 
 def test_branch_sweep_with_svg(capsys, tmp_path):
@@ -501,8 +573,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         "ptrig": ["--p", "--out", "--theta", "--table"],
         "eigen": problem + ["--k"],
         "shoot": problem + ["--out", "--g", "--d"],
-        "solve": problem
-        + ["--grid", "--out", "--g", "--max-zeros", "--sides"],
+        "solve": problem + ["--grid", "--g", "--max-zeros", "--sides"],
         "branch": problem
         + [
             "--grid", "--out", "--g", "--param", "--start",
@@ -517,7 +588,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     )
     got = {name: _flags(sp) for name, sp in sub.choices.items()}
     assert got == expected
-    assert sum(len(flags) for flags in expected.values()) == 57
+    assert sum(len(flags) for flags in expected.values()) == 56
     assert len({f for flags in expected.values() for f in flags}) == 21
 
 
@@ -539,6 +610,8 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         ["eigen", "--p", "2", "--k", "2", "--format", "csv"],
         _TABLES["shoot"] + ["--format", "csv"],
         _TABLES["branch"] + ["--format", "json"],
+        # shoot --d at a reported d writes the profile solve --out once did.
+        ["solve", "--p", "2", "--g", "pow:15", "--out", "x"],
     ],
 )
 def test_removed_flags_are_unknown(capsys, argv):

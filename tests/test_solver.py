@@ -6,7 +6,8 @@ import re
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_bvp
+from scipy.integrate import quad, solve_bvp
+from scipy.optimize import brentq
 
 from plapshoot import odeint, radial, solver
 from plapshoot.branch import bifurcation_onset, branch_sweep
@@ -57,6 +58,11 @@ def q100_lower():
 @pytest.fixture(scope="module")
 def q100_upper():
     return find_solutions(ball(q=100.0), CFG, max_zeros=2, sides=("upper",))
+
+
+@pytest.fixture(scope="module")
+def q100_upper_to_j3():
+    return find_solutions(ball(q=100.0), CFG, max_zeros=3, sides=("upper",))
 
 
 def test_d_grid_lower_refines_toward_one():
@@ -161,15 +167,14 @@ def test_q100_upper_records(q100_upper):
     assert all(b <= a + 1e-10 for a, b in zip(u, u[1:]))
 
 
-def test_collocation_oracle_agrees_with_every_p2_record(q100_lower):
+def test_collocation_oracle_agrees_with_every_p2_record(q100_lower, q100_upper_to_j3):
     # An oracle that shares no code with shooting: scipy's collocation
     # solver on u' = v, v' = u - u^(q-1), v(0) = v(1) = 0 (p = 2, N = 1),
     # started from 200 nodes of each record's profile scaled by 1.01
     # about u = 1.  Both j = 2 meshes need about 1270 nodes, more than
     # solve_bvp's default budget of 1000.
-    upper = find_solutions(ball(q=100.0), CFG, max_zeros=3, sides=("upper",))
     q15 = find_solutions(ball(q=15.0), CFG, max_zeros=1, sides=("lower",))
-    cases = [(100.0, rec) for rec in q100_lower + upper]
+    cases = [(100.0, rec) for rec in q100_lower + q100_upper_to_j3]
     cases += [(15.0, rec) for rec in q15]
     assert [(q, rec.side, rec.zeros) for q, rec in cases] == [
         (100.0, "lower", 1), (100.0, "lower", 2), (100.0, "lower", 3),
@@ -198,6 +203,76 @@ def test_collocation_oracle_agrees_with_every_p2_record(q100_lower):
         assert abs(sol.y[0, 0] - rec.d) <= 1e-9, (q, rec.side, rec.zeros)
         above = sol.sol(fine)[0] > 1.0
         assert np.count_nonzero(above[1:] != above[:-1]) == rec.zeros
+
+
+def _time_map(p, q):
+    """The N = 1 time map of the pure power: T(d) and the conjugate of d.
+
+    With F(s) = s^q/q - s^p/p, a shot from d < 1 swings to the conjugate
+    d_bar > 1 with F(d_bar) = F(d) in the time
+    T(d) = integral of du / (p'(F(d) - F(u)))^(1/p) from d to d_bar,
+    so a root with j zeros of u - 1 on Ball(R) is a d with j T(d) = R.
+    Each half of the integral, split at u = 1, reads the energy of its
+    own turning point e, where quad's algebraic weight takes the
+    |u - e|^(-1/p) singularity.  quad warns once 1 - d < about 1e-6.
+    """
+    pprime = p / (p - 1.0)
+
+    def drop(e, u):
+        # F(e) - F(u), free of the cancellation of two close values of F.
+        t = math.log1p((e - u) / u)
+        return u**q * math.expm1(q * t) / q - u**p * math.expm1(p * t) / p
+
+    def smooth(e):
+        # The integrand times |u - e|^(1/p).
+        def part(u):
+            if (e - u) * (1.0 - e) >= 0.0:
+                # At the turning point (or past it by rounding): the limit.
+                f_e = e ** (q - 1.0) - e ** (p - 1.0)
+                return (pprime * abs(f_e)) ** (-1.0 / p)
+            return (abs(e - u) / (pprime * drop(e, u))) ** (1.0 / p)
+
+        return part
+
+    def conjugate(d):
+        return brentq(lambda x: drop(d, x), 1.0, 2.0, xtol=1e-16)
+
+    def half_time(d):
+        d_bar = conjugate(d)
+        w = -1.0 / p
+        return (
+            quad(smooth(d), d, 1.0, weight="alg", wvar=(w, 0.0))[0]
+            + quad(smooth(d_bar), 1.0, d_bar, weight="alg", wvar=(0.0, w))[0]
+        )
+
+    return half_time, conjugate
+
+
+def test_time_map_oracle_agrees_with_every_p2_q100_record(
+    q100_lower, q100_upper_to_j3
+):
+    # An oracle from the first integral alone, with no shot: the exact
+    # lower roots solve j T(d) = 1, and each upper root is the conjugate
+    # of the lower root with the same j.  1e-9 is the collocation bound.
+    half_time, conjugate = _time_map(2.0, 100.0)
+    exact = [
+        brentq(lambda d, j=j: j * half_time(d) - 1.0, 1e-3, 1.0 - 1e-4, xtol=1e-15)
+        for j in (1, 2, 3)
+    ]
+    assert [rec.zeros for rec in q100_lower] == [1, 2, 3]
+    assert [rec.zeros for rec in q100_upper_to_j3] == [1, 2, 3]
+    for rec, d in zip(q100_lower, exact):
+        assert abs(rec.d - d) <= 1e-9, (rec.zeros, rec.d, d)
+    for rec, d in zip(q100_upper_to_j3, exact):
+        assert abs(rec.d - conjugate(d)) <= 1e-9, (rec.zeros, rec.d, conjugate(d))
+
+
+def test_time_map_tends_to_the_linearised_half_period():
+    # Near u = 1 the shot solves u'' = -(q - 2)(u - 1), whose half period
+    # is pi / sqrt(q - 2); the gap shrinks like (1 - d)^2 (4.2e-6 here).
+    half_time, _ = _time_map(2.0, 100.0)
+    want = math.pi / math.sqrt(98.0)
+    assert half_time(1.0 - 1e-4) == pytest.approx(want, rel=1e-5)
 
 
 @pytest.mark.parametrize(
