@@ -246,6 +246,11 @@ def cmd_branch(args) -> int:
         args.start + (args.stop - args.start) * i / (args.steps - 1)
         for i in range(args.steps)
     ]
+    # Both paths are opened once before the sweep, so that an unwritable
+    # one costs no sweep.
+    for path in (args.svg, args.out):
+        if path not in (None, "-"):
+            _open_out(path).close()
     table = branch_sweep(
         spec, args.param, values, cfg, max_zeros=args.max_zeros, sides=args.sides
     )

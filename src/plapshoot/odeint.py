@@ -15,7 +15,12 @@ as a body of statements, and :func:`compile_field` turns it into the
 callable of :class:`IvpSpec` and the trial step of :func:`end_state`,
 which keeps only the end state.  The shots of ``plapshoot.radial`` (one
 body for N = 1 and one for N > 1) and the eigenvalue angles of
-``plapshoot.eigen`` are written so.  :func:`integrate` runs the dense
+``plapshoot.eigen`` are written so.  Before a body is compiled,
+:func:`_fold` folds out the constants equal to 1: ``x ** k``, ``k * x``
+and the signed power ``copysign(abs(x) ** k, x)`` become ``x``, exact
+for every double, so that a shot at p = 2 pays for none of its unit
+exponents.  Squares stay ``x ** 2.0``, which differs from ``x * x`` in
+the last bit for some doubles.  :func:`integrate` runs the dense
 variant of the trial step, which also forms the interpolant weights of
 each step, for the one-line body that calls ``IvpSpec.rhs``.
 
@@ -32,6 +37,7 @@ still bisect, with :func:`bisect_bracket`.
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from bisect import bisect_right
@@ -371,27 +377,84 @@ def compile_field(dim: int, reads: Sequence[str], body: Sequence[str], **consts)
     here; it assigns the slopes ``f0`` to ``f{dim-1}`` and may raise.
     A slope that overflows is set to inf: the step rejects a trial
     whose stage is not finite.  Names that begin with an underscore
-    belong to the generated code.  Compiled by :func:`_end_trial`, once
-    per body, on first use.
+    belong to the generated code, and ``copysign`` names
+    :func:`math.copysign`.  Compiled by :func:`_end_trial`, once per body
+    and set of constants equal to 1, which :func:`_fold` folds out of the
+    body with the same bits, on first use.
     """
-    make = _end_trial(dim, tuple(reads), tuple(body), tuple(consts))
+    units = frozenset(
+        [name for name, value in consts.items() if value == 1 and type(value) in (int, float)]
+    )
+    make = _end_trial(dim, tuple(reads), tuple(body), tuple(consts), units)
     return Field(*make(**consts))
 
 
+class _UnitFold(ast.NodeTransformer):
+    """Rewrites an expression tree with the names in ``units`` equal to 1."""
+
+    def __init__(self, units: frozenset):
+        self.units = units
+
+    def _unit(self, node) -> bool:
+        return isinstance(node, ast.Name) and node.id in self.units
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Pow) and self._unit(node.right):
+            return node.left
+        if isinstance(node.op, ast.Mult) and self._unit(node.left):
+            return node.right
+        return node
+
+    def visit_Call(self, node):
+        # The signed power copysign(abs(x) ** k, x).
+        match node:
+            case ast.Call(
+                func=ast.Name("copysign"),
+                args=[
+                    ast.BinOp(ast.Call(ast.Name("abs"), [ast.Name(x)], []), ast.Pow(), k),
+                    ast.Name(y) as arg,
+                ],
+                keywords=[],
+            ) if x == y and self._unit(k):
+                return arg
+        self.generic_visit(node)
+        return node
+
+
+def _fold(body: tuple, units: frozenset) -> tuple:
+    """``body`` with the constants named in ``units``, all equal to 1, folded out.
+
+    ``x ** k``, ``k * x`` and the signed power ``copysign(abs(x) ** k, x)``
+    become ``x``.  Each rewrite gives the bits of the expression it
+    replaces for every double ``x``, ±0.0, subnormals, ±inf and NaN
+    included, and none of them can raise.  Squares are not folded:
+    ``x ** 2.0`` and ``x * x`` differ in the last bit for some doubles.
+    """
+    if not units:
+        return body
+    tree = _UnitFold(units).visit(ast.parse("\n".join(body)))
+    return tuple(ast.unparse(tree).splitlines())
+
+
 @lru_cache(maxsize=None)
-def _end_trial(dim: int, reads: tuple, body: tuple, consts: tuple, dense: bool = False):
+def _end_trial(
+    dim: int, reads: tuple, body: tuple, consts: tuple, units=frozenset(), dense: bool = False
+):
     """Both forms of a field, generated from its body and the tableau.
 
     Returns ``make(**consts)``, which returns the two members of a
-    :class:`Field`.  The trial step is written from ``_A``, ``_C`` and
-    ``_E`` with the tableau's entries as literals: each sum adds its
-    nonzero terms left to right in tableau order, and not by the builtin
-    ``sum``, which compensates its rounding from Python 3.12 on, so that
-    every version takes the same steps to the last bit.  Each stage sets
-    ``r`` and the components the body reads, then runs the body with its
-    slopes renamed to the stage's.  A value ``x`` is finite when ``x *
-    0.0`` is zero, and ``max`` is a conditional expression: the verdicts
-    and bits of ``isfinite`` and ``max``, without a call.
+    :class:`Field`.  The constants named in ``units`` are folded out of
+    ``body`` first, by :func:`_fold`.  The trial step is written from
+    ``_A``, ``_C`` and ``_E`` with the tableau's entries as literals:
+    each sum adds its nonzero terms left to right in tableau order, and
+    not by the builtin ``sum``, which compensates its rounding from
+    Python 3.12 on, so that every version takes the same steps to the
+    last bit.  Each stage sets ``r`` and the components the body reads,
+    then runs the body with its slopes renamed to the stage's.  A value
+    ``x`` is finite when ``x * 0.0`` is zero, and ``max`` is a
+    conditional expression: the verdicts and bits of ``isfinite`` and
+    ``max``, without a call.
 
     With ``dense``, the trial step is that of :func:`integrate`: its
     factory takes a list as a third argument, and a trial step that
@@ -399,6 +462,7 @@ def _end_trial(dim: int, reads: tuple, body: tuple, consts: tuple, dense: bool =
     interpolant weights of a :class:`DenseSolution` cell, summed from
     ``_P`` in the same way.
     """
+    body = _fold(body, units)
     ds = range(dim)
 
     def tup(names):

@@ -47,10 +47,14 @@ by :func:`_make_field` into the callable of the dense kind and the
 stages of the other.  The bodies paste :data:`REACTION`, the one
 definition of ``f`` in the package, which :meth:`Nonlinearity.f_for`
 compiles as well; they write their powers inline, and for N = 1 skip
-the flux weight ``r^(N-1) = 1``.  Every slope is the one the formulas
-above give, to the last bit.  A start-up state already under the
-collapse floor is caught by the field's first evaluation, like any
-later one.
+the flux weight ``r^(N-1) = 1``.  At p = 2 the exponents ``p - 1``,
+``p' - 1`` and, for the pure power, ``r - 1`` are 1, and
+:func:`~plapshoot.odeint.compile_field` folds them out of the body, the
+signed power ``|v|^(p'-1) sgn(v)`` included; ``|v|^p'`` and
+``|u - 1|^p`` stay powers, since a square by multiplication may differ
+in its last bit.  Every slope is the one the formulas above give, to
+the last bit.  A start-up state already under the collapse floor is
+caught by the field's first evaluation, like any later one.
 """
 
 from __future__ import annotations

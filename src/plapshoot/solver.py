@@ -17,6 +17,9 @@ nodes within ``SCAN_MARGIN`` half-periods of a target.  The coarse error
 is far below that margin, so the brackets, and the roots bisected from
 them at the configured tolerances, are those of a full-accuracy scan.
 
+For N = 1 the upper scan ends just past d0, where F(d0) = F(0): no
+positive solution starts above it (see :func:`theta_scan`).
+
 Shots that collapse onto the constant state are recorded as gaps in
 the scan rather than failures: near ``d = 1`` the phase-plane radius
 legitimately falls under the floor (most visibly for p > 2), and the
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .config import SolverConfig
@@ -118,6 +122,18 @@ def _theta_end(
         return failed
 
 
+def _zero_energy_level(spec: ProblemSpec) -> float:
+    """The d above 1 with F(d) = F(0), where F(u) = u^q/q - u^r/r.
+
+    That is d0 = (q/r)^(1/(q-r)), here with ``log1p``, which keeps its
+    digits as r approaches q.
+    """
+    spec._require_g()
+    q = spec.g.q
+    r = spec.g.r_exp_for(spec.p)
+    return math.exp(math.log1p((q - r) / r) / (q - r))
+
+
 def theta_scan(
     spec: ProblemSpec, cfg: SolverConfig | None = None, side: str = "lower"
 ) -> list[tuple[float, float]]:
@@ -125,9 +141,20 @@ def theta_scan(
 
     One end-state shot (``shoot(..., profile=False)``) per grid point,
     in grid order; shots that collapse or fail give NaN.
+
+    For N = 1 the upper grid ends at its first node at or above d0 of
+    :func:`_zero_energy_level`.  There the energy (p-1)/p |u'|^p + F(u)
+    is conserved, on a ball or an annulus, so a shot from d > d0 has
+    F(d) > F(0) and reaches u = 0: no positive solution starts there.
+    The first node past d0 stays, so that the cell across d0 still
+    brackets the roots just below it.  For N > 1 the energy only falls,
+    and the whole grid is scanned.
     """
     cfg = cfg or SolverConfig()
-    return [(d, _theta_end(d, spec, cfg)) for d in d_grid(cfg, side)]
+    grid = d_grid(cfg, side)
+    if side == "upper" and spec.dim == 1:
+        grid = grid[: bisect_left(grid, _zero_energy_level(spec)) + 1]
+    return [(d, _theta_end(d, spec, cfg)) for d in grid]
 
 
 def _brackets(

@@ -138,6 +138,21 @@ def test_svg_dash_exits_two_before_the_sweep(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--svg", "--out"])
+def test_unwritable_branch_output_exits_two_before_the_sweep(capsys, tmp_path, monkeypatch, flag):
+    # Both paths were once opened only after the sweep, whose work an
+    # unwritable path then threw away.
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "branch_sweep", no_sweep)
+    path = tmp_path / "missing" / "b.svg"
+    assert run(_SVG_EMPTY + [flag, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
 _OUTPUTS = {
     "ptrig": _TABLES["ptrig"] + ["--out"],
     "shoot": _TABLES["shoot"] + ["--out"],

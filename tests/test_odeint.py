@@ -733,3 +733,41 @@ def test_grow_bracket_gives_none_when_a_clamped_end_has_the_wrong_sign():
     calls.clear()
     assert grow_bracket(_logged(lambda x: 1.0, calls), 1.0, 0.3, 6.0) is None
     assert calls == [1.0, 0.5, 0.3]
+
+
+def test_only_constants_equal_to_one_are_folded(monkeypatch):
+    # A square stays x ** 2.0, which differs from x * x in the last bit
+    # for some doubles; a bool is not a number here.
+    seen = []
+    fold = odeint._fold
+
+    def spy(body, units):
+        seen.append(units)
+        return fold(body, units)
+
+    monkeypatch.setattr(odeint, "_fold", spy)
+    body = ("f0 = k * y ** two + y ** one * flag + copysign(abs(y) ** one, y)",)
+    consts = dict(k=1.0, two=2.0, one=1, flag=True, copysign=math.copysign)
+    rhs = odeint.compile_field(1, ("y",), body, **consts).rhs
+    assert seen == [frozenset({"k", "one"})]
+    assert fold(body, seen[0]) == ("f0 = y ** two + y * flag + y",)
+    assert rhs(0.0, (3.0,)) == (3.0**2.0 + 3.0 + 3.0,)
+
+
+@pytest.mark.parametrize(
+    "line, folded",
+    [
+        ("f0 = a - k * y ** k", "f0 = a - y"),
+        ("f0 = a / k * y", "f0 = a / k * y"),
+        ("f0 = y ** k ** two", "f0 = y ** k ** two"),
+        ("f0 = (y ** k) ** two", "f0 = y ** two"),
+        ("f0 = -y ** k", "f0 = -y"),
+        ("f0 = copysign(abs(y) ** k, z)", "f0 = copysign(abs(y), z)"),
+        ("f0 = copysign(abs(y) ** two, y)", "f0 = copysign(abs(y) ** two, y)"),
+    ],
+)
+def test_the_fold_follows_the_expression_tree(line, folded):
+    # a / k * y is (a / k) * y and y ** k ** two is y ** (k ** two):
+    # neither has a product or power with k to fold.  The signed power
+    # folds only as a whole, with the same x in both places.
+    assert odeint._fold((line,), frozenset({"k"})) == (folded,)

@@ -832,3 +832,86 @@ def test_top_upper_nodes_at_q100_still_fail_on_their_first_evaluation():
     for d in d_grid(cfg, "upper")[-4:]:
         with pytest.raises(IntegrationError, match="not finite at the start"):
             shoot(d, spec, cfg, profile=False)
+
+
+def _bits(x):
+    # Floats as hex, so that -0.0, NaN and every last bit count.
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, tuple):
+        return tuple(_bits(c) for c in x)
+    return x
+
+
+def _outcome(call):
+    try:
+        return ("returned", _bits(call()))
+    except Exception as exc:
+        return ("raised", type(exc), _bits(exc.args))
+
+
+_FINITE_STATE = st.one_of(
+    st.sampled_from([x for x in _EXTREMES if math.isfinite(x)]),
+    st.floats(-10.0, 10.0),
+    st.floats(1.0 - 1e-5, 1.0 + 1e-5),
+)
+
+
+@st.composite
+def _p2_cases(draw):
+    # p = 2 folds p - 1 = p' - 1 = 1, and r - 1 = 1 for the pure power
+    # and the combination with r = 2; N = 2 folds N - 1 = 1 as well.
+    q = 2.0 + draw(st.floats(1e-3, 100.0))
+    r_exp = draw(st.sampled_from([None, 2.0]))
+    dim = draw(st.sampled_from([1, 2]))
+    spec = ProblemSpec(p=2.0, dim=dim, domain=Ball(4.0), g=Nonlinearity(q, r_exp=r_exp))
+    d = draw(st.floats(0.0, 3.0))
+    r = draw(st.floats(0.0, 3.0, exclude_min=True))
+    h = draw(st.floats(1e-6, 1.0))
+    k1 = tuple(draw(_STATE) for _ in range(3))
+    return spec, d, r, h, draw(_STATE), draw(_STATE), k1
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(_p2_cases(), _FINITE_STATE, _FINITE_STATE)
+def test_folded_field_at_p2_matches_the_reference_field(case, u0, v0):
+    spec, d, r, h, u, v, k1 = case
+    field = radial._make_field(spec, d)
+    ref = _ref_make_field(spec, d)
+    assert _field_outcome(lambda r, u, v: field.rhs(r, (u, v)), r, u, v) == _field_outcome(
+        ref, r, u, v
+    )
+    # The trial step with the folded body in its stages, against one whose
+    # stages call the reference: same bits, same verdict, same exception.
+    ref_field = odeint.compile_field(3, ("u", "v"), ("f0, f1, f2 = ref(r, u, v)",), ref=ref)
+    y = (u, v, 0.5)
+    assert _outcome(lambda: field.trial(1e-10, 1e-12)(r, h, y, k1)) == _outcome(
+        lambda: ref_field.trial(1e-10, 1e-12)(r, h, y, k1)
+    )
+    # And the end state of a short run from a finite state.
+    y0 = (u0, v0, 0.5)
+    ivp = odeint.IvpSpec(field.rhs, r, r + h, y0)
+    ref_ivp = odeint.IvpSpec(ref_field.rhs, r, r + h, y0)
+    assert _outcome(lambda: odeint.end_state(ivp, field)) == _outcome(
+        lambda: odeint.end_state(ref_ivp, ref_field)
+    )
+
+
+@pytest.mark.parametrize("p, calls", [(2.0, False), (2.5, True)])
+def test_a_p2_shot_makes_no_copysign_call(p, calls, monkeypatch):
+    # At p = 2 the signed power |v|^(p'-1) sgn(v) of u' is folded to v.
+    count = []
+    copysign = math.copysign
+
+    def counted(x, y):
+        count.append(1)
+        return copysign(x, y)
+
+    spec = ball_spec(p=p, q=15.0)
+    monkeypatch.setattr(math, "copysign", counted)
+    ivp, field = _shot_start(0.5, spec, SolverConfig())
+    count.clear()  # the start-up state may call it once
+    odeint.end_state(ivp, field)
+    integrate(ivp)
+    monkeypatch.undo()
+    assert bool(count) == calls

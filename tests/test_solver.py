@@ -504,14 +504,72 @@ def test_rstar_rejects_a_bad_r_cap_before_any_shot(r_cap, monkeypatch):
 
 def test_upper_scan_survives_startup_overflow():
     # At q = 200, d**199 overflows for the top upper-grid nodes; those
-    # shots are gaps, not a crash.
+    # shots are gaps, not a crash.  N = 2 scans the whole upper grid
+    # (N = 1 ends it just past d0, below every such node).
     cfg = SolverConfig(d_grid_size=40)
-    scan = theta_scan(ball(q=200.0), cfg, "upper")
+    spec = ball(dim=2, q=200.0)
+    scan = theta_scan(spec, cfg, "upper")
     assert [d for d, _ in scan] == d_grid(cfg, "upper")
     assert math.isnan(scan[-1][1])
     assert not math.isnan(scan[len(scan) // 2][1])
     with pytest.raises(NumericsError, match="start-up state not finite"):
-        shoot(D_MAX_UPPER, ball(q=200.0), cfg, profile=False)
+        shoot(D_MAX_UPPER, spec, cfg, profile=False)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ball(q=15.0),
+        ProblemSpec(p=1.5, dim=1, domain=Annulus(0.5, 2.0), g=Nonlinearity(4.0, r_exp=2.0)),
+        ball(dim=2, q=15.0),
+    ],
+    ids=["ball", "annulus", "N2"],
+)
+def test_upper_scan_of_n1_ends_at_its_first_node_past_d0(spec, monkeypatch):
+    # F(d0) = F(0) for F(u) = u^q/q - u^r/r: d0 = (q/r)^(1/(q-r)).  N = 1
+    # keeps the nodes below d0 and the first one at or above it; N = 2
+    # scans the whole grid.
+    shots = []
+    monkeypatch.setattr(solver, "_theta_end", lambda d, spec, cfg: shots.append(d) or 0.0)
+    cfg = SolverConfig(d_grid_size=40)
+    grid = d_grid(cfg, "upper")
+    q, r = spec.g.q, spec.g.r_exp_for(spec.p)
+    d0 = (q / r) ** (1.0 / (q - r))
+    scan = [d for d, _ in theta_scan(spec, cfg, "upper")]
+    assert scan == shots
+    if spec.dim == 1:
+        past = [d for d in grid if d >= d0]
+        assert scan == [d for d in grid if d < d0] + past[:1] and len(past) > 1
+    else:
+        assert scan == grid
+    assert [d for d, _ in theta_scan(spec, cfg, "lower")] == d_grid(cfg, "lower")
+
+
+@pytest.mark.parametrize(
+    "spec, max_zeros",
+    [
+        (ProblemSpec(p=1.5, dim=1, domain=Ball(20.0), g=Nonlinearity(q=20.0)), 4),
+        (ball(q=400.0), 3),
+        (ball(p=3.0, q=4.0), 3),
+    ],
+    ids=["p1.5-R20-q20", "q400", "p3-q4"],
+)
+def test_upper_records_and_rejections_equal_those_of_the_uncut_grid(
+    spec, max_zeros, caplog, monkeypatch
+):
+    # No positive N = 1 solution starts above d0, so the nodes cut there
+    # bracket only candidates that validation would reject.  p = 1.5
+    # rejects candidates just below d0 and near d = 1, q = 400 one near
+    # d = 1, and p = 3 none.
+    def solve():
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="plapshoot.solver"):
+            records = find_solutions(spec, CFG, max_zeros, ("upper",))
+        return records, list(caplog.messages)
+
+    cut = solve()
+    monkeypatch.setattr(solver, "_zero_energy_level", lambda spec: math.inf)
+    assert cut == solve() and cut[0]
 
 
 def test_find_solutions_validates_arguments():
