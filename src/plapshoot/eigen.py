@@ -20,13 +20,15 @@ brackets the root by doubling or halving with
 :func:`~plapshoot.odeint.illinois_bracket`.
 
 The angle runs through :func:`~plapshoot.odeint.end_state`, with the
-trial step generated from the Dormand-Prince tableau for its one
-component and its rate, written once as a body (one for N = 1, one for
-N > 1), pasted into each stage.  The body calls the bound
-:meth:`~plapshoot.ptrig.PTrigContext.pair` for the table look-up.  It
-keeps only the end value.  Only :func:`eigenfunction`, which samples a
-profile, runs the dense :func:`~plapshoot.odeint.integrate`, whose
-trial step is generated from the same tableau.
+march generated from the Dormand-Prince tableau for its one component
+and its rate, written once as a body (one for N = 1, one for N > 1),
+pasted into each stage.  The body calls the bound
+:meth:`~plapshoot.ptrig.PTrigContext.pair` for the table look-up, and
+at p = 2 squares ``sin_p`` and ``cos_p`` with no ``abs``, which the
+fold of even exponents removes.  It keeps only the end value.  Only
+:func:`eigenfunction`, which samples a profile, runs the dense
+:func:`~plapshoot.odeint.integrate`, whose march is generated from the
+same tableau.
 """
 
 from __future__ import annotations

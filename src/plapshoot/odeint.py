@@ -7,22 +7,26 @@ systems in this package are tiny (two to four components), the right
 hand sides are scalar math, and repeated runs must be bit-for-bit
 deterministic across processes.
 
-Every Dormand-Prince path of the package runs one step loop,
-:func:`_march`, and one trial step, which :func:`_end_trial` generates
-from the tableau with the body of the field pasted into every stage, so
-that no stage calls a function for its slope.  A field is written once,
-as a body of statements, and :func:`compile_field` turns it into the
-callable of :class:`IvpSpec` and the trial step of :func:`end_state`,
-which keeps only the end state.  The shots of ``plapshoot.radial`` (one
-body for N = 1 and one for N > 1) and the eigenvalue angles of
+Every Dormand-Prince path of the package runs one step loop, a march
+that :func:`_end_trial` generates per field from the tableau, with the
+body of the field pasted into every stage and the PI controller around
+them, so that no step calls a function for its slope or its trial.  A
+field is written once, as a body of statements, and
+:func:`compile_field` turns it into the callable of :class:`IvpSpec`
+and the march of :func:`end_state`, which keeps only the end state;
+:func:`_run` starts both.  The shots of ``plapshoot.radial`` (one body
+for N = 1 and one for N > 1) and the eigenvalue angles of
 ``plapshoot.eigen`` are written so.  Before a body is compiled,
-:func:`_fold` folds out the constants equal to 1: ``x ** k``, ``k * x``
-and the signed power ``copysign(abs(x) ** k, x)`` become ``x``, exact
-for every double, so that a shot at p = 2 pays for none of its unit
-exponents.  Squares stay ``x ** 2.0``, which differs from ``x * x`` in
-the last bit for some doubles.  :func:`integrate` runs the dense
-variant of the trial step, which also forms the interpolant weights of
-each step, for the one-line body that calls ``IvpSpec.rhs``.
+:func:`_fold` folds out the constants equal to 1, where ``x ** k``,
+``k * x`` and the signed power ``copysign(abs(x) ** k, x)`` become
+``x``, and those equal to an even integer, where ``abs(x) ** k``
+becomes ``x ** k``: exact for every double, so that a shot at p = 2
+pays for none of its unit exponents and no ``abs`` in its stages.
+Squares stay ``x ** 2.0``, which differs from ``x * x`` in the last
+bit for some doubles.  :func:`integrate` runs the dense variant of the
+march, which also appends each accepted step and its interpolant
+weights to the solution, for the one-line body that calls
+``IvpSpec.rhs``.
 
 The dense output is what profiles and events build on: event
 location (:func:`crossings`) and profile sampling both evaluate the
@@ -106,7 +110,7 @@ _BISECT_MAX_ITERS = 200
 # crossings closes in to this width relative to max(1, |r|).
 _CROSSING_TOL = 1e-12
 
-# Step attempts, accepted or rejected, after which _march gives up.
+# Step attempts, accepted or rejected, after which a march gives up.
 MAX_STEPS = 1_000_000
 
 
@@ -250,80 +254,31 @@ def _initial_step(ivp: IvpSpec, f0) -> float:
     return 1e-6 * span
 
 
-def _march(ivp: IvpSpec, trial, keep=None) -> tuple[tuple[float, ...], int, int]:
-    """The Dormand-Prince step loop over ``ivp``: every path runs this.
+def _run(ivp: IvpSpec, march, *dense) -> tuple[tuple[float, ...], int, int]:
+    """``march`` over ``ivp`` after the start-up that every path shares.
 
-    ``trial(r, h, y, k1)`` makes one trial step of size ``h`` from the
-    state ``y`` at ``r``, whose slope is ``k1``, and returns ``(err,
-    y_new, k7, evals)``: the scaled error norm (``inf`` when a stage or
-    the endpoint was not finite), the endpoint, its slope, and the rhs
-    evaluations made.  Each accepted step calls ``keep(r_new, y_new)``
-    when given, while ``trial``'s stages are still those of the step.
-    Returns ``(y_end, n_steps, n_rhs_evals)``.
-
-    Raises :class:`IntegrationError` when the rhs is not finite at the
-    start, ``MAX_STEPS`` trial steps are spent or the step size
-    underflows.
+    The start-up takes the slope at the start, two rhs evaluations with
+    the probe of :func:`_initial_step`, and raises
+    :class:`IntegrationError` when that slope is not finite.
+    ``MAX_STEPS`` is read here, at each call.
     """
-    r = ivp.r_start
-    r_end = ivp.r_end
-    y = ivp.y0
-    k1 = _call_rhs(ivp.rhs, r, y, len(y))
+    k1 = _call_rhs(ivp.rhs, ivp.r_start, ivp.y0, len(ivp.y0))
     if not all(math.isfinite(c) for c in k1):
-        raise IntegrationError("right hand side not finite at the start", r)
+        raise IntegrationError("right hand side not finite at the start", ivp.r_start)
     h = _initial_step(ivp, k1)
-    n_evals = 2
-    max_steps = MAX_STEPS
-    facold = 1e-4
-    step_rejected = False
-    attempts = n_steps = 0
-
-    # Comparisons stand in for min and max on this path: same values,
-    # without a builtin call per step.
-    while r < r_end:
-        if attempts >= max_steps:
-            raise IntegrationError(f"exceeded max_steps={max_steps}", r)
-        attempts += 1
-        if r_end - r < h:
-            h = r_end - r
-        if h <= 1e-300 or h <= abs(r) * 1e-15:
-            raise IntegrationError("step size underflow", r)
-        err, y_new, k7, evals = trial(r, h, y, k1)
-        n_evals += evals
-
-        # PI controller.  A non-finite error shrinks the step by 4, a
-        # rejected one by the error's fifth root, and the step after a
-        # rejection does not grow.
-        if err <= 1.0:
-            fac = (err**_EXPO / facold**_BETA if err > 0 else _FAC_LO) / _SAFETY
-            fac = _FAC_LO if fac < _FAC_LO else _FAC_HI if fac > _FAC_HI else fac
-            r = r_end if h >= (r_end - r) else r + h
-            y = y_new
-            k1 = k7
-            n_steps += 1
-            if keep is not None:
-                keep(r, y)
-            h_next = h / fac
-            h = min(h_next, h) if step_rejected else h_next
-            facold = err if err > 1e-4 else 1e-4
-            step_rejected = False
-        elif err < math.inf:
-            h = h / min(_FAC_HI, err**_EXPO / _SAFETY)
-            step_rejected = True
-        else:
-            h = h * 0.25
-            step_rejected = True
-
-    return y, n_steps, n_evals
+    y, n_steps, n_evals = march(
+        ivp.r_start, ivp.r_end, ivp.y0, k1, h, ivp.rel_tol, ivp.abs_tol, MAX_STEPS, *dense
+    )
+    return y, n_steps, n_evals + 2
 
 
 def integrate(ivp: IvpSpec) -> DenseSolution:
     """Integrate ``ivp`` over its full interval.
 
-    Runs :func:`_march` with the dense trial step that :func:`_end_trial`
-    generates for the one-line body that calls ``ivp.rhs``, so every
-    stage calls ``ivp.rhs`` and the steps are those of :func:`end_state`.
-    The number of components ``ivp.rhs`` returns is checked, with
+    Runs the dense march that :func:`_end_trial` generates for the
+    one-line body that calls ``ivp.rhs``, so every stage calls
+    ``ivp.rhs`` and the steps are those of :func:`end_state`.  The
+    number of components ``ivp.rhs`` returns is checked, with
     :class:`SpecError`, at the start and at the first-step probe only; a
     later stage that returns the wrong number raises the ``ValueError``
     of the tuple unpacking.
@@ -335,37 +290,33 @@ def integrate(ivp: IvpSpec) -> DenseSolution:
     dim = len(ivp.y0)
     reads = tuple(f"y{d}" for d in range(dim))
     body = f"{''.join(f'f{d}, ' for d in range(dim))}= field(r, ({', '.join(reads)},))"
-    weights = [()]  # the interpolant weights of the last trial step
-    trial = _end_trial(dim, reads, (body,), ("field",), dense=True)(field=ivp.rhs)[1]
+    march = _end_trial(dim, reads, (body,), ("field",), dense=True)(field=ivp.rhs)[1]
     rs = [ivp.r_start]
     ys = [ivp.y0]
     cells: list[tuple[float, ...]] = []
-
-    def keep(r, y):
-        r_lo = rs[-1]
-        cells.append((r_lo, r - r_lo, *ys[-1], *weights[0]))
-        rs.append(r)
-        ys.append(y)
-
-    n_evals = _march(ivp, trial(ivp.rel_tol, ivp.abs_tol, weights), keep)[2]
+    n_evals = _run(ivp, march, rs, ys, cells)[2]
     return DenseSolution(rs=rs, ys=ys, cells=cells, n_rhs_evals=n_evals)
 
 
-# A slope name of a field body, which each stage of a trial step renames.
+# A slope name of a field body, which each stage renames, and a read of
+# the radius, which a stage may replace by its value.
 _SLOPE = re.compile(r"\bf(\d+)\b")
+_RADIUS = re.compile(r"(?<![\w.])r\b")
 
 
 class Field(NamedTuple):
     """A right hand side compiled from its body, in the two forms it runs in.
 
-    ``rhs(r, y)`` is the callable of :class:`IvpSpec`.  ``trial(rel_tol,
-    abs_tol)`` returns the trial step that :func:`end_state` gives
-    :func:`_march`, with the body pasted into every stage.  Build one with
-    :func:`compile_field`.
+    ``rhs(r, y)`` is the callable of :class:`IvpSpec`.  ``march`` is the
+    step loop of :func:`end_state`, with the body pasted into every
+    stage: ``march(r, r_end, y, k1, h, rel_tol, abs_tol, max_steps)``
+    steps from the state ``y`` at ``r``, whose slope is ``k1``, with the
+    first step ``h``, and returns ``(y_end, n_steps, n_rhs_evals)``, its
+    own evaluations only.  Build one with :func:`compile_field`.
     """
 
     rhs: RhsFunc
-    trial: Callable
+    march: Callable
 
 
 def compile_field(dim: int, reads: Sequence[str], body: Sequence[str], **consts) -> Field:
@@ -379,21 +330,31 @@ def compile_field(dim: int, reads: Sequence[str], body: Sequence[str], **consts)
     whose stage is not finite.  Names that begin with an underscore
     belong to the generated code, and ``copysign`` names
     :func:`math.copysign`.  Compiled by :func:`_end_trial`, once per body
-    and set of constants equal to 1, which :func:`_fold` folds out of the
-    body with the same bits, on first use.
+    and set of constants equal to 1 or to an even integer, which
+    :func:`_fold` folds out of the body with the same bits, on first use.
     """
-    units = frozenset(
-        [name for name, value in consts.items() if value == 1 and type(value) in (int, float)]
-    )
-    make = _end_trial(dim, tuple(reads), tuple(body), tuple(consts), units)
+    make = _end_trial(dim, tuple(reads), tuple(body), tuple(consts), *_fold_classes(consts))
     return Field(*make(**consts))
 
 
-class _UnitFold(ast.NodeTransformer):
-    """Rewrites an expression tree with the names in ``units`` equal to 1."""
+def _fold_classes(consts: dict) -> tuple[frozenset, frozenset]:
+    """The names of ``consts`` equal to 1, and those equal to an even integer.
 
-    def __init__(self, units: frozenset):
+    Only an ``int`` or a ``float`` counts, not a ``bool``.
+    """
+    numbers = {name: value for name, value in consts.items() if type(value) in (int, float)}
+    units = frozenset([name for name, value in numbers.items() if value == 1])
+    return units, frozenset([name for name, value in numbers.items() if value % 2 == 0])
+
+
+class _ExactFold(ast.NodeTransformer):
+    """Rewrites an expression tree with the names in ``units`` equal to 1
+    and those in ``evens`` equal to even integers.
+    """
+
+    def __init__(self, units: frozenset, evens: frozenset):
         self.units = units
+        self.evens = evens
 
     def _unit(self, node) -> bool:
         return isinstance(node, ast.Name) and node.id in self.units
@@ -404,6 +365,10 @@ class _UnitFold(ast.NodeTransformer):
             return node.left
         if isinstance(node.op, ast.Mult) and self._unit(node.left):
             return node.right
+        if isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Name):
+            match node.left:
+                case ast.Call(ast.Name("abs"), [x], []) if node.right.id in self.evens:
+                    node.left = x
         return node
 
     def visit_Call(self, node):
@@ -422,48 +387,70 @@ class _UnitFold(ast.NodeTransformer):
         return node
 
 
-def _fold(body: tuple, units: frozenset) -> tuple:
-    """``body`` with the constants named in ``units``, all equal to 1, folded out.
+def _fold(body: tuple, units: frozenset, evens: frozenset) -> tuple:
+    """``body`` with the constants named in ``units`` and ``evens`` folded out.
 
-    ``x ** k``, ``k * x`` and the signed power ``copysign(abs(x) ** k, x)``
-    become ``x``.  Each rewrite gives the bits of the expression it
-    replaces for every double ``x``, ±0.0, subnormals, ±inf and NaN
-    included, and none of them can raise.  Squares are not folded:
-    ``x ** 2.0`` and ``x * x`` differ in the last bit for some doubles.
+    The names in ``units`` are equal to 1: ``x ** k``, ``k * x`` and the
+    signed power ``copysign(abs(x) ** k, x)`` become ``x``.  Those in
+    ``evens`` are even integers: ``abs(x) ** k`` becomes ``x ** k``, as
+    float ``**`` takes the absolute value of a negative base itself when
+    the exponent is an even integer.  Each rewrite gives the bits of the
+    expression it replaces, or raises what it raises, for every double
+    ``x``, ±0.0, subnormals, ±inf and NaN included; only the sign of a
+    NaN may differ, which no finiteness test sees.  Squares are not
+    multiplied out: ``x ** 2.0`` and ``x * x`` differ in the last bit
+    for some doubles.
     """
-    if not units:
+    if not units and not evens:
         return body
-    tree = _UnitFold(units).visit(ast.parse("\n".join(body)))
+    tree = _ExactFold(units, evens).visit(ast.parse("\n".join(body)))
     return tuple(ast.unparse(tree).splitlines())
 
 
 @lru_cache(maxsize=None)
 def _end_trial(
-    dim: int, reads: tuple, body: tuple, consts: tuple, units=frozenset(), dense: bool = False
+    dim: int,
+    reads: tuple,
+    body: tuple,
+    consts: tuple,
+    units=frozenset(),
+    evens=frozenset(),
+    dense: bool = False,
 ):
     """Both forms of a field, generated from its body and the tableau.
 
     Returns ``make(**consts)``, which returns the two members of a
-    :class:`Field`.  The constants named in ``units`` are folded out of
-    ``body`` first, by :func:`_fold`.  The trial step is written from
-    ``_A``, ``_C`` and ``_E`` with the tableau's entries as literals:
-    each sum adds its nonzero terms left to right in tableau order, and
-    not by the builtin ``sum``, which compensates its rounding from
-    Python 3.12 on, so that every version takes the same steps to the
-    last bit.  Each stage sets ``r`` and the components the body reads,
-    then runs the body with its slopes renamed to the stage's.  A value
-    ``x`` is finite when ``x * 0.0`` is zero, and ``max`` is a
-    conditional expression: the verdicts and bits of ``isfinite`` and
-    ``max``, without a call.
+    :class:`Field`.  The constants named in ``units`` and ``evens`` are
+    folded out of ``body`` first, by :func:`_fold`.  The march is the one
+    Dormand-Prince step loop of the package: the step budget, the cut to
+    ``r_end``, the underflow check, the seven stages of a trial step and
+    the PI controller, with the state and the slope of the last stage
+    (FSAL) kept in locals.  A non-finite error shrinks the step by 4, a
+    rejected one by the error's fifth root, and the step after a
+    rejection does not grow.  The stages are written from ``_A``, ``_C``
+    and ``_E`` with the tableau's entries as literals: each sum adds its
+    nonzero terms left to right in tableau order, and not by the builtin
+    ``sum``, which compensates its rounding from Python 3.12 on, so that
+    every version takes the same steps to the last bit.  Each stage sets
+    the components the body reads, and ``r`` where the body reads it
+    more than once (a single read takes the value in place), then runs
+    the body with its slopes renamed to the stage's.  A value ``x`` is
+    finite when ``x * 0.0`` is zero, and ``max`` is a conditional
+    expression: the verdicts and bits of ``isfinite`` and ``max``,
+    without a call.
 
-    With ``dense``, the trial step is that of :func:`integrate`: its
-    factory takes a list as a third argument, and a trial step that
-    stays finite stores in the list's first item the ``4 * dim``
-    interpolant weights of a :class:`DenseSolution` cell, summed from
-    ``_P`` in the same way.
+    With ``dense``, the march is that of :func:`integrate`: it takes the
+    lists ``rs``, ``ys`` and ``cells`` of a :class:`DenseSolution` as
+    three more arguments and appends every accepted step to them, with
+    the ``4 * dim`` interpolant weights of its cell summed from ``_P`` in
+    the same way.
     """
-    body = _fold(body, units)
+    body = _fold(body, units, evens)
     ds = range(dim)
+    radius_reads = sum(
+        isinstance(node, ast.Name) and node.id == "r"
+        for node in ast.walk(ast.parse("\n".join(body)))
+    )
 
     def tup(names):
         return f"({', '.join(names)},)"
@@ -471,55 +458,106 @@ def _end_trial(
     def names(prefix):
         return [f"{prefix}{d}" for d in ds]
 
-    def finite(vals):
-        return " + ".join(f"{v} * 0.0" for v in vals) + " == 0.0"
+    def shrink(h):
+        return [f"    _h = {h}", "    _rejected = True", "    continue"]
+
+    def reject(vals, evals):
+        # A stage or endpoint that is not finite rejects the trial after
+        # ``evals`` evaluations and shrinks the step by 4.
+        test = " + ".join(f"{v} * 0.0" for v in vals) + " == 0.0"
+        return [f"if not {test}:", f"    _evals += {evals}", *shrink("_h * 0.25")]
 
     def summed(weights, d):
         return " + ".join(f"{w!r} * _k{j + 1}_{d}" for j, w in enumerate(weights) if w)
 
     def stage(s, states):
-        # Slope k_s at r + c_s h; on a non-finite one, give up after s - 1
-        # evaluations.
-        out = [f"r = _r + {_C[s - 1]!r} * _h"]
+        # Slope k_s at r + c_s h.
+        r = f"_r + {_C[s - 1]!r} * _h"
+        out = [f"r = {r}"] if radius_reads > 1 else []
         out += [f"{name} = {state}" for name, state in zip(reads, states)]
-        out += [_SLOPE.sub(rf"_k{s}_\1", line) for line in body]
-        return out + [f"if not {finite(names(f'_k{s}_'))}:", f"    return inf, None, None, {s - 1}"]
+        for line in body:
+            if radius_reads == 1:
+                line = _RADIUS.sub(f"({r})", line)
+            out.append(_SLOPE.sub(rf"_k{s}_\1", line))
+        return out + reject(names(f"_k{s}_"), s - 1)
 
-    step = [f"{tup(names('_y'))} = _y", f"{tup(names('_k1_'))} = _k1"]
+    loop = [
+        "if _attempts >= _max_steps:",
+        "    raise _fail(f'exceeded max_steps={_max_steps}', _r)",
+        "_attempts += 1",
+        "if _r_end - _r < _h:",
+        "    _h = _r_end - _r",
+        "if _h <= 1e-300 or _h <= abs(_r) * 1e-15:",
+        "    raise _fail('step size underflow', _r)",
+    ]
     for s in range(2, 7):
-        step += stage(s, [f"_y{d} + _h * ({summed(_A[s - 1], d)})" for d in range(len(reads))])
-    step += [f"_n{d} = _y{d} + _h * ({summed(_A[6], d)})" for d in ds]
-    step += [f"if not {finite(names('_n'))}:", "    return inf, None, None, 5"]
-    step += stage(7, names("_n"))
+        loop += stage(s, [f"_y{d} + _h * ({summed(_A[s - 1], d)})" for d in range(len(reads))])
+    loop += [f"_n{d} = _y{d} + _h * ({summed(_A[6], d)})" for d in ds]
+    loop += reject(names("_n"), 5)
+    loop += stage(7, names("_n"))
+    loop.append("_evals += 6")
     for d in ds:
-        step += [
+        loop += [
             f"_a{d} = abs(_y{d})",
             f"_b{d} = abs(_n{d})",
             f"_q{d} = _h * ({summed(_E, d)})"
             f" / (_abs_tol + _rel_tol * (_a{d} if _a{d} >= _b{d} else _b{d}))",
         ]
-    if dense:
-        weights = (summed(col, d) for d in ds for col in zip(*_P))
-        step.append(f"_w[0] = {tup(weights)}")
     norm = " + ".join(f"_q{d} * _q{d}" for d in ds)
-    step.append(
-        f"return _sqrt(({norm}) / {dim}), {tup(names('_n'))}, {tup(names('_k7_'))}, 6"
-    )
+    loop += [
+        f"_err = _sqrt(({norm}) / {dim})",
+        "if _err <= 1.0:",
+        f"    _fac = (_err ** {_EXPO!r} / _facold ** {_BETA!r} if _err > 0 else {_FAC_LO!r})"
+        f" / {_SAFETY!r}",
+        f"    _fac = {_FAC_LO!r} if _fac < {_FAC_LO!r} else {_FAC_HI!r} if _fac > {_FAC_HI!r}"
+        " else _fac",
+    ]
+    advance = "    _r = _r_end if _h >= (_r_end - _r) else _r + _h"
+    if dense:
+        cell = ["_r_lo", "_r - _r_lo", *names("_y")]
+        cell += [summed(col, d) for d in ds for col in zip(*_P)]
+        loop += [
+            "    _r_lo = _r",
+            advance,
+            f"    _cells.append({tup(cell)})",
+            "    _rs.append(_r)",
+            f"    _ys.append({tup(names('_n'))})",
+        ]
+    else:
+        loop.append(advance)
+    loop += [f"    _y{d} = _n{d}" for d in ds] + [f"    _k1_{d} = _k7_{d}" for d in ds]
+    loop += [
+        "    _steps += 1",
+        "    _h_next = _h / _fac",
+        "    _h = min(_h_next, _h) if _rejected else _h_next",
+        "    _facold = _err if _err > 0.0001 else 0.0001",
+        "    _rejected = False",
+        "elif _err < inf:",
+        *shrink(f"_h / min({_FAC_HI!r}, _err ** {_EXPO!r} / {_SAFETY!r})"),
+        "else:",
+        *shrink("_h * 0.25"),
+    ]
     rhs = [f"{name} = _y[{d}]" for d, name in enumerate(reads)] + list(body)
+    args = "_r, _r_end, _y, _k1, _h, _rel_tol, _abs_tol, _max_steps"
     source = "".join(
         [
             f"def make({', '.join(consts)}):\n",
             "    def rhs(r, _y):\n",
             *(f"        {line}\n" for line in rhs),
             f"        return {tup(names('f'))}\n",
-            f"    def trial(_rel_tol, _abs_tol{', _w' if dense else ''}):\n",
-            "        def step(_r, _h, _y, _k1):\n",
-            *(f"            {line}\n" for line in step),
-            "        return step\n",
-            "    return rhs, trial\n",
+            f"    def march({args}{', _rs, _ys, _cells' if dense else ''}):\n",
+            f"        {tup(names('_y'))} = _y\n",
+            f"        {tup(names('_k1_'))} = _k1\n",
+            "        _facold = 0.0001\n",
+            "        _rejected = False\n",
+            "        _attempts = _steps = _evals = 0\n",
+            "        while _r < _r_end:\n",
+            *(f"            {line}\n" for line in loop),
+            f"        return {tup(names('_y'))}, _steps, _evals\n",
+            "    return rhs, march\n",
         ]
     )
-    namespace = {"inf": math.inf, "_sqrt": math.sqrt}
+    namespace = {"inf": math.inf, "_sqrt": math.sqrt, "_fail": IntegrationError}
     exec(source, namespace)
     return namespace["make"]
 
@@ -527,11 +565,11 @@ def _end_trial(
 def end_state(ivp: IvpSpec, field: Field) -> tuple[tuple[float, ...], int, int]:
     """End of ``ivp`` by Dormand-Prince 5(4), keeping no dense output.
 
-    ``ivp.rhs`` is ``field.rhs``.  Runs :func:`_march` with the trial
-    step of ``field``, so it takes the steps :func:`integrate` takes and
-    raises what it raises.  Returns ``(y_end, n_steps, n_rhs_evals)``.
+    ``ivp.rhs`` is ``field.rhs``.  Runs the march of ``field``, so it
+    takes the steps :func:`integrate` takes and raises what it raises.
+    Returns ``(y_end, n_steps, n_rhs_evals)``.
     """
-    return _march(ivp, field.trial(ivp.rel_tol, ivp.abs_tol))
+    return _run(ivp, field.march)
 
 
 def grow_bracket(

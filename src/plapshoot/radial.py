@@ -34,12 +34,11 @@ validated solutions, the ``plapshoot shoot`` command and anything that
 plots a profile take this kind.  ``shoot(d, spec, cfg, profile=False)``
 keeps only the end state through :func:`~plapshoot.odeint.end_state`
 and returns a :class:`ShotEnd`; the scan and the bisection in
-:mod:`plapshoot.solver` take this kind.  Both kinds run the trial step
-that ``odeint`` generates from the Dormand-Prince tableau, the dense one
-with a call of the field's callable in each stage and the other with
-the field's body pasted in, and step through
-:func:`~plapshoot.odeint._march`, the one step loop of the package, so
-they give the same terminal angle to the last bit.
+:mod:`plapshoot.solver` take this kind.  Both kinds run the one step
+loop of the package, the march that ``odeint`` generates from the
+Dormand-Prince tableau, the dense one with a call of the field's
+callable in each stage and the other with the field's body pasted in,
+so they give the same terminal angle to the last bit.
 
 Both kinds evaluate one field, written once as a body of statements,
 ``_SHOT_N1`` for N = 1 and ``_SHOT_N`` for N > 1, and compiled per shot
@@ -50,11 +49,12 @@ compiles as well; they write their powers inline, and for N = 1 skip
 the flux weight ``r^(N-1) = 1``.  At p = 2 the exponents ``p - 1``,
 ``p' - 1`` and, for the pure power, ``r - 1`` are 1, and
 :func:`~plapshoot.odeint.compile_field` folds them out of the body, the
-signed power ``|v|^(p'-1) sgn(v)`` included; ``|v|^p'`` and
-``|u - 1|^p`` stay powers, since a square by multiplication may differ
-in its last bit.  Every slope is the one the formulas above give, to
-the last bit.  A start-up state already under the collapse floor is
-caught by the field's first evaluation, like any later one.
+signed power ``|v|^(p'-1) sgn(v)`` included; ``p`` and ``p'`` are 2,
+so ``|v|^p'`` and ``|u - 1|^p`` become ``v ** pp`` and ``um1 ** p``,
+with no ``abs``.  They stay powers, since a square by multiplication
+may differ in its last bit.  Every slope is the one the formulas above
+give, to the last bit.  A start-up state already under the collapse
+floor is caught by the field's first evaluation, like any later one.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .config import SolverConfig
@@ -179,10 +180,13 @@ class Nonlinearity:
         """The exponent r of ``f``: ``r_exp``, or p for the pure power."""
         return p if self.r_exp is None else self.r_exp
 
+    @lru_cache(maxsize=8)
     def f_for(self, p: float) -> Callable[[float], float]:
         """``f(s) = g(s) - s^(p-1) = s^(q-1) - s^(r-1)`` as a function of s.
 
-        Compiled from :data:`REACTION`, the text the shot fields paste.
+        Compiled from :data:`REACTION`, the text the shot fields paste,
+        on first use; every ball shot reads it, and the last few
+        reactions and exponents in use keep theirs.
         ``f`` is extended by zero to ``s <= 0``.  Overflow saturates to
         +inf (the top exponent dominates), which the integrator treats
         as a step into forbidden territory.
@@ -493,8 +497,8 @@ def shoot(
     ``profile=False`` only the :class:`ShotEnd`, with the same terminal
     angle, end state and step count.  That kind runs
     :func:`~plapshoot.odeint.end_state`: the field reads ``u`` and ``v``,
-    not the angle, so the generated trial step forms no stage values of
-    the angle.
+    not the angle, so the generated march forms no stage values of the
+    angle.
     Raises :class:`NearConstantShotError` if the phase-plane radius
     collapses below ``RHO_FLOOR`` along the way, and
     :class:`IntegrationError` if the integrator gives up.

@@ -10,6 +10,8 @@ verdict, and in captured stdout) before asserting.  Run with::
 import math
 
 import pytest
+from scipy.optimize import brentq
+from test_solver import _time_map
 
 from plapshoot.branch import bifurcation_onset
 from plapshoot.config import SolverConfig
@@ -178,6 +180,25 @@ def test_criterion_6_p3_unbounded_winding(p3_records):
          all(("upper", j) in found for j in (1, 2, 3))),
     ]
     report(6, checks)
+
+
+def test_criterion_6_records_lie_on_the_time_map_roots(p3_records):
+    # The N = 1 time map of tests/test_solver.py gives the exact roots:
+    # the lower ones solve j T(d) = 1 (T falls from d = 0 to d = 1 at
+    # p = 3), and each upper one is the conjugate of the lower root with
+    # the same j.  Every record lies within the benchmark's ROOT_TOL,
+    # 1e-8, of its root; the farthest, lower j = 1, by 5.8e-9.
+    half_time, conjugate = _time_map(3.0, 4.0)
+    exact = {
+        j: brentq(lambda d, j=j: j * half_time(d) - 1.0, 1e-3, 1.0 - 1e-5, xtol=1e-15)
+        for j in (1, 2, 3)
+    }
+    assert sorted((rec.side, rec.zeros) for rec in p3_records) == [
+        (side, j) for side in ("lower", "upper") for j in (1, 2, 3)
+    ]
+    for rec in p3_records:
+        root = exact[rec.zeros] if rec.side == "lower" else conjugate(exact[rec.zeros])
+        assert abs(rec.d - root) <= 1e-8, (rec.side, rec.zeros, rec.d, root)
 
 
 def test_criterion_7_threshold_radius_p_below_2(rstar1):

@@ -458,21 +458,23 @@ def _called(field, dim, reads):
 
 
 def test_fifth_order_convergence():
-    # One generated trial step from (1, 0) on the rotation u' = -v,
-    # v' = u, whose exact solution is (cos h, sin h): halving h should
-    # shrink the one-step error by about 2**6 for a fifth order method.
-    # The rotation is written once as a body and once as a callable.
+    # One generated step from (1, 0) on the rotation u' = -v, v' = u,
+    # whose exact solution is (cos h, sin h): halving h should shrink the
+    # one-step error by about 2**6 for a fifth order method.  The
+    # rotation is written once as a body and once as a callable.
     fields = (
         compile_field(2, ("u", "v"), ("f0 = -v", "f1 = u")),
         _called(lambda r, u, v: (-v, u), 2, 2),
     )
     errors = []
     for field in fields:
-        trial = field.trial(1e-2, 1e-2)
 
         def one_step_error(h):
-            _, (u, v), _, evals = trial(0.0, h, (1.0, 0.0), field.rhs(0.0, (1.0, 0.0)))
-            assert evals == 6
+            # A march over [0, h] that starts with the step h and may
+            # make one attempt: its one step must be accepted.
+            y0 = (1.0, 0.0)
+            (u, v), steps, evals = field.march(0.0, h, y0, field.rhs(0.0, y0), h, 1e-2, 1e-2, 1)
+            assert (steps, evals) == (1, 6)
             return math.hypot(u - math.cos(h), v - math.sin(h))
 
         e1 = one_step_error(0.4)
@@ -485,9 +487,11 @@ def test_fifth_order_convergence():
 
 @pytest.mark.parametrize("dim, reads", [(3, 2), (1, 1)])
 def test_failed_trial_counts_the_evaluations_it_made(dim, reads):
-    # A trial step whose n-th evaluation is not finite (stage n + 1, or
-    # the endpoint's slope for n = 6) returns inf and n evaluations, for
-    # a field written as a body and for a callable one.
+    # A march whose n-th evaluation is not finite (stage n + 1 of its
+    # first trial step, or the endpoint's slope for n = 6) rejects that
+    # trial after n evaluations and counts them; every later step on
+    # the constant slope 1 is accepted and makes 6.  For a field written
+    # as a body and for a callable one.
     y, k1 = (0.0,) * dim, (1.0,) * dim
     names = [f"y{d}" for d in range(reads)]
     slopes = [f"f{d}" for d in range(dim)]
@@ -506,17 +510,26 @@ def test_failed_trial_counts_the_evaluations_it_made(dim, reads):
 
         for kind in (body, _called(field, dim, reads)):
             calls.clear()
-            trial = kind.trial(1e-6, 1e-6)
-            assert trial(0.0, 0.5, y, k1) == (math.inf, None, None, fail_at)
+            _, steps, evals = kind.march(0.0, 0.5, y, k1, 0.5, 1e-6, 1e-6, 10)
+            assert steps >= 2
+            assert evals == fail_at + 6 * steps == len(calls)
+            # With one attempt the failed trial is all there is.
+            calls.clear()
+            with pytest.raises(IntegrationError, match="exceeded max_steps=1"):
+                kind.march(0.0, 0.5, y, k1, 0.5, 1e-6, 1e-6, 1)
             assert len(calls) == fail_at
     # Finite slopes of 1e308 whose endpoint overflows at h = 2: five
     # evaluations, and none at the endpoint.
     big = (1e308,) * dim
+    calls = []
     for kind in (
-        compile_field(dim, names, [f"{' = '.join(slopes)} = 1e308"]),
-        _called(lambda r, *state: big[0] if dim == 1 else big, dim, reads),
+        compile_field(dim, names, ["calls.append(r)", f"{' = '.join(slopes)} = 1e308"], calls=calls),
+        _called(lambda r, *state: calls.append(r) or (big[0] if dim == 1 else big), dim, reads),
     ):
-        assert kind.trial(1e-6, 1e-6)(0.0, 2.0, y, big) == (math.inf, None, None, 5)
+        calls.clear()
+        with pytest.raises(IntegrationError, match="exceeded max_steps=1"):
+            kind.march(0.0, 2.0, y, big, 2.0, 1e-6, 1e-6, 1)
+        assert len(calls) == 5
 
 
 def _dot(w, k, d):
@@ -536,13 +549,79 @@ def _error_norm(err, y_old, y_new, rel_tol, abs_tol):
     return math.sqrt(acc / len(err))
 
 
+def _reference_march(ivp, trial, keep=None):
+    """The Dormand-Prince step loop over ``ivp``, as a plain loop.
+
+    ``trial(r, h, y, k1)`` makes one trial step of size ``h`` from the
+    state ``y`` at ``r``, whose slope is ``k1``, and returns ``(err,
+    y_new, k7, evals)``: the scaled error norm (``inf`` when a stage or
+    the endpoint was not finite), the endpoint, its slope, and the rhs
+    evaluations made.  Each accepted step calls ``keep(r_new, y_new)``
+    when given, while ``trial``'s stages are still those of the step.
+    Returns ``(y_end, n_steps, n_rhs_evals)``.  The generated marches
+    must take its steps to the bit.
+    """
+    _EXPO, _BETA, _SAFETY = odeint._EXPO, odeint._BETA, odeint._SAFETY
+    _FAC_LO, _FAC_HI = odeint._FAC_LO, odeint._FAC_HI
+    r = ivp.r_start
+    r_end = ivp.r_end
+    y = ivp.y0
+    k1 = odeint._call_rhs(ivp.rhs, r, y, len(y))
+    if not all(math.isfinite(c) for c in k1):
+        raise IntegrationError("right hand side not finite at the start", r)
+    h = odeint._initial_step(ivp, k1)
+    n_evals = 2
+    max_steps = odeint.MAX_STEPS
+    facold = 1e-4
+    step_rejected = False
+    attempts = n_steps = 0
+
+    # Comparisons stand in for min and max on this path: same values,
+    # without a builtin call per step.
+    while r < r_end:
+        if attempts >= max_steps:
+            raise IntegrationError(f"exceeded max_steps={max_steps}", r)
+        attempts += 1
+        if r_end - r < h:
+            h = r_end - r
+        if h <= 1e-300 or h <= abs(r) * 1e-15:
+            raise IntegrationError("step size underflow", r)
+        err, y_new, k7, evals = trial(r, h, y, k1)
+        n_evals += evals
+
+        # PI controller.  A non-finite error shrinks the step by 4, a
+        # rejected one by the error's fifth root, and the step after a
+        # rejection does not grow.
+        if err <= 1.0:
+            fac = (err**_EXPO / facold**_BETA if err > 0 else _FAC_LO) / _SAFETY
+            fac = _FAC_LO if fac < _FAC_LO else _FAC_HI if fac > _FAC_HI else fac
+            r = r_end if h >= (r_end - r) else r + h
+            y = y_new
+            k1 = k7
+            n_steps += 1
+            if keep is not None:
+                keep(r, y)
+            h_next = h / fac
+            h = min(h_next, h) if step_rejected else h_next
+            facold = err if err > 1e-4 else 1e-4
+            step_rejected = False
+        elif err < math.inf:
+            h = h / min(_FAC_HI, err**_EXPO / _SAFETY)
+            step_rejected = True
+        else:
+            h = h * 0.25
+            step_rejected = True
+
+    return y, n_steps, n_evals
+
+
 def _reference_integrate(ivp):
     """``integrate`` by a plain Dormand-Prince stage loop over the tableau.
 
-    The oracle of the generated trial steps: it runs the same step loop,
-    ``odeint._march``, with a trial step that loops over the stages of
-    ``odeint._A``, ``_C`` and ``_E`` and calls ``ivp.rhs`` in each, and
-    sums the interpolant weights of every accepted step from ``_P``.
+    The oracle of the generated marches: :func:`_reference_march` with a
+    trial step that loops over the stages of ``odeint._A``, ``_C`` and
+    ``_E`` and calls ``ivp.rhs`` in each, and sums the interpolant
+    weights of every accepted step from ``_P``.
     """
     rhs = ivp.rhs
     dim = len(ivp.y0)
@@ -583,7 +662,7 @@ def _reference_integrate(ivp):
         rs.append(r)
         ys.append(y)
 
-    n_evals = odeint._march(ivp, trial, keep)[2]
+    n_evals = _reference_march(ivp, trial, keep)[2]
     return DenseSolution(rs=rs, ys=ys, cells=cells, n_rhs_evals=n_evals)
 
 
@@ -737,21 +816,36 @@ def test_grow_bracket_gives_none_when_a_clamped_end_has_the_wrong_sign():
 
 def test_only_constants_equal_to_one_are_folded(monkeypatch):
     # A square stays x ** 2.0, which differs from x * x in the last bit
-    # for some doubles; a bool is not a number here.
+    # for some doubles; a bool is not a number here.  Only the absolute
+    # value under an even power goes, not the power.
     seen = []
     fold = odeint._fold
 
-    def spy(body, units):
-        seen.append(units)
-        return fold(body, units)
+    def spy(body, units, evens):
+        seen.append((units, evens))
+        return fold(body, units, evens)
 
     monkeypatch.setattr(odeint, "_fold", spy)
-    body = ("f0 = k * y ** two + y ** one * flag + copysign(abs(y) ** one, y)",)
-    consts = dict(k=1.0, two=2.0, one=1, flag=True, copysign=math.copysign)
+    body = (
+        "f0 = k * y ** two + y ** one * flag + copysign(abs(y) ** one, y)"
+        " + abs(y) ** two + abs(y) ** three",
+    )
+    consts = dict(
+        k=1.0, two=2.0, three=3.0, one=1, flag=True, copysign=math.copysign, big=math.inf
+    )
     rhs = odeint.compile_field(1, ("y",), body, **consts).rhs
-    assert seen == [frozenset({"k", "one"})]
-    assert fold(body, seen[0]) == ("f0 = y ** two + y * flag + y",)
-    assert rhs(0.0, (3.0,)) == (3.0**2.0 + 3.0 + 3.0,)
+    assert seen == [(frozenset({"k", "one"}), frozenset({"two"}))]
+    assert fold(body, *seen[0]) == (
+        "f0 = y ** two + y * flag + y + y ** two + abs(y) ** three",
+    )
+    y = -3.0
+    assert rhs(0.0, (y,)) == (y**2.0 + y + y + abs(y) ** 2.0 + abs(y) ** 3.0,)
+
+
+# The constants that test_the_fold_follows_the_expression_tree binds:
+# k is 1, i2, f2, f4 and m2 are even integers, and f3, f25 and flag are
+# not (two is not bound).
+_FOLD_CONSTS = dict(k=1.0, i2=2, f2=2.0, f4=4.0, m2=-2.0, f3=3.0, f25=2.5, flag=True)
 
 
 @pytest.mark.parametrize(
@@ -764,10 +858,50 @@ def test_only_constants_equal_to_one_are_folded(monkeypatch):
         ("f0 = -y ** k", "f0 = -y"),
         ("f0 = copysign(abs(y) ** k, z)", "f0 = copysign(abs(y), z)"),
         ("f0 = copysign(abs(y) ** two, y)", "f0 = copysign(abs(y) ** two, y)"),
+        ("f0 = abs(y) ** i2 + abs(y) ** f2", "f0 = y ** i2 + y ** f2"),
+        ("f0 = abs(y) ** f4 * abs(y) ** m2", "f0 = y ** f4 * y ** m2"),
+        ("f0 = abs(y) ** f3 + abs(y) ** f25", "f0 = abs(y) ** f3 + abs(y) ** f25"),
+        ("f0 = abs(y) ** flag", "f0 = abs(y) ** flag"),
+        ("f0 = abs(y - z) ** f2 * abs(y) ** two", "f0 = (y - z) ** f2 * abs(y) ** two"),
+        ("f0 = (abs(y) * z) ** f2", "f0 = (abs(y) * z) ** f2"),
+        ("f0 = copysign(abs(y) ** f2, y)", "f0 = copysign(y ** f2, y)"),
+        ("f0 = abs(y) ** k * f2", "f0 = abs(y) * f2"),
     ],
 )
 def test_the_fold_follows_the_expression_tree(line, folded):
     # a / k * y is (a / k) * y and y ** k ** two is y ** (k ** two):
     # neither has a product or power with k to fold.  The signed power
-    # folds only as a whole, with the same x in both places.
-    assert odeint._fold((line,), frozenset({"k"})) == (folded,)
+    # folds only as a whole, with the same x in both places.  An even
+    # power drops the abs right under it, and nothing else.
+    units, evens = odeint._fold_classes(_FOLD_CONSTS)
+    assert (units, evens) == (frozenset({"k"}), frozenset({"i2", "f2", "f4", "m2"}))
+    assert odeint._fold((line,), units, evens) == (folded,)
+
+
+def _power(x, k):
+    """The bits of ``x ** k``, or the exception it raises."""
+    try:
+        return x**k
+    except ArithmeticError as exc:
+        return type(exc), exc.args
+
+
+_FOLD_BASES = [
+    0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, 1e-300, 1e-160, 0.5, 1.0, 3.0,
+    1e154, 1.4e154, 1e300, 1.7976931348623157e308, math.inf, math.nan,
+]
+
+
+@pytest.mark.parametrize("k", [2, 2.0, 4.0, -2.0])
+def test_an_even_power_of_abs_x_is_the_power_of_x(k):
+    # Float ** takes the absolute value of a negative base itself when
+    # the exponent is an even integer: the same bits, the same overflow
+    # and the same ZeroDivisionError for every double, subnormals, ±0.0,
+    # ±inf and NaN included.  Only the sign of a NaN may differ, which
+    # neither a finiteness test nor hex() sees.
+    for x in _FOLD_BASES + [-x for x in _FOLD_BASES]:
+        folded, written = _power(x, k), _power(abs(x), k)
+        if isinstance(written, float):
+            assert folded.hex() == written.hex(), (x, k)
+        else:
+            assert folded == written, (x, k)

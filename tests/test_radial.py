@@ -1,5 +1,6 @@
 """Shooting tests, anchored by a fixed-step reference integration."""
 
+import builtins
 import dataclasses
 import math
 import re
@@ -881,12 +882,14 @@ def test_folded_field_at_p2_matches_the_reference_field(case, u0, v0):
     assert _field_outcome(lambda r, u, v: field.rhs(r, (u, v)), r, u, v) == _field_outcome(
         ref, r, u, v
     )
-    # The trial step with the folded body in its stages, against one whose
-    # stages call the reference: same bits, same verdict, same exception.
+    # The march with the folded body in its stages, against one whose
+    # stages call the reference, for three attempts from the drawn state,
+    # slope and first step: same bits, same verdicts, same exception.  The
+    # second attempt starts where the first one's error put it.
     ref_field = odeint.compile_field(3, ("u", "v"), ("f0, f1, f2 = ref(r, u, v)",), ref=ref)
     y = (u, v, 0.5)
-    assert _outcome(lambda: field.trial(1e-10, 1e-12)(r, h, y, k1)) == _outcome(
-        lambda: ref_field.trial(1e-10, 1e-12)(r, h, y, k1)
+    assert _outcome(lambda: field.march(r, r + 2.0 * h, y, k1, h, 1e-10, 1e-12, 3)) == _outcome(
+        lambda: ref_field.march(r, r + 2.0 * h, y, k1, h, 1e-10, 1e-12, 3)
     )
     # And the end state of a short run from a finite state.
     y0 = (u0, v0, 0.5)
@@ -895,6 +898,32 @@ def test_folded_field_at_p2_matches_the_reference_field(case, u0, v0):
     assert _outcome(lambda: odeint.end_state(ivp, field)) == _outcome(
         lambda: odeint.end_state(ref_ivp, ref_field)
     )
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_a_p2_shot_makes_no_abs_call_in_its_stages(p, monkeypatch):
+    # At p = 2 the exponents p and p' of |u - 1|^p and |v|^p' are even,
+    # so the body squares u - 1 and v themselves.  What abs calls are
+    # left are the step loop's: the start-up scale takes one per
+    # component, and each attempt one for the underflow check and two
+    # per component for the error norm.  At p = 2.5 every evaluation of
+    # the field adds three.
+    spec = ball_spec(p=p, q=15.0)
+    ivp, field = _shot_start(0.5, spec, SolverConfig())
+    count = []
+    builtin_abs = builtins.abs
+
+    def counted(x):
+        count.append(1)
+        return builtin_abs(x)
+
+    monkeypatch.setattr(builtins, "abs", counted)
+    _, n_steps, n_evals = odeint.end_state(ivp, field)
+    monkeypatch.undo()
+    attempts, failed = divmod(n_evals - 2, 6)
+    assert failed == 0 and attempts >= n_steps > 0
+    loop_calls = 3 + attempts * (1 + 2 * 3)
+    assert len(count) == loop_calls + (0 if p == 2.0 else 3 * n_evals)
 
 
 @pytest.mark.parametrize("p, calls", [(2.0, False), (2.5, True)])

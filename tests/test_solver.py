@@ -267,6 +267,31 @@ def test_time_map_oracle_agrees_with_every_p2_q100_record(
         assert abs(rec.d - conjugate(d)) <= 1e-9, (rec.zeros, rec.d, conjugate(d))
 
 
+# The bits of the six p = 2, q = 100 records: (zeros, d, theta_end,
+# residual) as float.hex(), per side.  Any change to the step loop, the
+# stages or the folds that moves one bit of one step shows here.
+Q100_BITS = {
+    "lower": [
+        (1, "0x1.5c5872c7140f2p-1", "0x1.921fb5440bec4p+2", "0x1.c45f841daa94cp-36"),
+        (2, "0x1.d8573ddaad2fap-1", "0x1.2d97c7f333828p+3", "0x1.2dc734470d974p-33"),
+        (3, "0x1.f93c41d9c50eap-1", "0x1.921fb5441b9f1p+3", "0x1.56fc4ecacb969p-33"),
+    ],
+    "upper": [
+        (1, "0x1.08e413d65e0c4p+0", "0x1.921fb54444a62p+1", "0x1.adf511effe2c3p-36"),
+        (2, "0x1.05e790fbc5510p+0", "0x1.921fb54bc4c90p+2", "0x1.0ce0ac65c5afdp-31"),
+        (3, "0x1.025c044450003p+0", "0x1.2d97c7f340cb9p+3", "0x1.cd2e8e5476dacp-33"),
+    ],
+}
+
+
+def test_the_six_q100_records_keep_their_bits(q100_lower, q100_upper_to_j3):
+    for side, records in (("lower", q100_lower), ("upper", q100_upper_to_j3)):
+        bits = [
+            (rec.zeros, rec.d.hex(), rec.theta_end.hex(), rec.residual.hex()) for rec in records
+        ]
+        assert bits == Q100_BITS[side], side
+
+
 def test_time_map_tends_to_the_linearised_half_period():
     # Near u = 1 the shot solves u'' = -(q - 2)(u - 1), whose half period
     # is pi / sqrt(q - 2); the gap shrinks like (1 - d)^2 (4.2e-6 here).
@@ -783,7 +808,7 @@ def test_a_bool_is_neither_a_count_nor_a_number(call, monkeypatch):
     # for 1; nor a numeric string, NaN, an infinity or an int past the
     # float range.  Each is refused before any integration.
     monkeypatch.setattr(solver, "shoot", None)
-    monkeypatch.setattr(odeint, "_march", None)
+    monkeypatch.setattr(odeint, "_run", None)
     for value in (True, "3", math.nan, math.inf, -math.inf, 10**400):
         with pytest.raises(SpecError, match="must be"):
             call(value)
