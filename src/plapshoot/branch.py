@@ -147,7 +147,7 @@ def bifurcation_onset(
     of 1e-9, and return the end with the smaller |h|.  A solve at
     q (1 + 1e-3) must give a validated solution and one at q (1 - 1e-3)
     none, or :class:`SearchError` is raised, as it is when h does not
-    change sign between the endpoints.
+    change sign between the endpoints or its shot fails.
     """
     cfg = cfg or SolverConfig()
     spec._require_g()
@@ -166,8 +166,10 @@ def bifurcation_onset(
     target = (zeros + 1) * spec.pi_p
 
     def h(q: float) -> float:
-        spec_q = _spec_with_param(spec, "q", q)
-        return _theta_end(1.0 - 1e-5, spec_q, cfg) - target
+        theta = _theta_end(1.0 - 1e-5, _spec_with_param(spec, "q", q), cfg)
+        if math.isnan(theta):
+            raise SearchError(f"shot failed at d={1.0 - 1e-5!r} for q={q!r}")
+        return theta - target
 
     h_lo, h_hi = h(lo), h(hi)
     if not h_lo < 0.0:

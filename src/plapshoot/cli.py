@@ -82,10 +82,10 @@ def _write_csv(fh, header: list[str], rows) -> None:
         writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
 
 
-def _open_out(path: str):
+def _open_out(path: str, mode: str = "w"):
     """Open an output file; a path that cannot be opened is bad usage."""
     try:
-        return open(path, "w", newline="")
+        return open(path, mode, newline="")
     except OSError as exc:
         raise SpecError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -247,10 +247,11 @@ def cmd_branch(args) -> int:
         for i in range(args.steps)
     ]
     # Both paths are opened once before the sweep, so that an unwritable
-    # one costs no sweep.
+    # one costs no sweep; to append, so that a failed sweep leaves an
+    # existing file as it was.
     for path in (args.svg, args.out):
         if path not in (None, "-"):
-            _open_out(path).close()
+            _open_out(path, "a").close()
     table = branch_sweep(
         spec, args.param, values, cfg, max_zeros=args.max_zeros, sides=args.sides
     )

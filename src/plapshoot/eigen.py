@@ -19,16 +19,17 @@ brackets the root by doubling or halving with
 :func:`~plapshoot.odeint.grow_bracket`, and closes in on it with
 :func:`~plapshoot.odeint.illinois_bracket`.
 
-The angle runs through :func:`~plapshoot.odeint.end_state`, with the
-march generated from the Dormand-Prince tableau for its one component
-and its rate, written once as a body (one for N = 1, one for N > 1),
-pasted into each stage.  The body calls the bound
-:meth:`~plapshoot.ptrig.PTrigContext.pair` for the table look-up, and
-at p = 2 squares ``sin_p`` and ``cos_p`` with no ``abs``, which the
-fold of even exponents removes.  It keeps only the end value.  Only
-:func:`eigenfunction`, which samples a profile, runs the dense
-:func:`~plapshoot.odeint.integrate`, whose march is generated from the
-same tableau.
+The angle runs through :func:`~plapshoot.odeint.end_state`: its rate,
+written once as a body (one for N = 1, one for N > 1), is compiled by
+:func:`~plapshoot.odeint.compile_field` into the right hand side of its
+one-component IVP, which carries the march generated from the
+Dormand-Prince tableau with the body pasted into each stage.  The body
+calls the bound :meth:`~plapshoot.ptrig.PTrigContext.pair` for the
+table look-up, and at p = 2 squares ``sin_p`` and ``cos_p`` with no
+``abs``, which the fold of even exponents removes.  It keeps only the
+end value.  Only :func:`eigenfunction`, which samples a profile, runs
+the dense :func:`~plapshoot.odeint.integrate`, whose march is
+generated from the same tableau.
 """
 
 from __future__ import annotations
@@ -104,30 +105,28 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
 
     nm1 = n - 1
     r_expo = -nm1 / p
-    if nm1:
-        try:
-            r0**r_expo
-        except OverflowError:
-            raise SpecError(
-                f"start-up radius {r0!r} too small: r^(-(N-1)/p) overflows for"
-                f" N={n}, p={p!r}"
-            ) from None
+    try:
+        r0**r_expo
+    except OverflowError:
+        raise SpecError(
+            f"start-up radius {r0!r} too small: r^(-(N-1)/p) overflows for"
+            f" N={n}, p={p!r}"
+        ) from None
 
     # ctx.pair is looked up here, per integration, so that a wrapper on
     # the class attribute sees every look-up.
-    field = compile_field(
-        1, ("th",), _ANGLE if nm1 else _ANGLE_N1,
-        pair=ctx.pair, pm1=p - 1.0, pp=pp, p=p, lam=lam, nm1=nm1, r_expo=r_expo,
-    )
     ivp = IvpSpec(
-        rhs=field.rhs,
+        rhs=compile_field(
+            ("th",), _ANGLE if nm1 else _ANGLE_N1,
+            pair=ctx.pair, pm1=p - 1.0, pp=pp, p=p, lam=lam, nm1=nm1, r_expo=r_expo,
+        ),
         r_start=r0,
         r_end=spec.r_outer,
         y0=(th0,),
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol,
     )
-    return end_state(ivp, field)[0][0]
+    return end_state(ivp)[0][0]
 
 
 def _guess(k: int, spec: ProblemSpec) -> float:

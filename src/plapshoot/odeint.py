@@ -12,10 +12,10 @@ that :func:`_end_trial` generates per field from the tableau, with the
 body of the field pasted into every stage and the PI controller around
 them, so that no step calls a function for its slope or its trial.  A
 field is written once, as a body of statements, and
-:func:`compile_field` turns it into the callable of :class:`IvpSpec`
-and the march of :func:`end_state`, which keeps only the end state;
-:func:`_run` starts both.  The shots of ``plapshoot.radial`` (one body
-for N = 1 and one for N > 1) and the eigenvalue angles of
+:func:`compile_field` turns it into the callable of :class:`IvpSpec`,
+which carries the march that :func:`end_state` runs, keeping only the
+end state; :func:`_run` starts both.  The shots of ``plapshoot.radial``
+(one body for N = 1, one for N > 1) and the eigenvalue angles of
 ``plapshoot.eigen`` are written so.  Before a body is compiled,
 :func:`_fold` folds out the constants equal to 1, where ``x ** k``,
 ``k * x`` and the signed power ``copysign(abs(x) ** k, x)`` become
@@ -47,7 +47,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .errors import IntegrationError, SpecError, check_number
 
@@ -290,7 +290,7 @@ def integrate(ivp: IvpSpec) -> DenseSolution:
     dim = len(ivp.y0)
     reads = tuple(f"y{d}" for d in range(dim))
     body = f"{''.join(f'f{d}, ' for d in range(dim))}= field(r, ({', '.join(reads)},))"
-    march = _end_trial(dim, reads, (body,), ("field",), dense=True)(field=ivp.rhs)[1]
+    march = _end_trial(reads, (body,), ("field",), dense=True)(field=ivp.rhs).march
     rs = [ivp.r_start]
     ys = [ivp.y0]
     cells: list[tuple[float, ...]] = []
@@ -304,37 +304,28 @@ _SLOPE = re.compile(r"\bf(\d+)\b")
 _RADIUS = re.compile(r"(?<![\w.])r\b")
 
 
-class Field(NamedTuple):
-    """A right hand side compiled from its body, in the two forms it runs in.
-
-    ``rhs(r, y)`` is the callable of :class:`IvpSpec`.  ``march`` is the
-    step loop of :func:`end_state`, with the body pasted into every
-    stage: ``march(r, r_end, y, k1, h, rel_tol, abs_tol, max_steps)``
-    steps from the state ``y`` at ``r``, whose slope is ``k1``, with the
-    first step ``h``, and returns ``(y_end, n_steps, n_rhs_evals)``, its
-    own evaluations only.  Build one with :func:`compile_field`.
-    """
-
-    rhs: RhsFunc
-    march: Callable
-
-
-def compile_field(dim: int, reads: Sequence[str], body: Sequence[str], **consts) -> Field:
-    """The field of a ``dim``-component state, written once as ``body``.
+def compile_field(reads: Sequence[str], body: Sequence[str], **consts) -> RhsFunc:
+    """The right hand side ``rhs(r, y)`` written once as ``body``.
 
     ``body`` is a sequence of statements.  It reads ``r``, the first
     ``len(reads)`` components of the state under the names ``reads``,
     ``inf``, the builtins and the names of ``consts``, which are bound
-    here; it assigns the slopes ``f0`` to ``f{dim-1}`` and may raise.
-    A slope that overflows is set to inf: the step rejects a trial
-    whose stage is not finite.  Names that begin with an underscore
-    belong to the generated code, and ``copysign`` names
-    :func:`math.copysign`.  Compiled by :func:`_end_trial`, once per body
-    and set of constants equal to 1 or to an even integer, which
-    :func:`_fold` folds out of the body with the same bits, on first use.
+    here; it assigns one slope ``f0``, ``f1``, ... per component (one
+    that assigns none, or skips one, is a :class:`SpecError`) and may
+    raise.  A slope that overflows is set to inf: the step rejects a
+    trial whose stage is not finite.  Names that begin with an
+    underscore belong to the generated code, and ``copysign`` names
+    :func:`math.copysign`.  ``rhs.march(r, r_end, y, k1, h, rel_tol,
+    abs_tol, max_steps)``, the step loop of :func:`end_state` with the
+    body pasted into every stage, steps from the state ``y`` at ``r``,
+    whose slope is ``k1``, with the first step ``h``, and returns
+    ``(y_end, n_steps, n_rhs_evals)``, its own evaluations only.  Both
+    are compiled by :func:`_end_trial`, once per body and set of
+    constants equal to 1 or to an even integer, which :func:`_fold`
+    folds out of the body with the same bits, on first use.
     """
-    make = _end_trial(dim, tuple(reads), tuple(body), tuple(consts), *_fold_classes(consts))
-    return Field(*make(**consts))
+    make = _end_trial(tuple(reads), tuple(body), tuple(consts), *_fold_classes(consts))
+    return make(**consts)
 
 
 def _fold_classes(consts: dict) -> tuple[frozenset, frozenset]:
@@ -409,7 +400,6 @@ def _fold(body: tuple, units: frozenset, evens: frozenset) -> tuple:
 
 @lru_cache(maxsize=None)
 def _end_trial(
-    dim: int,
     reads: tuple,
     body: tuple,
     consts: tuple,
@@ -419,9 +409,10 @@ def _end_trial(
 ):
     """Both forms of a field, generated from its body and the tableau.
 
-    Returns ``make(**consts)``, which returns the two members of a
-    :class:`Field`.  The constants named in ``units`` and ``evens`` are
-    folded out of ``body`` first, by :func:`_fold`.  The march is the one
+    Returns ``make(**consts)``, which returns the callable of
+    :func:`compile_field` with its march, for one component per slope of
+    ``body``, from which the constants named in ``units`` and ``evens``
+    are folded out first, by :func:`_fold`.  The march is the one
     Dormand-Prince step loop of the package: the step budget, the cut to
     ``r_end``, the underflow check, the seven stages of a trial step and
     the PI controller, with the state and the slope of the last stage
@@ -442,15 +433,18 @@ def _end_trial(
     With ``dense``, the march is that of :func:`integrate`: it takes the
     lists ``rs``, ``ys`` and ``cells`` of a :class:`DenseSolution` as
     three more arguments and appends every accepted step to them, with
-    the ``4 * dim`` interpolant weights of its cell summed from ``_P`` in
-    the same way.
+    the four interpolant weights per component of its cell summed from
+    ``_P`` in the same way.
     """
     body = _fold(body, units, evens)
+    named = [node for node in ast.walk(ast.parse("\n".join(body))) if isinstance(node, ast.Name)]
+    radius_reads = sum(node.id == "r" for node in named)
+    stored = [node.id for node in named if isinstance(node.ctx, ast.Store)]
+    slopes = {int(name[1:]) for name in stored if _SLOPE.fullmatch(name)}
+    dim = len(slopes)
+    if not slopes or slopes != set(range(dim)):
+        raise SpecError(f"a field body must assign the slopes f0, f1, ..., not {sorted(slopes)}")
     ds = range(dim)
-    radius_reads = sum(
-        isinstance(node, ast.Name) and node.id == "r"
-        for node in ast.walk(ast.parse("\n".join(body)))
-    )
 
     def tup(names):
         return f"({', '.join(names)},)"
@@ -554,7 +548,8 @@ def _end_trial(
             "        while _r < _r_end:\n",
             *(f"            {line}\n" for line in loop),
             f"        return {tup(names('_y'))}, _steps, _evals\n",
-            "    return rhs, march\n",
+            "    rhs.march = march\n",
+            "    return rhs\n",
         ]
     )
     namespace = {"inf": math.inf, "_sqrt": math.sqrt, "_fail": IntegrationError}
@@ -562,14 +557,18 @@ def _end_trial(
     return namespace["make"]
 
 
-def end_state(ivp: IvpSpec, field: Field) -> tuple[tuple[float, ...], int, int]:
+def end_state(ivp: IvpSpec) -> tuple[tuple[float, ...], int, int]:
     """End of ``ivp`` by Dormand-Prince 5(4), keeping no dense output.
 
-    ``ivp.rhs`` is ``field.rhs``.  Runs the march of ``field``, so it
-    takes the steps :func:`integrate` takes and raises what it raises.
-    Returns ``(y_end, n_steps, n_rhs_evals)``.
+    Runs the march of ``ivp.rhs``, which :func:`compile_field` must have
+    built, or :class:`SpecError` is raised; it takes the steps
+    :func:`integrate` takes and raises what it raises.  Returns
+    ``(y_end, n_steps, n_rhs_evals)``.
     """
-    return _run(ivp, field.march)
+    march = getattr(ivp.rhs, "march", None)
+    if march is None:
+        raise SpecError("end_state runs only a right hand side built by compile_field")
+    return _run(ivp, march)
 
 
 def grow_bracket(

@@ -42,8 +42,10 @@ so they give the same terminal angle to the last bit.
 
 Both kinds evaluate one field, written once as a body of statements,
 ``_SHOT_N1`` for N = 1 and ``_SHOT_N`` for N > 1, and compiled per shot
-by :func:`_make_field` into the callable of the dense kind and the
-stages of the other.  The bodies paste :data:`REACTION`, the one
+by :func:`_make_field` into the right hand side of the shot's
+:class:`~plapshoot.odeint.IvpSpec`: the callable that the dense kind
+calls in each stage, carrying the march with the body pasted in that
+the other kind runs.  The bodies paste :data:`REACTION`, the one
 definition of ``f`` in the package, which :meth:`Nonlinearity.f_for`
 compiles as well; they write their powers inline, and for N = 1 skip
 the flux weight ``r^(N-1) = 1``.  At p = 2 the exponents ``p - 1``,
@@ -68,7 +70,7 @@ from typing import Callable, NamedTuple
 from .config import SolverConfig
 from .errors import IntegrationError, NearConstantShotError, SpecError
 from .errors import check_count, check_number
-from .odeint import Field, IvpSpec, compile_field, crossings, end_state, integrate
+from .odeint import IvpSpec, RhsFunc, compile_field, crossings, end_state, integrate
 from .ptrig import get_context, phi_p_inv, pi_p
 
 # A shot has collapsed onto the constant state once the squared
@@ -191,7 +193,7 @@ class Nonlinearity:
         +inf (the top exponent dominates), which the integrator treats
         as a step into forbidden territory.
         """
-        rhs = compile_field(1, ("u",), REACTION + ("f0 = fu",), **self.exponents(p)).rhs
+        rhs = compile_field(("u",), REACTION + ("f0 = fu",), **self.exponents(p))
         return lambda s: rhs(0.0, (s,))[0]
 
     def exponents(self, p: float) -> dict[str, float]:
@@ -426,7 +428,7 @@ def _pow_abs(x: float, e: float) -> float:
         return math.inf
 
 
-def _make_field(spec: ProblemSpec, d: float) -> Field:
+def _make_field(spec: ProblemSpec, d: float) -> RhsFunc:
     """Right hand side of a shot, ``(u', v', theta')`` from ``(r, u, v)``.
 
     The angle does not feed back into the system, so the body does not
@@ -441,7 +443,7 @@ def _make_field(spec: ProblemSpec, d: float) -> Field:
     p = spec.p
     pp = spec.pprime
     return compile_field(
-        3, ("u", "v"), _SHOT_N1 if spec.dim == 1 else _SHOT_N,
+        ("u", "v"), _SHOT_N1 if spec.dim == 1 else _SHOT_N,
         p=p, pp=pp, pm1=p - 1.0, ppm1=pp - 1.0, nm1=spec.dim - 1,
         **spec.g.exponents(p), d=d, rho_floor=RHO_FLOOR,
         collapsed=NearConstantShotError, pow_abs=_pow_abs, copysign=math.copysign,
@@ -453,7 +455,7 @@ def _rho_sq(u: float, v: float, p: float, pp: float) -> float:
 
 
 def _shot_start(d: float, spec: ProblemSpec, cfg: SolverConfig):
-    """Initial value problem of one shot, and its field.
+    """Initial value problem of one shot, with its field as the right hand side.
 
     Raises :class:`SpecError` if the start-up radius is so small that
     its flux weight ``r^(N-1)`` underflows to 0, and
@@ -472,16 +474,14 @@ def _shot_start(d: float, spec: ProblemSpec, cfg: SolverConfig):
     y0 = startup_state(d, spec, r0)
     if not all(math.isfinite(c) for c in y0):
         raise IntegrationError("start-up state not finite", r0)
-    field = _make_field(spec, d)
-    ivp = IvpSpec(
-        rhs=field.rhs,
+    return IvpSpec(
+        rhs=_make_field(spec, d),
         r_start=r0,
         r_end=spec.r_outer,
         y0=y0,
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol,
     )
-    return ivp, field
 
 
 def shoot(
@@ -503,9 +503,9 @@ def shoot(
     collapses below ``RHO_FLOOR`` along the way, and
     :class:`IntegrationError` if the integrator gives up.
     """
-    ivp, field = _shot_start(d, spec, cfg or SolverConfig())
+    ivp = _shot_start(d, spec, cfg or SolverConfig())
     if not profile:
-        (u, v, th), n_steps, n_evals = end_state(ivp, field)
+        (u, v, th), n_steps, n_evals = end_state(ivp)
         return ShotEnd(d, th, u, v, n_steps, n_evals)
     sol = integrate(ivp)
     y0 = ivp.y0

@@ -87,7 +87,9 @@ def d_grid(cfg: SolverConfig, side: str = "lower") -> list[float]:
 
     The lower grid mixes uniform coverage of ``(D_MIN, D_MAX)`` with
     points spaced geometrically toward ``d = 1``, where the terminal
-    angle moves fastest; the upper grid is geometric in ``d - 1``.
+    angle moves fastest, ``1 - d`` from 0.5 down to ``1 - D_MAX``; the
+    upper grid is geometric in ``d - 1``.  A grid of at least 16 points
+    gives each part at least 8.
     """
     if side not in _SIDES:
         raise SpecError(f"side must be one of {_SIDES}, got {side!r}")
@@ -99,16 +101,10 @@ def d_grid(cfg: SolverConfig, side: str = "lower") -> list[float]:
         return [1.0 + math.exp(math.log(lo) + step * i) for i in range(n)]
     n_geo = round(cfg.d_grid_size * REFINE_FRACTION)
     n_uni = cfg.d_grid_size - n_geo
-    pts: set[float] = set()
-    if n_uni >= 2:
-        for i in range(n_uni):
-            pts.add(D_MIN + (D_MAX - D_MIN) * i / (n_uni - 1))
-    if n_geo >= 2:
-        gap_near = 1.0 - D_MAX
-        gap_far = min(0.5, 1.0 - D_MIN)
-        step = (math.log(gap_far) - math.log(gap_near)) / (n_geo - 1)
-        for i in range(n_geo):
-            pts.add(1.0 - math.exp(math.log(gap_near) + step * i))
+    pts = {D_MIN + (D_MAX - D_MIN) * i / (n_uni - 1) for i in range(n_uni)}
+    gap_near = 1.0 - D_MAX
+    step = (math.log(0.5) - math.log(gap_near)) / (n_geo - 1)
+    pts.update(1.0 - math.exp(math.log(gap_near) + step * i) for i in range(n_geo))
     return sorted(pts)
 
 

@@ -11,7 +11,7 @@ import math
 
 import pytest
 from scipy.optimize import brentq
-from test_solver import _time_map
+from test_solver import _least_time, _time_map
 
 from plapshoot.branch import bifurcation_onset
 from plapshoot.config import SolverConfig
@@ -217,6 +217,22 @@ def test_criterion_7_threshold_radius_p_below_2(rstar1):
     checks.append(
         (f"two j=1 roots at R=2*rstar: {[f'{d:.4f}' for d in ds]}",
          len(ds) >= 2 and ds[-1] - ds[0] > 1e-3)
+    )
+    # The time map of tests/test_solver.py: R*_1 = min T, within the
+    # benchmark's RSTAR_REL_TOL, 1.5e-3 (2.5e-7 off), and the lower
+    # j = 1 roots on Ball(2 R*_1) solve T(d) = 2 R*_1 on either side of
+    # the d that takes min T, within its ROOT_TOL, 1e-8 (2.5e-9 and
+    # 4.5e-10 off).
+    half_time, _ = _time_map(1.8, 3.0)
+    least, d_least = _least_time(1.8, 3.0)
+    checks.append((f"rstar(1) vs min T={least:.7f}", abs(rstar1 - least) <= 1.5e-3 * least))
+    exact = [
+        brentq(lambda d: half_time(d) - 2.0 * rstar1, lo, hi, xtol=1e-15)
+        for lo, hi in ((1e-3, d_least), (d_least, 1.0 - 1e-5))
+    ]
+    checks.append(
+        (f"j=1 roots at R=2*rstar vs T(d)=R: {exact}",
+         len(ds) == 2 and all(abs(d - x) <= 1e-8 for d, x in zip(ds, exact)))
     )
     scan = theta_scan(SPEC_P18.with_outer_radius(0.5 * rstar1), COARSE, "lower")
     best = max(th for _, th in scan if not math.isnan(th))

@@ -153,6 +153,32 @@ def test_onset_lands_on_the_eigenvalue_crossing(
     assert len(qs) <= 16
 
 
+def test_onset_shot_that_fails_is_a_search_error():
+    # At these tolerances the probe shot at q_lo fails.  Its NaN angle
+    # once read as "not below the target", and the search reported that
+    # the branch already existed at q_lo.
+    cfg = SolverConfig(rel_tol=1e-300, abs_tol=1e-302, d_grid_size=20)
+    with pytest.raises(SearchError, match=r"^shot failed at d=0\.99999 for q=2\.05$"):
+        bifurcation_onset(ball(), 1, cfg)
+
+
+def test_onset_shot_that_fails_inside_the_search_is_a_search_error(monkeypatch):
+    # A failed shot between the endpoints must not move either end.
+    qs = []
+    theta_end = branch._theta_end
+
+    def fails_third(d, spec, cfg):
+        qs.append(spec.g.q)
+        return math.nan if len(qs) == 3 else theta_end(d, spec, cfg)
+
+    monkeypatch.setattr(branch, "_theta_end", fails_third)
+    monkeypatch.setattr(branch, "_records_for_side", None)
+    cfg = SolverConfig(d_grid_size=40, rel_tol=1e-9, abs_tol=1e-11)
+    with pytest.raises(SearchError, match="shot failed") as exc:
+        bifurcation_onset(ball(), 1, cfg, q_lo=2.1, q_hi=50.0)
+    assert str(exc.value).endswith(f"for q={qs[2]!r}")
+
+
 @pytest.mark.parametrize("found", [False, True])
 def test_onset_confirmation_failure_raises(found, monkeypatch):
     # No solution just above the onset, or one just below it.

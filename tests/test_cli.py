@@ -153,6 +153,21 @@ def test_unwritable_branch_output_exits_two_before_the_sweep(capsys, tmp_path, m
     assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("flag", ["--svg", "--out"])
+def test_failed_branch_keeps_an_existing_output_file(capsys, tmp_path, flag):
+    # The paths are probed before the sweep; that probe once truncated
+    # them, so a sweep that then failed left an empty file behind.
+    path = tmp_path / "old"
+    path.write_bytes(b"old,table\n")
+    argv = [
+        "branch", "--p", "2", "--g", "pow:15", "--param", "R", "--start", "-1",
+        "--stop", "12", "--steps", "2", "--grid", "20", "--max-zeros", "1",
+    ]
+    assert run(argv + [flag, str(path)]) == 2
+    assert "ball radius must be a finite number > 0.0, got -1.0" in capsys.readouterr().err
+    assert path.read_bytes() == b"old,table\n"
+
+
 _OUTPUTS = {
     "ptrig": _TABLES["ptrig"] + ["--out"],
     "shoot": _TABLES["shoot"] + ["--out"],

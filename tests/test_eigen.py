@@ -437,9 +437,9 @@ def test_every_integration_starts_at_the_start_radius(monkeypatch, domain, eps0,
     starts = []
 
     def recorded(real):
-        def end_state(ivp, *args):
+        def end_state(ivp):
             starts.append(ivp.r_start)
-            return real(ivp, *args)
+            return real(ivp)
 
         return end_state
 

@@ -1,6 +1,7 @@
 """Integrator tests against problems with known closed-form solutions."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -450,11 +451,33 @@ def _called(field, dim, reads):
 
     For one component the callable returns its slope as a float.
     """
-    args = ", ".join(f"y{d}" for d in range(reads))
+    names = [f"y{d}" for d in range(reads)]
     slopes = ", ".join(f"f{d}" for d in range(dim))
-    return compile_field(
-        dim, [f"y{d}" for d in range(reads)], [f"{slopes} = field(r, {args})"], field=field
-    )
+    return compile_field(names, [f"{slopes} = field(r, {', '.join(names)})"], field=field)
+
+
+def test_end_state_runs_only_a_compiled_right_hand_side():
+    # The march rides on the compiled callable, so the IVP alone says
+    # what to run; a plain callable has none, and integrate takes it.
+    rotation = compile_field(("u", "v"), ("f0 = -v", "f1 = u"))
+    ivp = IvpSpec(rhs=rotation, r_start=0.0, r_end=1.0, y0=(1.0, 0.0))
+    plain = IvpSpec(rhs=lambda r, y: (-y[1], y[0]), r_start=0.0, r_end=1.0, y0=(1.0, 0.0))
+    assert rotation(0.5, (1.0, 2.0)) == (-2.0, 1.0)
+    with pytest.raises(SpecError, match="built by compile_field"):
+        end_state(plain)
+    sol = integrate(plain)
+    assert end_state(ivp) == (sol.y_end, sol.n_steps, sol.n_rhs_evals)
+
+
+@pytest.mark.parametrize(
+    "body, slopes",
+    [(("x = y0",), "[]"), (("f0 = 1.0", "f2 = 1.0"), "[0, 2]"), (("f1 = y0",), "[1]")],
+)
+def test_a_body_must_assign_its_slopes_from_f0_on(body, slopes):
+    # The state has one component per slope f0, f1, ...: a body that
+    # assigns none, or skips one, names no state.
+    with pytest.raises(SpecError, match=re.escape(f"f0, f1, ..., not {slopes}")):
+        compile_field(("y0",), body)
 
 
 def test_fifth_order_convergence():
@@ -463,7 +486,7 @@ def test_fifth_order_convergence():
     # one-step error by about 2**6 for a fifth order method.  The
     # rotation is written once as a body and once as a callable.
     fields = (
-        compile_field(2, ("u", "v"), ("f0 = -v", "f1 = u")),
+        compile_field(("u", "v"), ("f0 = -v", "f1 = u")),
         _called(lambda r, u, v: (-v, u), 2, 2),
     )
     errors = []
@@ -473,7 +496,7 @@ def test_fifth_order_convergence():
             # A march over [0, h] that starts with the step h and may
             # make one attempt: its one step must be accepted.
             y0 = (1.0, 0.0)
-            (u, v), steps, evals = field.march(0.0, h, y0, field.rhs(0.0, y0), h, 1e-2, 1e-2, 1)
+            (u, v), steps, evals = field.march(0.0, h, y0, field(0.0, y0), h, 1e-2, 1e-2, 1)
             assert (steps, evals) == (1, 6)
             return math.hypot(u - math.cos(h), v - math.sin(h))
 
@@ -498,7 +521,7 @@ def test_failed_trial_counts_the_evaluations_it_made(dim, reads):
     for fail_at in range(1, 7):
         calls = []
         body = compile_field(
-            dim, names,
+            names,
             ["calls.append(r)", f"{' = '.join(slopes)} = nan if len(calls) == fail_at else 1.0"],
             calls=calls, fail_at=fail_at, nan=math.nan,
         )
@@ -523,7 +546,7 @@ def test_failed_trial_counts_the_evaluations_it_made(dim, reads):
     big = (1e308,) * dim
     calls = []
     for kind in (
-        compile_field(dim, names, ["calls.append(r)", f"{' = '.join(slopes)} = 1e308"], calls=calls),
+        compile_field(names, ["calls.append(r)", f"{' = '.join(slopes)} = 1e308"], calls=calls),
         _called(lambda r, *state: calls.append(r) or (big[0] if dim == 1 else big), dim, reads),
     ):
         calls.clear()
@@ -698,14 +721,14 @@ def _dense_or_error(run):
     )
 
 
-def _compare_with_reference(ivp, field):
+def _compare_with_reference(ivp):
     # Both generated trial steps against the stage loop, under a budget
     # of 20 000 step attempts.
     with pytest.MonkeyPatch.context() as m:
         m.setattr(odeint, "MAX_STEPS", 20_000)
         reference = _dense_or_error(lambda: _reference_integrate(ivp))
         assert _dense_or_error(lambda: integrate(ivp)) == reference
-        assert _end_or_error(lambda: end_state(ivp, field)) == reference[:3]
+        assert _end_or_error(lambda: end_state(ivp)) == reference[:3]
 
 
 _coef = st.floats(-2.0, 2.0)
@@ -713,7 +736,7 @@ _coef = st.floats(-2.0, 2.0)
 
 @st.composite
 def _smooth_ivps(draw, dim, field):
-    """An initial value problem on a random smooth field, and the field.
+    """An initial value problem on a random smooth field.
 
     ``field(coefs, r, *y)`` is the field's formula, compiled as a
     callable field; its six coefficients, the start, the interval and
@@ -736,12 +759,10 @@ def _smooth_ivps(draw, dim, field):
             return math.nan if dim == 1 else (math.nan,) + out[1:]
         return out
 
-    compiled = _called(walled, dim, 1 if dim == 1 else 2)
-    ivp = IvpSpec(
-        rhs=compiled.rhs, r_start=r0, r_end=r_end, y0=y0,
+    return IvpSpec(
+        rhs=_called(walled, dim, 1 if dim == 1 else 2), r_start=r0, r_end=r_end, y0=y0,
         rel_tol=rel_tol, abs_tol=1e-2 * rel_tol,
     )
-    return ivp, compiled
 
 
 def _shot_like(coefs, r, u, v):
@@ -760,7 +781,7 @@ def test_end_state_equals_integrate_on_three_components(case):
     # The shot's kind: the field reads two of three components and
     # returns a tuple.  integrate and end_state both equal the reference
     # stepper to the bit, steps, evaluations and cells included.
-    _compare_with_reference(*case)
+    _compare_with_reference(case)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -768,7 +789,7 @@ def test_end_state_equals_integrate_on_three_components(case):
 def test_end_state_equals_integrate_on_one_scalar_component(case):
     # The eigenvalue angle's kind: one component, and a field that
     # returns its slope as a float.
-    _compare_with_reference(*case)
+    _compare_with_reference(case)
 
 
 def _logged(side, calls):
@@ -833,7 +854,7 @@ def test_only_constants_equal_to_one_are_folded(monkeypatch):
     consts = dict(
         k=1.0, two=2.0, three=3.0, one=1, flag=True, copysign=math.copysign, big=math.inf
     )
-    rhs = odeint.compile_field(1, ("y",), body, **consts).rhs
+    rhs = odeint.compile_field(("y",), body, **consts)
     assert seen == [(frozenset({"k", "one"}), frozenset({"two"}))]
     assert fold(body, *seen[0]) == (
         "f0 = y ** two + y * flag + y + y ** two + abs(y) ** three",

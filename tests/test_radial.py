@@ -182,7 +182,7 @@ def _integrated_startup_state(d, spec, eps0):
     # The shot's own field, integrated from a thousandth of eps0, where
     # the series is exact to far below this check, out to eps0.
     ivp = odeint.IvpSpec(
-        rhs=radial._make_field(spec, d).rhs,
+        rhs=radial._make_field(spec, d),
         r_start=1e-3 * eps0,
         r_end=eps0,
         y0=startup_state(d, spec, 1e-3 * eps0),
@@ -627,7 +627,7 @@ def test_end_state_kernel_counts_the_evaluations_of_integrate():
     spec = ball_spec(q=100.0)
     for d in (0.5, 0.99, 0.9999, 1.5, 20.0):
         end = shoot(d, spec, SOLVE_CFG, profile=False)
-        sol = integrate(_shot_start(d, spec, SOLVE_CFG)[0])
+        sol = integrate(_shot_start(d, spec, SOLVE_CFG))
         assert (end.n_steps, end.n_rhs_evals) == (sol.n_steps, sol.n_rhs_evals)
 
 
@@ -692,7 +692,7 @@ def test_rho_sq_is_computed_from_the_stored_columns():
     assert "rho_sq" not in [f.name for f in dataclasses.fields(Trajectory)]
     for spec, d in ((ball_spec(q=15.0), 0.5), (ball_spec(p=2.5, dim=2, q=5.0), 1.4)):
         traj, _ = shoot(d, spec)
-        sol = integrate(_shot_start(d, spec, SolverConfig())[0])
+        sol = integrate(_shot_start(d, spec, SolverConfig()))
         pp = spec.pprime
         stored = []
         for r in traj.r:
@@ -709,7 +709,7 @@ def test_profile_nodes_are_the_mesh_and_the_uniform_grid():
     )
     for spec, d in ((ball_spec(q=15.0), 0.5), (annulus, 1.3)):
         traj, _ = shoot(d, spec)
-        sol = integrate(_shot_start(d, spec, SolverConfig())[0])
+        sol = integrate(_shot_start(d, spec, SolverConfig()))
         rs = list(sol.rs)
         span = sol.r_end - sol.r_start
         for i in range(1, radial.PROFILE_NODES - 1):
@@ -814,7 +814,7 @@ def _field_cases(draw):
 @given(_field_cases())
 def test_field_matches_the_reference_field(case):
     spec, d, r, u, v = case
-    rhs = radial._make_field(spec, d).rhs
+    rhs = radial._make_field(spec, d)
     assert _field_outcome(lambda r, u, v: rhs(r, (u, v)), r, u, v) == _field_outcome(
         _ref_make_field(spec, d), r, u, v
     )
@@ -879,25 +879,23 @@ def test_folded_field_at_p2_matches_the_reference_field(case, u0, v0):
     spec, d, r, h, u, v, k1 = case
     field = radial._make_field(spec, d)
     ref = _ref_make_field(spec, d)
-    assert _field_outcome(lambda r, u, v: field.rhs(r, (u, v)), r, u, v) == _field_outcome(
+    assert _field_outcome(lambda r, u, v: field(r, (u, v)), r, u, v) == _field_outcome(
         ref, r, u, v
     )
     # The march with the folded body in its stages, against one whose
     # stages call the reference, for three attempts from the drawn state,
     # slope and first step: same bits, same verdicts, same exception.  The
     # second attempt starts where the first one's error put it.
-    ref_field = odeint.compile_field(3, ("u", "v"), ("f0, f1, f2 = ref(r, u, v)",), ref=ref)
+    ref_field = odeint.compile_field(("u", "v"), ("f0, f1, f2 = ref(r, u, v)",), ref=ref)
     y = (u, v, 0.5)
     assert _outcome(lambda: field.march(r, r + 2.0 * h, y, k1, h, 1e-10, 1e-12, 3)) == _outcome(
         lambda: ref_field.march(r, r + 2.0 * h, y, k1, h, 1e-10, 1e-12, 3)
     )
     # And the end state of a short run from a finite state.
     y0 = (u0, v0, 0.5)
-    ivp = odeint.IvpSpec(field.rhs, r, r + h, y0)
-    ref_ivp = odeint.IvpSpec(ref_field.rhs, r, r + h, y0)
-    assert _outcome(lambda: odeint.end_state(ivp, field)) == _outcome(
-        lambda: odeint.end_state(ref_ivp, ref_field)
-    )
+    ivp = odeint.IvpSpec(field, r, r + h, y0)
+    ref_ivp = odeint.IvpSpec(ref_field, r, r + h, y0)
+    assert _outcome(lambda: odeint.end_state(ivp)) == _outcome(lambda: odeint.end_state(ref_ivp))
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5])
@@ -909,7 +907,7 @@ def test_a_p2_shot_makes_no_abs_call_in_its_stages(p, monkeypatch):
     # per component for the error norm.  At p = 2.5 every evaluation of
     # the field adds three.
     spec = ball_spec(p=p, q=15.0)
-    ivp, field = _shot_start(0.5, spec, SolverConfig())
+    ivp = _shot_start(0.5, spec, SolverConfig())
     count = []
     builtin_abs = builtins.abs
 
@@ -918,7 +916,7 @@ def test_a_p2_shot_makes_no_abs_call_in_its_stages(p, monkeypatch):
         return builtin_abs(x)
 
     monkeypatch.setattr(builtins, "abs", counted)
-    _, n_steps, n_evals = odeint.end_state(ivp, field)
+    _, n_steps, n_evals = odeint.end_state(ivp)
     monkeypatch.undo()
     attempts, failed = divmod(n_evals - 2, 6)
     assert failed == 0 and attempts >= n_steps > 0
@@ -938,9 +936,9 @@ def test_a_p2_shot_makes_no_copysign_call(p, calls, monkeypatch):
 
     spec = ball_spec(p=p, q=15.0)
     monkeypatch.setattr(math, "copysign", counted)
-    ivp, field = _shot_start(0.5, spec, SolverConfig())
+    ivp = _shot_start(0.5, spec, SolverConfig())
     count.clear()  # the start-up state may call it once
-    odeint.end_state(ivp, field)
+    odeint.end_state(ivp)
     integrate(ivp)
     monkeypatch.undo()
     assert bool(count) == calls
