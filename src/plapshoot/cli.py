@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .branch import BranchTable, branch_sweep
+from .branch import branch_sweep
 from .config import SolverConfig
 from .eigen import eigenvalue
 from .errors import NumericsError, SpecError, check_count
@@ -185,60 +185,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _branch_svg(table: BranchTable, path: str) -> None:
-    """Minimal standalone plot: one polyline per branch family, if any."""
-    width, height, margin = 640, 480, 50
-    rows = table.rows
-    xs = [r.param for r in rows] or [0.0]
-    ys = [r.d for r in rows] or [0.0]
-    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-
-    def sx(x):
-        return margin + (x - x_lo) / x_span * (width - 2 * margin)
-
-    def sy(y):
-        return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
-
-    palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'
-        f' height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}"'
-        f' height="{height - 2 * margin}" fill="none" stroke="#888"/>',
-        f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle"'
-        f' font-size="13">{table.param_name}</text>',
-        f'<text x="14" y="{height / 2:.0f}" font-size="13"'
-        f' transform="rotate(-90 14 {height / 2:.0f})"'
-        f' text-anchor="middle">d</text>',
-    ]
-    families = sorted({(r.zeros, r.side) for r in rows})
-    for idx, (zeros, side) in enumerate(families):
-        color = palette[idx % len(palette)]
-        pts = [(r.param, r.d) for r in table.group(zeros, side)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}"'
-            f' stroke-width="1.5"/>'
-        )
-        for x, y in pts:
-            parts.append(
-                f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.2"'
-                f' fill="{color}"/>'
-            )
-        parts.append(
-            f'<text x="{width - margin + 4}" y="{margin + 14 * (idx + 1)}"'
-            f' font-size="11" fill="{color}">j={zeros} {side}</text>'
-        )
-    parts.append("</svg>")
-    with _open_out(path) as fh:
-        fh.write("\n".join(parts))
-
-
 def cmd_branch(args) -> int:
-    if args.svg == "-":
-        raise SpecError("--svg needs a file: the table owns stdout")
     spec = _spec_from(args)
     cfg = _config_from(args)
     check_count(args.steps, 2, "--steps")
@@ -246,15 +193,21 @@ def cmd_branch(args) -> int:
         args.start + (args.stop - args.start) * i / (args.steps - 1)
         for i in range(args.steps)
     ]
-    # Both paths are opened once before the sweep, so that an unwritable
-    # one costs no sweep; to append, so that a failed sweep leaves an
-    # existing file as it was.
-    for path in (args.svg, args.out):
-        if path not in (None, "-"):
-            _open_out(path, "a").close()
-    table = branch_sweep(
-        spec, args.param, values, cfg, max_zeros=args.max_zeros, sides=args.sides
-    )
+    # --out is opened once before the sweep, so that an unwritable path
+    # costs no sweep; to append, so that a failed sweep leaves an existing
+    # file as it was, and one the probe made is removed again.
+    made = False
+    if args.out not in (None, "-"):
+        made = not os.path.lexists(args.out)
+        _open_out(args.out, "a").close()
+    try:
+        table = branch_sweep(
+            spec, args.param, values, cfg, max_zeros=args.max_zeros, sides=args.sides
+        )
+    except BaseException:
+        if made:
+            os.remove(args.out)
+        raise
     rows = [
         [r.param, r.d, r.side, r.zeros, r.theta_end, r.residual, int(r.fold)]
         for r in table.rows
@@ -264,9 +217,6 @@ def cmd_branch(args) -> int:
         "n_rows": len(table.rows),
         "metadata": table.metadata,
     }
-    if args.svg is not None:
-        _branch_svg(table, args.svg)
-        summary["svg"] = args.svg
     _write_table(
         args,
         [table.param_name, "d", "side", "zeros", "theta_end", "residual", "fold"],
@@ -416,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--stop", type=float, required=True, help="sweep stop")
     sp.add_argument("--steps", type=int, default=11, help="sweep length")
     _add_search(sp, "track")
-    sp.add_argument("--svg", default=None, help="also draw the table to this SVG")
     sp.set_defaults(func=cmd_branch)
 
     sp = sub.add_parser(

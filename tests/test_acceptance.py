@@ -308,6 +308,13 @@ def test_criterion_9_annulus_path():
     checks.append(
         (f"annulus rstar {r_hat:.4f} finite", math.isfinite(r_hat) and r_hat > 0.0)
     )
+    # The time map of tests/test_solver.py: the annulus width 0.9 R*_1 is
+    # min T, within the benchmark's RSTAR_REL_TOL, 1.5e-3 (7.6e-5 off).
+    exact = _least_time(1.8, 3.0)[0] / 0.9
+    checks.append(
+        (f"annulus rstar vs min T / 0.9={exact:.7f}",
+         abs(r_hat - exact) <= 1.5e-3 * exact)
+    )
     pip = pi_p(1.8)
     for fac, expect in ((0.99, False), (1.01, True)):
         scaled = ann.with_outer_radius(fac * r_hat)

@@ -4,6 +4,7 @@ import math
 from types import SimpleNamespace
 
 import pytest
+from scipy.optimize import brentq
 
 from plapshoot import branch, solver
 from plapshoot.branch import BranchTable, bifurcation_onset, branch_sweep
@@ -122,6 +123,29 @@ def test_onset_endpoints_must_straddle():
         bifurcation_onset(ball(), 1, cfg, q_lo=2.1, q_hi=3.0)
 
 
+ONSET_CFG = SolverConfig(
+    d_grid_size=150, rel_tol=1e-9, abs_tol=1e-11, residual_tol=1e-6
+)
+
+
+def _counted_onset(spec, zeros, q_hi, monkeypatch):
+    """The onset in q on [2.1, q_hi], and the evaluations of h it took.
+
+    The search takes at most 16 evaluations, the endpoints included
+    (bisection took 33 to 36).
+    """
+    qs = []
+    theta_end = branch._theta_end
+
+    def counted(d, spec, cfg):
+        qs.append(spec.g.q)
+        return theta_end(d, spec, cfg)
+
+    monkeypatch.setattr(branch, "_theta_end", counted)
+    q_star = bifurcation_onset(spec, zeros, ONSET_CFG, q_lo=2.1, q_hi=q_hi)
+    return q_star, len(qs)
+
+
 @pytest.mark.parametrize(
     "zeros, radius, q_hi, onset",
     [
@@ -133,24 +157,37 @@ def test_onset_endpoints_must_straddle():
 def test_onset_lands_on_the_eigenvalue_crossing(
     zeros, radius, q_hi, onset, monkeypatch
 ):
-    # The search in q takes at most 16 evaluations of h, the endpoints
-    # included (bisection took 33 to 36).
-    cfg = SolverConfig(
-        d_grid_size=150, rel_tol=1e-9, abs_tol=1e-11, residual_tol=1e-6
-    )
-    qs = []
-    theta_end = branch._theta_end
-
-    def counted(d, spec, cfg):
-        qs.append(spec.g.q)
-        return theta_end(d, spec, cfg)
-
-    monkeypatch.setattr(branch, "_theta_end", counted)
-    q_star = bifurcation_onset(
-        ball(radius=radius), zeros, cfg, q_lo=2.1, q_hi=q_hi
-    )
+    q_star, evals = _counted_onset(ball(radius=radius), zeros, q_hi, monkeypatch)
     assert q_star == pytest.approx(onset, rel=1e-6)
-    assert len(qs) <= 16
+    assert evals <= 16
+
+
+def _tan_root(j):
+    """The j-th positive root of tan(mu) = mu; mu^2 is a p = 2, N = 3 eigenvalue."""
+    lo = j * math.pi
+    return brentq(
+        lambda x: math.sin(x) - x * math.cos(x), lo, lo + math.pi / 2, xtol=1e-15
+    )
+
+
+@pytest.mark.parametrize("zeros", [1, 2])
+def test_onset_at_n3_lands_on_the_eigenvalue_crossing(zeros, monkeypatch):
+    # The paper's setting: the j-crossing branch bifurcates from u = 1 at
+    # q = 2 + mu_j^2 on the unit ball of R^3 (4e-5 and 6e-5 off).
+    q_star, evals = _counted_onset(ball(dim=3), zeros, 100.0, monkeypatch)
+    assert q_star == pytest.approx(2.0 + _tan_root(zeros) ** 2, rel=1e-4)
+    assert evals <= 16
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=SearchError,
+    reason="ROADMAP item 12: at N = 3 the probe shot from d = 0.99999 at the"
+    " default q_hi = 200 falls below the absolute collapse floor",
+)
+def test_onset_at_n3_with_the_default_bounds():
+    q_star = bifurcation_onset(ball(dim=3), 1, ONSET_CFG)
+    assert q_star == pytest.approx(2.0 + _tan_root(1) ** 2, rel=1e-2)
 
 
 def test_onset_shot_that_fails_is_a_search_error():

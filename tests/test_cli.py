@@ -118,60 +118,55 @@ def test_ptrig_theta_with_out_exits_two(capsys, tmp_path):
     assert not path.exists()
 
 
-_SVG_EMPTY = [
-    "branch", "--p", "2", "--g", "pow:3", "--start", "3", "--stop", "4",
-    "--steps", "2", "--max-zeros", "1", "--sides", "lower", "--grid", "16",
-]
-
-
-def test_svg_dash_exits_two_before_the_sweep(capsys, tmp_path, monkeypatch):
-    # The table owns stdout; `-` once wrote the plot to a file named `-`.
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the sweep ran")
-
-    monkeypatch.setattr(cli, "branch_sweep", no_sweep)
-    monkeypatch.chdir(tmp_path)
-    assert run(_SVG_EMPTY + ["--svg", "-"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "--svg needs a file" in err
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("flag", ["--svg", "--out"])
+@pytest.mark.parametrize("flag", ["--out"])
 def test_unwritable_branch_output_exits_two_before_the_sweep(capsys, tmp_path, monkeypatch, flag):
-    # Both paths were once opened only after the sweep, whose work an
+    # The path was once opened only after the sweep, whose work an
     # unwritable path then threw away.
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran")
 
     monkeypatch.setattr(cli, "branch_sweep", no_sweep)
-    path = tmp_path / "missing" / "b.svg"
-    assert run(_SVG_EMPTY + [flag, str(path)]) == 2
+    path = tmp_path / "missing" / "b.csv"
+    assert run(_TABLES["branch"] + [flag, str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
-@pytest.mark.parametrize("flag", ["--svg", "--out"])
+# The first radius of this sweep is -1, so it fails after the --out probe.
+_FAILING_BRANCH = [
+    "branch", "--p", "2", "--g", "pow:15", "--param", "R", "--start", "-1",
+    "--stop", "12", "--steps", "2", "--grid", "20", "--max-zeros", "1",
+]
+_BAD_RADIUS = "error: ball radius must be a finite number > 0.0, got -1.0\n"
+
+
+@pytest.mark.parametrize("flag", ["--out"])
 def test_failed_branch_keeps_an_existing_output_file(capsys, tmp_path, flag):
-    # The paths are probed before the sweep; that probe once truncated
-    # them, so a sweep that then failed left an empty file behind.
+    # The path is probed before the sweep; that probe once truncated it,
+    # so a sweep that then failed left an empty file behind.
     path = tmp_path / "old"
     path.write_bytes(b"old,table\n")
-    argv = [
-        "branch", "--p", "2", "--g", "pow:15", "--param", "R", "--start", "-1",
-        "--stop", "12", "--steps", "2", "--grid", "20", "--max-zeros", "1",
-    ]
-    assert run(argv + [flag, str(path)]) == 2
-    assert "ball radius must be a finite number > 0.0, got -1.0" in capsys.readouterr().err
+    assert run(_FAILING_BRANCH + [flag, str(path)]) == 2
+    assert capsys.readouterr().err == _BAD_RADIUS
     assert path.read_bytes() == b"old,table\n"
+
+
+def test_failed_branch_leaves_no_new_output_file(capsys, tmp_path, monkeypatch):
+    # The probe creates a new --out file; a failed sweep once left it
+    # behind, empty.
+    monkeypatch.chdir(tmp_path)
+    assert run(_FAILING_BRANCH + ["--out", "new.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == _BAD_RADIUS
+    assert list(tmp_path.iterdir()) == []
 
 
 _OUTPUTS = {
     "ptrig": _TABLES["ptrig"] + ["--out"],
     "shoot": _TABLES["shoot"] + ["--out"],
-    "branch-svg": _SVG_EMPTY + ["--svg"],
+    "branch": _TABLES["branch"] + ["--out"],
 }
 
 
@@ -464,15 +459,13 @@ def test_shoot_at_a_solved_d_prints_that_solution_profile(capsys):
         assert capsys.readouterr().out == want.getvalue()
 
 
-def test_branch_sweep_with_svg(capsys, tmp_path):
-    svg = tmp_path / "branch.svg"
+def test_branch_sweep_tabulates_the_lower_branch(capsys):
     doc = run_json(
         capsys,
         [
             "branch", "--p", "2", "--g", "pow:15", "--param", "q",
             "--start", "12", "--stop", "40", "--steps", "3",
-            "--max-zeros", "1", "--sides", "lower",
-            "--grid", "300", "--svg", str(svg),
+            "--max-zeros", "1", "--sides", "lower", "--grid", "300",
         ],
     )
     assert doc["n_rows"] == 3
@@ -480,32 +473,21 @@ def test_branch_sweep_with_svg(capsys, tmp_path):
     ds = [row[1] for row in doc["rows"]]
     assert ds == sorted(ds, reverse=True)
     assert doc["metadata"]["sides"] == ["lower"]
-    text = svg.read_text()
-    assert text.startswith("<svg")
-    assert "polyline" in text
 
 
-def test_empty_branch_sweep_draws_an_empty_frame(capsys, tmp_path):
+def test_empty_branch_sweep_is_no_error(capsys):
     # The p = 2 onset of the one-crossing branch is at q = 2 + pi^2 ~ 11.87,
     # so a sweep over q in [3, 4] finds nothing; that was once bad usage.
-    svg = tmp_path / "empty.svg"
     doc = run_json(
         capsys,
         [
             "branch", "--p", "2", "--g", "pow:3", "--start", "3", "--stop", "4",
             "--steps", "2", "--max-zeros", "1", "--sides", "lower",
-            "--grid", "16", "--svg", str(svg),
+            "--grid", "16",
         ],
     )
     assert doc["n_rows"] == 0
     assert doc["rows"] == []
-    assert doc["svg"] == str(svg)
-    text = svg.read_text()
-    assert text.startswith("<svg")
-    assert "<rect" in text
-    assert ">q</text>" in text
-    assert "polyline" not in text
-    assert text.endswith("</svg>")
 
 
 def test_branch_rejects_short_sweep(capsys):
@@ -607,7 +589,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         "branch": problem
         + [
             "--grid", "--out", "--g", "--param", "--start",
-            "--stop", "--steps", "--max-zeros", "--sides", "--svg",
+            "--stop", "--steps", "--max-zeros", "--sides",
         ],
         "rstar": problem + ["--grid", "--g", "--k", "--r-cap"],
     }
@@ -618,8 +600,8 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     )
     got = {name: _flags(sp) for name, sp in sub.choices.items()}
     assert got == expected
-    assert sum(len(flags) for flags in expected.values()) == 56
-    assert len({f for flags in expected.values() for f in flags}) == 21
+    assert sum(len(flags) for flags in expected.values()) == 55
+    assert len({f for flags in expected.values() for f in flags}) == 20
 
 
 @pytest.mark.parametrize(
@@ -642,6 +624,8 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         _TABLES["branch"] + ["--format", "json"],
         # shoot --d at a reported d writes the profile solve --out once did.
         ["solve", "--p", "2", "--g", "pow:15", "--out", "x"],
+        # branch --out FILE writes the points the plot once drew.
+        _TABLES["branch"] + ["--svg", "x.svg"],
     ],
 )
 def test_removed_flags_are_unknown(capsys, argv):

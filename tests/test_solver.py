@@ -589,6 +589,27 @@ def test_upper_scan_of_n1_ends_at_its_first_node_past_d0(spec, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "q, ds", [(30.0, [0.9437589]), (100.0, [0.8788142, 0.9525024])], ids=["q30", "q100"]
+)
+def test_n3_lower_census_meets_the_linear_bound(q, ds, caplog):
+    # The paper's setting, p = 2 on the unit ball of R^3: a lower solution
+    # with j crossings exists for each j with q - 2 > lambda_{j+1}, where
+    # lambda = 20.19, 59.68, 118.90, ... are the radial Neumann eigenvalues.
+    # The lower side finds exactly those j.  No oracle covers N = 3 yet,
+    # so the d are pinned to this solver's own values.
+    spec = ball(dim=3, q=q)
+    max_zeros = 4
+    bound = [
+        j for j in range(1, max_zeros + 1) if q - 2.0 > eigenvalue(j + 1, spec).lam
+    ]
+    with caplog.at_level(logging.WARNING, logger="plapshoot.solver"):
+        recs = find_solutions(spec, CFG, max_zeros=max_zeros, sides=("lower",))
+    assert [rec.zeros for rec in recs] == bound
+    assert [rec.d for rec in recs] == pytest.approx(ds, abs=1e-7)
+    assert not any("rejecting candidate" in msg for msg in caplog.messages)
+
+
+@pytest.mark.parametrize(
     "spec, max_zeros",
     [
         (ProblemSpec(p=1.5, dim=1, domain=Ball(20.0), g=Nonlinearity(q=20.0)), 4),
