@@ -195,10 +195,12 @@ def cmd_branch(args) -> int:
     ]
     # --out is opened once before the sweep, so that an unwritable path
     # costs no sweep; to append, so that a failed sweep leaves an existing
-    # file as it was, and one the probe made is removed again.
-    made = False
+    # file as it was, and one the probe made is removed again.  Through a
+    # dangling symlink the probe makes the link's target, and that goes.
+    made = None
     if args.out not in (None, "-"):
-        made = not os.path.lexists(args.out)
+        if not os.path.exists(args.out):
+            made = os.path.realpath(args.out)
         _open_out(args.out, "a").close()
     try:
         table = branch_sweep(
@@ -206,7 +208,7 @@ def cmd_branch(args) -> int:
         )
     except BaseException:
         if made:
-            os.remove(args.out)
+            os.remove(made)
         raise
     rows = [
         [r.param, r.d, r.side, r.zeros, r.theta_end, r.residual, int(r.fold)]

@@ -321,18 +321,49 @@ def find_solutions(
 
 
 def _max_theta_end(spec: ProblemSpec, cfg: SolverConfig) -> float:
-    """Golden-section max of theta_end over d; failed shots count as -inf."""
+    """Max of theta_end over d by Brent's bounded search (Brent 1973, ch. 5).
+
+    x is the best d shot so far, w the second best and v the previous
+    w.  Each step goes to the vertex of the parabola through the three,
+    or by golden section into the larger part of [a, b] when that
+    vertex is unsafe or one of the three failed: a failed shot counts as
+    -inf.  The search stops once x lies within half of 1e-6 of both ends
+    and returns the largest theta_end it shot.
+    """
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    tol = 2.5e-7
     a, b = D_MIN, D_MAX
-    x = a + (math.sqrt(5.0) - 1.0) / 2.0 * (b - a)
-    t_x = _theta_end(x, spec, cfg, -math.inf)
-    while b - a > 1e-6:
-        y = a + b - x
-        t_y = _theta_end(y, spec, cfg, -math.inf)
-        if t_y > t_x:
-            a, b = (x, b) if y > x else (a, x)
-            x, t_x = y, t_y
+    x = w = v = a + golden * (b - a)
+    t_x = t_w = t_v = _theta_end(x, spec, cfg, -math.inf)
+    step = last = 0.0
+    while max(x - a, b - x) > 2.0 * tol:
+        before, last = last, step
+        mid = 0.5 * (a + b)
+        p = q = 0.0
+        if abs(before) > tol and -math.inf not in (t_x, t_w, t_v):
+            r = (x - w) * (t_x - t_v)
+            q = (x - v) * (t_x - t_w)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+        if abs(p) < abs(0.5 * q * before) and q * (a - x) < p < q * (b - x):
+            step = p / q
+            if min(x + step - a, b - x - step) < 2.0 * tol:
+                step = math.copysign(tol, mid - x)
         else:
-            a, b = (a, y) if y > x else (y, b)
+            last = (a if x >= mid else b) - x
+            step = golden * last
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        t_u = _theta_end(u, spec, cfg, -math.inf)
+        if t_u >= t_x:
+            a, b = (x, b) if u >= x else (a, x)
+            v, t_v, w, t_w, x, t_x = w, t_w, x, t_x, u, t_u
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if t_u >= t_w or w == x:
+                v, t_v, w, t_w = w, t_w, u, t_u
+            elif t_u >= t_v or v in (x, w):
+                v, t_v = u, t_u
     return t_x
 
 
@@ -349,13 +380,14 @@ def rstar(
     k interior zeros exist precisely beyond a threshold radius.  The
     domain shape of ``spec`` is kept (annuli keep their radius ratio).
     g(R) = max_d theta_end(d; R) - (k+1) pi_p, the maximum taken by
-    golden section, is bracketed from the radius R of ``spec`` within
-    [1e-6 R, max(R, r_cap)] and closed in on by Illinois steps to a
-    relative width of 1.5e-3; the end with the smaller |g| is returned.
-    That assumes one peak in d, which a scan at the returned R confirms
-    (one local maximum, none of its nodes above the golden one, which
-    is kept from the search and not computed again), or
-    :class:`SearchError` is raised, as it is when g keeps its sign.
+    Brent's bounded search (:func:`_max_theta_end`), is bracketed from
+    the radius R of ``spec`` within [1e-6 R, max(R, r_cap)] and closed
+    in on by Illinois steps to a relative width of 1.5e-3; the end with
+    the smaller |g| is returned.  That assumes one peak in d, which a
+    scan at the returned R confirms (one local maximum, none of its
+    nodes above the searched maximum, which is kept from the search and
+    not computed again), or :class:`SearchError` is raised, as it is
+    when g keeps its sign.
     """
     cfg = cfg or SolverConfig()
     check_count(k, 1, "zero count")

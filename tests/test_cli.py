@@ -163,6 +163,21 @@ def test_failed_branch_leaves_no_new_output_file(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_branch_through_a_dangling_link_leaves_no_new_target(
+    capsys, tmp_path, monkeypatch
+):
+    # The probe follows the link and creates its target; a failed sweep
+    # once left that target behind, empty, and kept only the link.
+    monkeypatch.chdir(tmp_path)
+    os.symlink("target.csv", "link.csv")
+    assert run(_FAILING_BRANCH + ["--out", "link.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == _BAD_RADIUS
+    assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
+    assert os.readlink("link.csv") == "target.csv"
+
+
 _OUTPUTS = {
     "ptrig": _TABLES["ptrig"] + ["--out"],
     "shoot": _TABLES["shoot"] + ["--out"],

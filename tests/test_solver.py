@@ -471,9 +471,9 @@ def test_rstar_equals_old_predicate_loop(k, domain):
 
 def test_rstar_shot_budget(monkeypatch):
     # The benchmark's sweep configuration: the search in R and the
-    # confirming scan take at most 340 shots (329 with one golden search
-    # per radius, 359 with a second one at the returned radius, 539 by
-    # bisection in R).
+    # confirming scan take at most 220 shots (211 with one Brent search
+    # over d per radius, 329 with golden section there, 539 by bisection
+    # in R).
     cfg = SolverConfig(
         d_grid_size=150, rel_tol=1e-9, abs_tol=1e-11, residual_tol=1e-6
     )
@@ -486,7 +486,7 @@ def test_rstar_shot_budget(monkeypatch):
 
     monkeypatch.setattr(solver, "shoot", counted)
     rstar(1, ball(p=1.8, q=3.0), cfg)
-    assert len(shots) <= 340
+    assert len(shots) <= 220
 
 
 def test_rstar_below_the_threshold_up_to_r_cap_is_a_search_error():
@@ -502,8 +502,8 @@ class _FakeEnd:
 
 def test_rstar_rejects_two_humps(monkeypatch):
     # theta_end peaks at d = 0.3 and, a little lower, at d = 0.8; its
-    # maximum reaches 2 pi_p at R = 1.5.  The golden-section search
-    # follows one hump, and the confirming scan sees both.
+    # maximum reaches 2 pi_p at R = 1.5.  The search over d follows
+    # one hump, and the confirming scan sees both.
     pip = pi_p(1.8)
 
     def fake_shoot(d, spec, cfg=None, *, profile=True):
@@ -514,6 +514,47 @@ def test_rstar_rejects_two_humps(monkeypatch):
     monkeypatch.setattr(solver, "shoot", fake_shoot)
     with pytest.raises(SearchError, match="not single-peaked"):
         rstar(1, ball(p=1.8, q=3.0), SolverConfig(d_grid_size=40))
+
+
+def _hump_search(monkeypatch, theta, fails_below=0.0):
+    """_max_theta_end over a fake theta_end; the max and the d shot."""
+    shots = []
+
+    def fake_shoot(d, spec, cfg=None, *, profile=True):
+        shots.append(d)
+        if d < fails_below:
+            raise NumericsError("fake shot failed")
+        return _FakeEnd(theta(d))
+
+    monkeypatch.setattr(solver, "shoot", fake_shoot)
+    got = solver._max_theta_end(ball(p=1.8, q=3.0), SolverConfig())
+    return got, shots
+
+
+def test_max_theta_end_finds_a_skewed_hump(monkeypatch):
+    # sin(pi d^1.5) peaks at d = 2^(-2/3); golden section took 30 shots.
+    def theta(d):
+        return math.sin(math.pi * d ** 1.5)
+
+    got, shots = _hump_search(monkeypatch, theta)
+    assert len(shots) <= 20
+    assert got == max(map(theta, shots))
+    best = max(shots, key=theta)
+    assert abs(best - 2.0 ** (-2.0 / 3.0)) <= 1e-6
+
+
+def test_max_theta_end_steps_past_failed_shots(monkeypatch):
+    # Every shot below d = 0.3 fails and counts as -inf; the parabola
+    # through such a point is never taken, and the hump at 0.31 is found.
+    def theta(d):
+        return math.exp(-20.0 * (d - 0.31) ** 2)
+
+    got, shots = _hump_search(monkeypatch, theta, fails_below=0.3)
+    assert any(d < 0.3 for d in shots)
+    assert not math.isnan(got)
+    best = max((d for d in shots if d >= 0.3), key=theta)
+    assert got == theta(best)
+    assert abs(best - 0.31) <= 1e-6
 
 
 def test_rstar_runs_one_scan_and_routes_every_shot(monkeypatch):
