@@ -34,6 +34,7 @@ generated from the same tableau.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import SolverConfig
@@ -47,7 +48,7 @@ from .odeint import (
     integrate,
 )
 from .ptrig import get_context, phi_p, phi_p_inv
-from .radial import PROFILE_NODES, ProblemSpec
+from .radial import PROFILE_NODES, ProblemSpec, _pow_abs
 
 # The bracket for eigenvalues is grown by doubling until the angle
 # overshoots; past this multiple of R^-p something is wrong.
@@ -105,13 +106,11 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
 
     nm1 = n - 1
     r_expo = -nm1 / p
-    try:
-        r0**r_expo
-    except OverflowError:
+    if _pow_abs(r0, r_expo) == math.inf:
         raise SpecError(
             f"start-up radius {r0!r} too small: r^(-(N-1)/p) overflows for"
             f" N={n}, p={p!r}"
-        ) from None
+        )
 
     # ctx.pair is looked up here, per integration, so that a wrapper on
     # the class attribute sees every look-up.
@@ -130,9 +129,9 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
 
 
 def _guess(k: int, spec: ProblemSpec) -> float:
-    """The k-th eigenvalue of N = 1 on the same width, ((k-1) pi_p / width)^p."""
+    """The k-th eigenvalue ((k-1) pi_p / width)^p of N = 1, inf where it overflows."""
     width = spec.r_outer - (0.0 if spec.is_ball else spec.domain.r_inner)
-    return ((k - 1) * get_context(spec.p).pi_p / width) ** spec.p
+    return _pow_abs((k - 1) * get_context(spec.p).pi_p / width, spec.p)
 
 
 def eigenvalue(k: int, spec: ProblemSpec, cfg: SolverConfig | None = None) -> EigenResult:
@@ -145,12 +144,12 @@ def eigenvalue(k: int, spec: ProblemSpec, cfg: SolverConfig | None = None) -> Ei
     crossing until the angle is within 1e-12 k pi_p of it or the
     bracket's relative width is below 1e-10; ``residual`` is the angle
     miss it returns.  Raises :class:`SearchError` if the angle has not
-    crossed by the cap.  Below p = 2 the miss can be larger: at p = 1.5,
-    N = 1, k = 5 it is 1.0e-6 on R = 1, where lam is 6.1e-8 relative off
-    the closed form, because the terminal angle is not smooth in lam at
-    about 1e-6 rad: over lam steps of 1e-9 relative its increments vary
-    by up to 5.8e-6 rad there, and a tighter ``rel_tol`` does not remove
-    the jumps.
+    crossed by the cap, and :class:`SpecError` if the cap overflows.
+    Below p = 2 the miss can be larger: at p = 1.5, N = 1, k = 5 it is
+    1.0e-6 on R = 1, where lam is 6.1e-8 relative off the closed form,
+    because the terminal angle is not smooth in lam at about 1e-6 rad:
+    over lam steps of 1e-9 relative its increments vary by up to 5.8e-6
+    rad there, and a tighter ``rel_tol`` does not remove the jumps.
     """
     check_count(k, 1, "eigenvalue index")
     cfg = cfg or SolverConfig()
@@ -164,7 +163,9 @@ def eigenvalue(k: int, spec: ProblemSpec, cfg: SolverConfig | None = None) -> Ei
     def side(lam):
         return eigen_angle(lam, spec, cfg) - target
 
-    cap = LAMBDA_CAP_FACTOR * spec.r_outer ** (-spec.p)
+    cap = LAMBDA_CAP_FACTOR * _pow_abs(spec.r_outer, -spec.p)
+    if cap == math.inf:
+        raise SpecError(f"radius {spec.r_outer!r} too small: the lam cap overflows at p={spec.p!r}")
     bracket = grow_bracket(side, _guess(k, spec), 0.0, cap)
     if bracket is None:
         raise SearchError(f"no angle crossing for k={k} below lam={cap:.3e}")

@@ -41,15 +41,14 @@ class NearConstantShotError(NumericsError):
     """A shot collapsed onto the constant equilibrium.
 
     Raised when the squared phase-plane radius drops below the collapse
-    floor, at which point the phase angle is no longer trustworthy.
+    floor, at which point the phase angle is no longer trustworthy.  It
+    carries ``r`` and ``rho_sq``; the caller that shot knows ``d``.
     """
 
-    def __init__(self, d: float, r: float, rho_sq: float):
+    def __init__(self, r: float, rho_sq: float):
         super().__init__(
-            f"shot from d={d!r} collapsed near the constant state at r={r!r}"
-            f" (rho_sq={rho_sq:.3e})"
+            f"shot collapsed near the constant state at r={r!r} (rho_sq={rho_sq:.3e})"
         )
-        self.d = d
         self.r = r
         self.rho_sq = rho_sq
 

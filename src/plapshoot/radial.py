@@ -41,8 +41,8 @@ callable in each stage and the other with the field's body pasted in,
 so they give the same terminal angle to the last bit.
 
 Both kinds evaluate one field, written once as a body of statements,
-``_SHOT_N1`` for N = 1 and ``_SHOT_N`` for N > 1, and compiled per shot
-by :func:`_make_field` into the right hand side of the shot's
+``_SHOT_N1`` for N = 1 and ``_SHOT_N`` for N > 1, and compiled once per
+problem by :func:`_make_field` into the right hand side of every shot's
 :class:`~plapshoot.odeint.IvpSpec`: the callable that the dense kind
 calls in each stage, carrying the march with the body pasted in that
 the other kind runs.  The bodies paste :data:`REACTION`, the one
@@ -106,7 +106,7 @@ _RHO = (
     "    vpp = pow_abs(v, pp)",
     "    rho2 = pow_abs(um1, p) + pm1 * vpp",
     "if rho2 < rho_floor:",
-    "    raise collapsed(d, r, rho2)",
+    "    raise collapsed(r, rho2)",
 )
 
 # The shot's field (u', v', theta') for N = 1, where the flux weight
@@ -428,8 +428,9 @@ def _pow_abs(x: float, e: float) -> float:
         return math.inf
 
 
-def _make_field(spec: ProblemSpec, d: float) -> RhsFunc:
-    """Right hand side of a shot, ``(u', v', theta')`` from ``(r, u, v)``.
+@lru_cache(maxsize=8)
+def _make_field(p: float, dim: int, g: Nonlinearity) -> RhsFunc:
+    """Right hand side ``(u', v', theta')`` of every shot with this p, N and g.
 
     The angle does not feed back into the system, so the body does not
     read it.  For N = 1 the flux weight ``r^(N-1)`` is 1.0, so the body
@@ -440,12 +441,11 @@ def _make_field(spec: ProblemSpec, d: float) -> RhsFunc:
     non-finite component too, and every caller tests only whether all
     three are finite.
     """
-    p = spec.p
-    pp = spec.pprime
+    pp = p / (p - 1.0)  # ProblemSpec.pprime
     return compile_field(
-        ("u", "v"), _SHOT_N1 if spec.dim == 1 else _SHOT_N,
-        p=p, pp=pp, pm1=p - 1.0, ppm1=pp - 1.0, nm1=spec.dim - 1,
-        **spec.g.exponents(p), d=d, rho_floor=RHO_FLOOR,
+        ("u", "v"), _SHOT_N1 if dim == 1 else _SHOT_N,
+        p=p, pp=pp, pm1=p - 1.0, ppm1=pp - 1.0, nm1=dim - 1,
+        **g.exponents(p), rho_floor=RHO_FLOOR,
         collapsed=NearConstantShotError, pow_abs=_pow_abs, copysign=math.copysign,
     )
 
@@ -475,7 +475,7 @@ def _shot_start(d: float, spec: ProblemSpec, cfg: SolverConfig):
     if not all(math.isfinite(c) for c in y0):
         raise IntegrationError("start-up state not finite", r0)
     return IvpSpec(
-        rhs=_make_field(spec, d),
+        rhs=_make_field(spec.p, spec.dim, spec.g),
         r_start=r0,
         r_end=spec.r_outer,
         y0=y0,

@@ -268,6 +268,14 @@ def test_eigen_tolerance_past_the_float_range_exits_one(capsys, tol):
     assert "Traceback" not in err
 
 
+def test_eigen_cap_past_the_float_range_exits_two(capsys):
+    assert run(["eigen", "--p", "2", "--k", "2", "--r", "1e-300"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: radius 1e-300 too small")
+    assert "Traceback" not in err
+
+
 def test_eigen_segment(capsys):
     doc = run_json(capsys, ["eigen", "--p", "2", "--k", "2"])
     assert doc["lambda"] == pytest.approx(math.pi**2, rel=1e-6)

@@ -192,6 +192,29 @@ def test_bracket_cap(monkeypatch):
         eigenvalue(4, geom())
 
 
+def test_a_cap_that_overflows_is_a_spec_error():
+    # 1e8 R^-p overflows at R = 1e-300, p = 2.
+    with pytest.raises(SpecError, match="radius 1e-300 too small"):
+        eigenvalue(2, geom(radius=1e-300))
+
+
+def test_a_guess_that_overflows_starts_at_the_cap(monkeypatch):
+    # At p = 10, k = 100000, R = 1e-26 the closed form ((k-1) pi_p / R)^p
+    # overflows, while the cap 1e8 R^-p = 1e268 does not: the search
+    # starts at the cap, and an angle short of the target there is a
+    # search failure.
+    lams = []
+
+    def angle(lam, spec, cfg=None):
+        lams.append(lam)
+        return 0.0
+
+    monkeypatch.setattr(eigen_mod, "eigen_angle", angle)
+    with pytest.raises(SearchError, match="no angle crossing"):
+        eigenvalue(100_000, geom(p=10.0, radius=1e-26))
+    assert lams == [eigen_mod.LAMBDA_CAP_FACTOR * 1e-26 ** -10.0]
+
+
 def _old_eigenvalue_lam(k, spec):
     # The bisection eigenvalue used before its Illinois search: doubling
     # from lam = 1, then halving to a relative width of 1e-10.

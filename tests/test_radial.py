@@ -5,6 +5,7 @@ import dataclasses
 import math
 import re
 from bisect import insort
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -182,7 +183,7 @@ def _integrated_startup_state(d, spec, eps0):
     # The shot's own field, integrated from a thousandth of eps0, where
     # the series is exact to far below this check, out to eps0.
     ivp = odeint.IvpSpec(
-        rhs=radial._make_field(spec, d),
+        rhs=radial._make_field(spec.p, spec.dim, spec.g),
         r_start=1e-3 * eps0,
         r_end=eps0,
         y0=startup_state(d, spec, 1e-3 * eps0),
@@ -447,7 +448,7 @@ def test_rho_floor_triggers_near_constant_error():
         with pytest.raises(NearConstantShotError) as exc:
             shoot(d, spec, profile=profile)
         err = exc.value
-        assert (err.d, err.r, err.rho_sq.hex()) == (d, eps0, rho2.hex())
+        assert (err.r, err.rho_sq.hex()) == (eps0, rho2.hex())
     # One decade further out the shot is fine.
     traj, summ = shoot(1.0 - 1e-3, spec)
     assert math.isfinite(summ.theta_end)
@@ -474,8 +475,8 @@ def test_collapse_mid_shot_is_the_same_error_on_both_kinds(spec, d):
         with pytest.raises(NearConstantShotError) as exc:
             shoot(d, spec, cfg, profile=profile)
         err = exc.value
-        seen.append((err.d, err.r.hex(), err.rho_sq.hex()))
-        assert err.d == d and 0.2 < err.r < 0.6
+        seen.append((err.r.hex(), err.rho_sq.hex()))
+        assert 0.2 < err.r < 0.6
         assert err.rho_sq < radial.RHO_FLOOR
     assert seen[0] == seen[1]
 
@@ -653,6 +654,8 @@ def test_end_state_kernel_keeps_the_integrator_checks(monkeypatch):
     # step with the body pasted into its stages carry it.
     wall = ("if r >= 0.5:", "    f0 = f1 = f2 = inf")
     monkeypatch.setattr(radial, "_SHOT_N1", radial._SHOT_N1 + wall)
+    # A fresh cache of fields, so that the shots compile the new body.
+    monkeypatch.setattr(radial, "_make_field", lru_cache(maxsize=8)(radial._make_field.__wrapped__))
     assert messages().startswith("step size underflow")
 
 
@@ -746,16 +749,13 @@ def _ref_f(self, s: float, p: float) -> float:
         return math.inf
 
 
-def _ref_make_field(spec: ProblemSpec, d: float):
+def _ref_make_field(p: float, n: int, g: Nonlinearity):
     """Right hand side of a shot as ``field(r, u, v) -> (u', v', theta')``.
 
     The angle does not feed back into the system, so it is not an
     argument.
     """
-    p = spec.p
-    pp = spec.pprime
-    n = spec.dim
-    g = spec.g
+    pp = p / (p - 1.0)
 
     def field(r, u, v):
         rn = r ** (n - 1) if n > 1 else 1.0
@@ -764,7 +764,7 @@ def _ref_make_field(spec: ProblemSpec, d: float):
         um1 = u - 1.0
         rho2 = _ref_pow_abs(um1, p) + (p - 1.0) * _ref_pow_abs(v, pp)
         if rho2 < radial.RHO_FLOOR:
-            raise NearConstantShotError(d, r, rho2)
+            raise NearConstantShotError(r, rho2)
         du = math.copysign(_ref_pow_abs(w, pp - 1.0), w) if w != 0.0 else 0.0
         dv = -rn * fu
         dth = rn * ((p - 1.0) * _ref_pow_abs(w, pp) + um1 * fu) / rho2
@@ -804,23 +804,22 @@ def _field_cases(draw):
     frac = draw(st.one_of(st.none(), st.floats(0.0, 0.99)))
     r_exp = None if frac is None else p + frac * (q - p)
     dim = draw(st.sampled_from([1, 2, 3]))
-    spec = ProblemSpec(p=p, dim=dim, domain=Ball(4.0), g=Nonlinearity(q, r_exp=r_exp))
-    d = draw(st.floats(0.0, 3.0))
+    g = Nonlinearity(q, r_exp=r_exp)
     r = draw(st.floats(0.0, 4.0, exclude_min=True))
-    return spec, d, r, draw(_STATE), draw(_STATE)
+    return p, dim, g, r, draw(_STATE), draw(_STATE)
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None, database=None)
 @given(_field_cases())
 def test_field_matches_the_reference_field(case):
-    spec, d, r, u, v = case
-    rhs = radial._make_field(spec, d)
+    p, dim, g, r, u, v = case
+    rhs = radial._make_field(p, dim, g)
     assert _field_outcome(lambda r, u, v: rhs(r, (u, v)), r, u, v) == _field_outcome(
-        _ref_make_field(spec, d), r, u, v
+        _ref_make_field(p, dim, g), r, u, v
     )
-    f = spec.g.f_for(spec.p)
+    f = g.f_for(p)
     for s in (u, v):
-        a, b = f(s), _ref_f(spec.g, s, spec.p)
+        a, b = f(s), _ref_f(g, s, p)
         assert a.hex() == b.hex() or (math.isnan(a) and math.isnan(b))
 
 
@@ -865,20 +864,19 @@ def _p2_cases(draw):
     q = 2.0 + draw(st.floats(1e-3, 100.0))
     r_exp = draw(st.sampled_from([None, 2.0]))
     dim = draw(st.sampled_from([1, 2]))
-    spec = ProblemSpec(p=2.0, dim=dim, domain=Ball(4.0), g=Nonlinearity(q, r_exp=r_exp))
-    d = draw(st.floats(0.0, 3.0))
+    g = Nonlinearity(q, r_exp=r_exp)
     r = draw(st.floats(0.0, 3.0, exclude_min=True))
     h = draw(st.floats(1e-6, 1.0))
     k1 = tuple(draw(_STATE) for _ in range(3))
-    return spec, d, r, h, draw(_STATE), draw(_STATE), k1
+    return dim, g, r, h, draw(_STATE), draw(_STATE), k1
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(_p2_cases(), _FINITE_STATE, _FINITE_STATE)
 def test_folded_field_at_p2_matches_the_reference_field(case, u0, v0):
-    spec, d, r, h, u, v, k1 = case
-    field = radial._make_field(spec, d)
-    ref = _ref_make_field(spec, d)
+    dim, g, r, h, u, v, k1 = case
+    field = radial._make_field(2.0, dim, g)
+    ref = _ref_make_field(2.0, dim, g)
     assert _field_outcome(lambda r, u, v: field(r, (u, v)), r, u, v) == _field_outcome(
         ref, r, u, v
     )
@@ -936,6 +934,8 @@ def test_a_p2_shot_makes_no_copysign_call(p, calls, monkeypatch):
 
     spec = ball_spec(p=p, q=15.0)
     monkeypatch.setattr(math, "copysign", counted)
+    # A fresh cache of fields, so that the shot's field binds the counter.
+    monkeypatch.setattr(radial, "_make_field", lru_cache(maxsize=8)(radial._make_field.__wrapped__))
     ivp = _shot_start(0.5, spec, SolverConfig())
     count.clear()  # the start-up state may call it once
     odeint.end_state(ivp)
