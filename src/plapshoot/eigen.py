@@ -24,12 +24,15 @@ written once as a body (one for N = 1, one for N > 1), is compiled by
 :func:`~plapshoot.odeint.compile_field` into the right hand side of its
 one-component IVP, which carries the march generated from the
 Dormand-Prince tableau with the body pasted into each stage.  The body
-calls the bound :meth:`~plapshoot.ptrig.PTrigContext.pair` for the
-table look-up, and at p = 2 squares ``sin_p`` and ``cos_p`` with no
-``abs``, which the fold of even exponents removes.  It keeps only the
-end value.  Only :func:`eigenfunction`, which samples a profile, runs
-the dense :func:`~plapshoot.odeint.integrate`, whose march is
-generated from the same tableau.
+opens with :data:`~plapshoot.ptrig.LOOKUP`, the table look-up that
+:meth:`~plapshoot.ptrig.PTrigContext.pair` runs, with the context's
+table bound: no stage calls a function, and a stage angle that is not
+finite gives a NaN slope, which shrinks the step.  At p = 2 the body
+squares ``sin_p`` and ``cos_p`` with no ``abs``, which the fold of even
+exponents removes.  It keeps only the end value.  Only
+:func:`eigenfunction`, which samples a profile, runs the dense
+:func:`~plapshoot.odeint.integrate`, whose march is generated from the
+same tableau.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .odeint import (
     illinois_bracket,
     integrate,
 )
-from .ptrig import get_context, phi_p, phi_p_inv
+from .ptrig import LOOKUP, get_context, phi_p, phi_p_inv
 from .radial import PROFILE_NODES, ProblemSpec, _pow_abs
 
 # The bracket for eigenvalues is grown by doubling until the angle
@@ -59,14 +62,11 @@ LAMBDA_CAP_FACTOR = 1e8
 _REL_TOL = 1e-10
 _ANGLE_TOL = 1e-12
 
-# The angle's rate for N = 1, which drops the weight r^(N-1) = 1.0 with the
-# same bits (_ANGLE there is 5.6 % slower on eigen-ladder), and for N > 1.
-_ANGLE_N1 = (
-    "c, s = pair(th)",
-    "f0 = pm1 * abs(s) ** pp + lam * abs(c) ** p",
-)
-_ANGLE = (
-    "c, s = pair(th)",
+# The angle's rate after the look-up of (c, s) at th, whose p and pp it
+# reads, for N = 1, which drops the weight r^(N-1) = 1.0 with the same bits
+# (_ANGLE there is 5.6 % slower on eigen-ladder), and for N > 1.
+_ANGLE_N1 = LOOKUP + ("f0 = pm1 * abs(s) ** pp + lam * abs(c) ** p",)
+_ANGLE = LOOKUP + (
     "f0 = pm1 * (abs(s) * r ** r_expo) ** pp + lam * abs(c) ** p * r ** nm1",
 )
 
@@ -97,7 +97,6 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
     check_number(lam, "lam", least=0.0)
     cfg = cfg or SolverConfig()
     p = spec.p
-    pp = spec.pprime
     n = spec.dim
     ctx = get_context(p)
     pip = ctx.pi_p
@@ -112,12 +111,10 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
             f" N={n}, p={p!r}"
         )
 
-    # ctx.pair is looked up here, per integration, so that a wrapper on
-    # the class attribute sees every look-up.
     ivp = IvpSpec(
         rhs=compile_field(
             ("th",), _ANGLE if nm1 else _ANGLE_N1,
-            pair=ctx.pair, pm1=p - 1.0, pp=pp, p=p, lam=lam, nm1=nm1, r_expo=r_expo,
+            **ctx.table(), pm1=p - 1.0, lam=lam, nm1=nm1, r_expo=r_expo,
         ),
         r_start=r0,
         r_end=spec.r_outer,

@@ -17,22 +17,61 @@ Evaluation goes through a cached per-exponent context: one quarter
 period is tabulated once by the adaptive integrator and every angle is
 folded into it by the reflection and antiperiodicity symmetries.  A
 short series handles angles near zero where the table would lose
-relative accuracy.  The inverse, from a point of the p-circle back to
-its angle, reads the same table and the same series.
+relative accuracy.  That look-up is written once, as :data:`LOOKUP`,
+which :meth:`PTrigContext.pair` runs and the eigenvalue angle's march
+pastes into its stages.  The inverse, from a point of the p-circle back
+to its angle, reads the same table and the same series.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import NumericsError, SpecError, check_number
-from .odeint import IvpSpec, illinois_bracket, integrate
+from .odeint import IvpSpec, compile_field, illinois_bracket, integrate
 
 # Below this angle the truncated series is used instead of the table;
 # its omitted terms are O(delta**(2q)) <= 1e-16 for the p range allowed.
 _SERIES_CUTOFF = 1e-6
+
+# The statements that assign (c, s) = (cos_p(th), sin_p(th)), with the
+# constants of PTrigContext.table.  th is folded into [0, pi_p/2] (fold
+# arithmetic can land a few ulp outside, which is clamped), then read off
+# the series of PTrigContext._series_pair or the cell of the table whose
+# left end is the last knot at or below it.  An inf th, which fmod refuses,
+# and a NaN, which fails every test and reaches the last cell, give NaN.
+LOOKUP = (
+    "try:",
+    "    t = fmod(th, two_pi_p)",
+    "except ValueError:",
+    "    t = nan",
+    "if t < 0.0:",
+    "    t += two_pi_p",
+    "sign = 1.0",
+    "if t >= pi_p:",
+    "    sign = -1.0",
+    "    t -= pi_p",
+    "sign_c = sign",
+    "if t > half_pi_p:",
+    "    t = pi_p - t",
+    "    sign_c = -sign",
+    "if t <= cutoff:",
+    "    t = 0.0 if t < 0.0 else t",
+    "    tq = t ** pp",
+    "    c = 1.0 - tq / pp + (p - 1.0) * (pp - 1.0) * tq * tq / (2.0 * pp * pp * (pp + 1.0))",
+    "    s = t - (p - 1.0) * tq * t / (pp * (pp + 1.0))",
+    "elif t >= half_pi_p:",
+    "    c, s = end",
+    "else:",
+    "    t0, h, c0, s0, c1, c2, c3, c4, s1, s2, s3, s4 = cells[bisect(knots, t) - 1]",
+    "    x = (t - t0) / h",
+    "    c = c0 + h * x * (c1 + x * (c2 + x * (c3 + x * c4)))",
+    "    s = s0 + h * x * (s1 + x * (s2 + x * (s3 + x * s4)))",
+    "c = sign_c * c",
+    "s = sign * s",
+)
 
 
 def phi_p(s: float, p: float) -> float:
@@ -67,10 +106,10 @@ class PTrigContext:
     integrates the defining system at tight tolerance and is
     comparatively expensive.  The table is checked only at its end,
     where ``cos_p`` must vanish and ``sin_p`` reach its maximum.
-    :meth:`pair` folds an angle into the quarter period and evaluates
-    the table's quartic on that interval inline, as
-    ``DenseSolution.eval`` would, in one call per look-up.
-    :meth:`angle` is its inverse over one period.
+    :meth:`pair` runs :data:`LOOKUP`, with :meth:`table` bound, which
+    folds an angle into the quarter period and evaluates the table's
+    quartic there, as ``DenseSolution.eval`` would.  :meth:`angle` is
+    its inverse over one period.
     """
 
     def __init__(self, p: float):
@@ -106,10 +145,7 @@ class PTrigContext:
                 f"quarter-period table for p={p} failed its endpoint check:"
                 f" C={c_end:.3e}, S-S_max={s_end - self.sin_p_max:.3e}"
             )
-        # The mesh and the table per interval, which pair evaluates
-        # inline.
         self._rs = self._quarter.rs
-        self._cells = self._quarter.cells
         # The knot values of -cos_p and sin_p, both rising over the
         # quarter, in which angle locates its cell.
         self._rising = (
@@ -128,42 +164,24 @@ class PTrigContext:
         s = t - (p - 1.0) * tq * t / (pp * (pp + 1.0))
         return (c, s)
 
+    def table(self) -> dict:
+        """The constants of :data:`LOOKUP`, ``p`` and ``pp = p'`` among them."""
+        return dict(
+            fmod=math.fmod, bisect=bisect_right, nan=math.nan, p=self.p, pp=self.pprime,
+            pi_p=self.pi_p, two_pi_p=2.0 * self.pi_p, half_pi_p=self.half_pi_p,
+            cutoff=self._delta, knots=self._rs[:-1], cells=self._quarter.cells,
+            end=self._quarter.y_end,
+        )
+
+    @cached_property
+    def _look_up(self):
+        return compile_field(("th",), LOOKUP + ("f0 = c", "f1 = s"), **self.table())
+
     def pair(self, theta: float) -> tuple[float, float]:
         """``(cos_p(theta), sin_p(theta))`` for any finite angle."""
         if not math.isfinite(theta):
             raise SpecError(f"angle must be finite, got {theta!r}")
-        pi_p = self.pi_p
-        two = 2.0 * pi_p
-        t = math.fmod(theta, two)
-        if t < 0.0:
-            t += two
-        if t >= pi_p:
-            sign = -1.0
-            t -= pi_p
-        else:
-            sign = 1.0
-        half = self.half_pi_p
-        if t > half:
-            t = pi_p - t
-            sign_c = -sign
-        else:
-            sign_c = sign
-        # t is now folded into [0, pi_p/2]; fold arithmetic can land a
-        # few ulp outside, which is clamped.  Past the series this is
-        # DenseSolution.eval of the table through its cells, without
-        # the range checks: t lies inside the mesh.
-        if t <= self._delta:
-            c, s = self._series_pair(max(t, 0.0))
-        elif t >= half:
-            c, s = self._quarter.y_end
-        else:
-            r0, h, c0, s0, c1, c2, c3, c4, s1, s2, s3, s4 = self._cells[
-                bisect_right(self._rs, t) - 1
-            ]
-            x = (t - r0) / h
-            c = c0 + h * x * (c1 + x * (c2 + x * (c3 + x * c4)))
-            s = s0 + h * x * (s1 + x * (s2 + x * (s3 + x * s4)))
-        return (sign_c * c, sign * s)
+        return self._look_up(0.0, (theta,))
 
     def angle(self, c: float, s: float) -> float:
         """The angle in ``[0, 2 pi_p]`` whose :meth:`pair` is ``(c, s)``.

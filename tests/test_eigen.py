@@ -344,24 +344,36 @@ def test_angle_kernel_keeps_the_integrator_checks(monkeypatch):
         assert cls is IntegrationError
         assert message.startswith("exceeded max_steps=5")
 
-    # Past the angle pi + 0.5 the class-level pair returns a cosine of
-    # 1.3e154, so the right hand side is close to the largest double:
-    # at lam = 1 a stage angle overflows and pair rejects it; at lam = 10
-    # every step into the wall shrinks by 4 until the step underflows.
-    pair = PTrigContext.pair
-    wall = math.pi + 0.5
-
-    def walled(ctx, theta):
-        c, s = pair(ctx, theta)
-        return (1.3e154, s) if theta > wall else (c, s)
-
-    monkeypatch.setattr(PTrigContext, "pair", walled)
-    cls, message = outcome(1.0)
+    # A context built for the test, whose cells past the quarter angle
+    # 0.5 give a cosine of 1.3e154: past the angle pi + 0.5 the right hand
+    # side is close to the largest double.  At lam = 1 a stage angle
+    # overflows, and its NaN slope shrinks the step by 4 until the step
+    # underflows, where the dense route's pair rejects that angle; at
+    # lam = 10 every step into the wall shrinks by 4 on both routes.
+    ctx = PTrigContext(2.0)
+    for i, (t0, h, c0, s0, c1, c2, c3, c4, *s_coefs) in enumerate(ctx._quarter.cells):
+        if t0 > 0.5:
+            ctx._quarter.cells[i] = (t0, h, 1.3e154, s0, 0.0, 0.0, 0.0, 0.0, *s_coefs)
+    monkeypatch.setattr(eigen_mod, "get_context", lambda p: ctx)
+    monkeypatch.setitem(globals(), "get_context", lambda p: ctx)
+    cls, message = _angle_or_error(eigen_angle, 1.0, spec)
+    assert cls is IntegrationError
+    assert message.startswith("step size underflow")
+    cls, message = _angle_or_error(_old_eigen_angle, 1.0, spec)
     assert cls is SpecError
     assert message.startswith("angle must be finite")
     cls, message = outcome(10.0)
     assert cls is IntegrationError
     assert message.startswith("step size underflow")
+
+
+def test_non_finite_stage_angle_is_a_numerics_error():
+    # A stage angle that overflows gives a NaN slope, which the march
+    # rejects like any other, not a SpecError from the look-up; here the
+    # step then underflows.
+    spec = ProblemSpec(p=2.0, dim=1, domain=Ball(1e-150))
+    with pytest.raises(IntegrationError, match="step size underflow"):
+        eigen_angle(1e308, spec)
 
 
 # The seed-0 ladders of the benchmark's eigen-ladder workload:
@@ -410,6 +422,24 @@ def _count_angle_calls(monkeypatch):
 
     monkeypatch.setattr(eigen_mod, "eigen_angle", counted)
     return calls
+
+
+def test_angle_march_steps_on_the_bench_ladders(monkeypatch):
+    # The steps of the angle march, pinned by their counts from
+    # end_state, which sees every integration whatever its field calls.
+    counts = []
+    end_state = eigen_mod.end_state
+
+    def counted(ivp):
+        out = end_state(ivp)
+        counts.append(out[1:])
+        return out
+
+    monkeypatch.setattr(eigen_mod, "end_state", counted)
+    for k, spec in _ladder_cases():
+        eigenvalue(k, spec)
+    steps, evals = map(sum, zip(*counts))
+    assert (len(counts), steps, evals) == (50, 10_874, 72_088)
 
 
 def test_angle_call_budget_on_the_bench_ladders(monkeypatch):

@@ -1,16 +1,19 @@
 """Generalized trig tests, including a closed-form inverse-beta oracle."""
 
+import functools
 import math
 import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import betaincinv
 
 from plapshoot import ptrig
 from plapshoot.errors import NumericsError, SpecError
-from plapshoot.odeint import IvpSpec, crossings, integrate
-from plapshoot.ptrig import PTrigContext, get_context, phi_p, phi_p_inv, pi_p
+from plapshoot.odeint import IvpSpec, compile_field, crossings, integrate
+from plapshoot.ptrig import LOOKUP, PTrigContext, get_context, phi_p, phi_p_inv, pi_p
 from plapshoot.radial import Ball, ProblemSpec
 
 P_GRID = (1.3, 4 / 3, 1.5, 2.0, 2.5, 3.0, 4.0)
@@ -263,6 +266,65 @@ def test_pair_equals_dense_eval(p):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(SpecError):
             ctx.pair(bad)
+
+
+class _Seen(Exception):
+    pass
+
+
+@functools.lru_cache(maxsize=None)
+def _pasted(p):
+    # LOOKUP pasted into the stages of a generated march, with the
+    # table of p bound, and stopped by the first stage that runs it:
+    # with the slope -0.0 at the start that stage's angle is the start
+    # angle itself, whose (c, s) it raises.
+    rhs = compile_field(
+        ("th",), LOOKUP + ("raise seen(c, s)", "f0 = c"), **get_context(p).table(), seen=_Seen
+    )
+
+    def look_up(theta):
+        with pytest.raises(_Seen) as seen:
+            rhs.march(0.0, 1.0, (theta,), (-0.0,), 0.5, 1e-6, 1e-9, 10)
+        return seen.value.args
+
+    return look_up
+
+
+@st.composite
+def _lookup_angles(draw):
+    # A random angle within 50 pi_p, or a multiple of pi_p/2 or one the
+    # series cutoff off a multiple of pi_p, moved by up to 2 ulp.
+    p = draw(st.sampled_from([1.2, 1.5, 2.0, 2.5, 3.0, 4.0]))
+    ctx = get_context(p)
+    bound = 50.0 * ctx.pi_p
+    kind = draw(st.sampled_from(["random", "quarter", "cutoff"]))
+    if kind == "random":
+        return p, draw(st.floats(-bound, bound))
+    if kind == "quarter":
+        theta = draw(st.integers(-100, 100)) * ctx.half_pi_p
+    else:
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        theta = draw(st.integers(-50, 50)) * ctx.pi_p + side * ctx._delta
+    ulps = draw(st.integers(-2, 2))
+    for _ in range(abs(ulps)):
+        theta = math.nextafter(theta, math.copysign(math.inf, ulps))
+    return p, theta
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(_lookup_angles())
+def test_pasted_look_up_is_pair_to_the_bit(case):
+    p, theta = case
+    c, s = get_context(p).pair(theta)
+    pc, ps = _pasted(p)(theta)
+    assert (pc.hex(), ps.hex()) == (c.hex(), s.hex()), theta
+
+
+def test_pasted_look_up_of_a_non_finite_angle_is_nan():
+    # The march shrinks a step whose stage angle is not finite, so the
+    # look-up must give NaN there; pair refuses such an angle.
+    for theta in (math.nan, math.inf, -math.inf):
+        assert all(math.isnan(x) for x in _pasted(2.5)(theta))
 
 
 def test_angle_is_atan2_at_p2():
