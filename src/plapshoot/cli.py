@@ -7,7 +7,7 @@ FILE and keeps the JSON summary on stdout, and ``--out -`` prints the
 CSV alone.  Each subcommand accepts only the flags it reads, and
 refuses a flag that it would not use.  Exit codes: 0 on success, 1 when
 a numerical routine fails or a reader closes stdout early (quietly), 2
-for invalid usage or parameters, an unwritable output path included.
+for invalid usage or parameters, an output that cannot be written included.
 """
 
 from __future__ import annotations
@@ -97,8 +97,11 @@ def _write_table(args, header: list[str], rows: list[list[float]], summary: dict
     elif args.out == "-":
         _write_csv(sys.stdout, header, rows)
     else:
-        with _open_out(args.out) as fh:
-            _write_csv(fh, header, rows)
+        try:
+            with _open_out(args.out) as fh:
+                _write_csv(fh, header, rows)
+        except OSError as exc:
+            raise SpecError(f"cannot write {args.out}: {exc.strerror}") from exc
         _emit_json(dict(summary, out=args.out))
 
 
@@ -401,11 +404,14 @@ def main() -> None:
     try:
         code = run()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # A reader closed stdout: stop quietly, and let the flush at exit
-        # write to devnull.
+    except OSError as exc:
+        # A reader closed stdout (stop quietly), or a write to it failed:
+        # let the flush at exit write to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+            code = 2
     sys.exit(code)
 
 

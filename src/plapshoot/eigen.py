@@ -20,19 +20,19 @@ brackets the root by doubling or halving with
 :func:`~plapshoot.odeint.illinois_bracket`.
 
 The angle runs through :func:`~plapshoot.odeint.end_state`: its rate,
-written once as a body (one for N = 1, one for N > 1), is compiled by
+written once as a body for every N, is compiled by
 :func:`~plapshoot.odeint.compile_field` into the right hand side of its
 one-component IVP, which carries the march generated from the
 Dormand-Prince tableau with the body pasted into each stage.  The body
 opens with :data:`~plapshoot.ptrig.LOOKUP`, the table look-up that
 :meth:`~plapshoot.ptrig.PTrigContext.pair` runs, with the context's
 table bound: no stage calls a function, and a stage angle that is not
-finite gives a NaN slope, which shrinks the step.  At p = 2 the body
-squares ``sin_p`` and ``cos_p`` with no ``abs``, which the fold of even
-exponents removes.  It keeps only the end value.  Only
-:func:`eigenfunction`, which samples a profile, runs the dense
-:func:`~plapshoot.odeint.integrate`, whose march is generated from the
-same tableau.
+finite gives a NaN slope, which shrinks the step.  The fold of even
+exponents drops the ``abs`` of ``sin_p`` and ``cos_p`` at p = 2, and that
+of zero exponents the weights ``r ** 0`` at N = 1, where no stage reads
+``r``.  It keeps only the end value.  Only :func:`eigenfunction`, which
+samples a profile, runs the dense :func:`~plapshoot.odeint.integrate`,
+whose march is generated from the same tableau.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from .odeint import (
     illinois_bracket,
     integrate,
 )
-from .ptrig import LOOKUP, get_context, phi_p, phi_p_inv
-from .radial import PROFILE_NODES, ProblemSpec, _pow_abs
+from .ptrig import LOOKUP, _pow_abs, get_context, phi_p, phi_p_inv
+from .radial import PROFILE_NODES, ProblemSpec
 
 # The bracket for eigenvalues is grown by doubling until the angle
 # overshoots; past this multiple of R^-p something is wrong.
@@ -63,9 +63,7 @@ _REL_TOL = 1e-10
 _ANGLE_TOL = 1e-12
 
 # The angle's rate after the look-up of (c, s) at th, whose p and pp it
-# reads, for N = 1, which drops the weight r^(N-1) = 1.0 with the same bits
-# (_ANGLE there is 5.6 % slower on eigen-ladder), and for N > 1.
-_ANGLE_N1 = LOOKUP + ("f0 = pm1 * abs(s) ** pp + lam * abs(c) ** p",)
+# reads.  For N = 1, nm1 = 0 and r_expo = -0.0 fold both weights out.
 _ANGLE = LOOKUP + (
     "f0 = pm1 * (abs(s) * r ** r_expo) ** pp + lam * abs(c) ** p * r ** nm1",
 )
@@ -113,8 +111,7 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
 
     ivp = IvpSpec(
         rhs=compile_field(
-            ("th",), _ANGLE if nm1 else _ANGLE_N1,
-            **ctx.table(), pm1=p - 1.0, lam=lam, nm1=nm1, r_expo=r_expo,
+            ("th",), _ANGLE, **ctx.table(), pm1=p - 1.0, lam=lam, nm1=nm1, r_expo=r_expo
         ),
         r_start=r0,
         r_end=spec.r_outer,

@@ -16,16 +16,17 @@ field is written once, as a body of statements, and
 which carries the march that :func:`end_state` runs, keeping only the
 end state; :func:`_run` starts both.  The shots of ``plapshoot.radial``
 (one body for N = 1, one for N > 1) and the eigenvalue angles of
-``plapshoot.eigen`` are written so.  Before a body is compiled,
-:func:`_fold` folds out the constants equal to 1, where ``x ** k``,
-``k * x`` and the signed power ``copysign(abs(x) ** k, x)`` become
-``x``, and those equal to an even integer, where ``abs(x) ** k``
-becomes ``x ** k``: exact for every double, so that a shot at p = 2
-pays for none of its unit exponents and no ``abs`` in its stages.
-Squares stay ``x ** 2.0``, which differs from ``x * x`` in the last
-bit for some doubles.  :func:`integrate` runs the dense variant of the
-march, which also appends each accepted step and its interpolant
-weights to the solution, for the one-line body that calls
+``plapshoot.eigen`` are written so.  Before a body is compiled, once
+per folded text, :func:`_fold` folds out the constants equal to 1
+(``x ** k``, ``k * x`` and ``copysign(abs(x) ** k, x)`` become ``x``),
+to 0 (``x * y ** k`` becomes ``x``) and to an even integer
+(``abs(x) ** k`` becomes ``x ** k``): exact for every double, so that a
+shot at p = 2 pays for none of its unit exponents and no ``abs`` in its
+stages, and the eigenvalue angle at N = 1 for none of its weights
+``r ** 0``.  Squares stay ``x ** 2.0``, which differs from ``x * x`` in
+the last bit for some doubles.  :func:`integrate` runs the dense
+variant of the march, which also appends each accepted step and its
+interpolant weights to the solution, for the one-line body that calls
 ``IvpSpec.rhs``.
 
 The dense output is what profiles and events build on: event
@@ -319,46 +320,48 @@ def compile_field(reads: Sequence[str], body: Sequence[str], **consts) -> RhsFun
     abs_tol, max_steps)``, the step loop of :func:`end_state` with the
     body pasted into every stage, steps from the state ``y`` at ``r``,
     whose slope is ``k1``, with the first step ``h``, and returns
-    ``(y_end, n_steps, n_rhs_evals)``, its own evaluations only.  Both
-    are compiled by :func:`_end_trial`, once per body and set of
-    constants equal to 1 or to an even integer, which :func:`_fold`
-    folds out of the body with the same bits, on first use.
+    ``(y_end, n_steps, n_rhs_evals)``, its own evaluations only.
+    :func:`_fold` first folds the constants equal to 1, to 0 or to an
+    even integer out of the body with the same bits, and
+    :func:`_end_trial` compiles both, once per folded text, on first use.
     """
-    make = _end_trial(tuple(reads), tuple(body), tuple(consts), *_fold_classes(consts))
-    return make(**consts)
+    body = _fold(tuple(body), *_fold_classes(consts))
+    return _end_trial(tuple(reads), body, tuple(consts))(**consts)
 
 
-def _fold_classes(consts: dict) -> tuple[frozenset, frozenset]:
-    """The names of ``consts`` equal to 1, and those equal to an even integer.
+def _fold_classes(consts: dict) -> tuple[frozenset, frozenset, frozenset]:
+    """The names of ``consts`` equal to 1, to an even integer and to 0.
 
     Only an ``int`` or a ``float`` counts, not a ``bool``.
     """
-    numbers = {name: value for name, value in consts.items() if type(value) in (int, float)}
-    units = frozenset([name for name, value in numbers.items() if value == 1])
-    return units, frozenset([name for name, value in numbers.items() if value % 2 == 0])
+    numbers = [(name, value) for name, value in consts.items() if type(value) in (int, float)]
+    return (
+        frozenset([name for name, value in numbers if value == 1]),
+        frozenset([name for name, value in numbers if value % 2 == 0]),
+        frozenset([name for name, value in numbers if value == 0]),
+    )
 
 
 class _ExactFold(ast.NodeTransformer):
-    """Rewrites an expression tree with the names in ``units`` equal to 1
-    and those in ``evens`` equal to even integers.
+    """Rewrites an expression tree with the names in ``units`` equal to 1,
+    those in ``evens`` equal to even integers and those in ``zeros`` to 0.
     """
 
-    def __init__(self, units: frozenset, evens: frozenset):
-        self.units = units
-        self.evens = evens
-
-    def _unit(self, node) -> bool:
-        return isinstance(node, ast.Name) and node.id in self.units
+    def __init__(self, units: frozenset, evens: frozenset, zeros: frozenset):
+        self.units, self.evens, self.zeros = units, evens, zeros
 
     def visit_BinOp(self, node):
         self.generic_visit(node)
-        if isinstance(node.op, ast.Pow) and self._unit(node.right):
-            return node.left
-        if isinstance(node.op, ast.Mult) and self._unit(node.left):
-            return node.right
-        if isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Name):
-            match node.left:
-                case ast.Call(ast.Name("abs"), [x], []) if node.right.id in self.evens:
+        match node:
+            case ast.BinOp(x, ast.Pow(), ast.Name(k)) if k in self.units:
+                return x
+            case ast.BinOp(ast.Name(k), ast.Mult(), x) if k in self.units:
+                return x
+            case ast.BinOp(x, ast.Mult(), ast.BinOp(ast.Name(), ast.Pow(), ast.Name(k))):
+                if k in self.zeros:
+                    return x
+            case ast.BinOp(ast.Call(ast.Name("abs"), [x], []), ast.Pow(), ast.Name(k)):
+                if k in self.evens:
                     node.left = x
         return node
 
@@ -368,52 +371,47 @@ class _ExactFold(ast.NodeTransformer):
             case ast.Call(
                 func=ast.Name("copysign"),
                 args=[
-                    ast.BinOp(ast.Call(ast.Name("abs"), [ast.Name(x)], []), ast.Pow(), k),
+                    ast.BinOp(ast.Call(ast.Name("abs"), [ast.Name(x)], []), ast.Pow(), ast.Name(k)),
                     ast.Name(y) as arg,
                 ],
                 keywords=[],
-            ) if x == y and self._unit(k):
+            ) if x == y and k in self.units:
                 return arg
         self.generic_visit(node)
         return node
 
 
-def _fold(body: tuple, units: frozenset, evens: frozenset) -> tuple:
-    """``body`` with the constants named in ``units`` and ``evens`` folded out.
+@lru_cache(maxsize=None)
+def _fold(body: tuple, units: frozenset, evens: frozenset, zeros: frozenset) -> tuple:
+    """``body`` with the constants named in ``units``, ``evens`` and ``zeros`` folded out.
 
-    The names in ``units`` are equal to 1: ``x ** k``, ``k * x`` and the
-    signed power ``copysign(abs(x) ** k, x)`` become ``x``.  Those in
-    ``evens`` are even integers: ``abs(x) ** k`` becomes ``x ** k``, as
-    float ``**`` takes the absolute value of a negative base itself when
-    the exponent is an even integer.  Each rewrite gives the bits of the
-    expression it replaces, or raises what it raises, for every double
-    ``x``, ±0.0, subnormals, ±inf and NaN included; only the sign of a
-    NaN may differ, which no finiteness test sees.  Squares are not
-    multiplied out: ``x ** 2.0`` and ``x * x`` differ in the last bit
-    for some doubles.
+    ``units`` name constants equal to 1: ``x ** k``, ``k * x`` and the
+    signed power ``copysign(abs(x) ** k, x)`` become ``x``.  ``evens``
+    name even integers: ``abs(x) ** k`` becomes ``x ** k``, as float
+    ``**`` takes the absolute value of a negative base itself there.
+    ``zeros`` name 0, 0.0 or -0.0: ``x * y ** k``, with ``y`` a name,
+    becomes ``x``, as ``y ** k`` is 1.0 and raises nothing.  Each rewrite
+    gives the bits of the expression it replaces, or raises what it
+    raises, for every double, ±0.0, subnormals, ±inf and NaN included;
+    only the sign of a NaN may differ, which no finiteness test sees.
+    Squares are not multiplied out: ``x ** 2.0`` and ``x * x`` differ in
+    the last bit for some doubles.
     """
-    if not units and not evens:
+    if not units and not evens and not zeros:
         return body
-    tree = _ExactFold(units, evens).visit(ast.parse("\n".join(body)))
+    tree = _ExactFold(units, evens, zeros).visit(ast.parse("\n".join(body)))
     return tuple(ast.unparse(tree).splitlines())
 
 
 @lru_cache(maxsize=None)
-def _end_trial(
-    reads: tuple,
-    body: tuple,
-    consts: tuple,
-    units=frozenset(),
-    evens=frozenset(),
-    dense: bool = False,
-):
+def _end_trial(reads: tuple, body: tuple, consts: tuple, dense: bool = False):
     """Both forms of a field, generated from its body and the tableau.
 
     Returns ``make(**consts)``, which returns the callable of
     :func:`compile_field` with its march, for one component per slope of
-    ``body``, from which the constants named in ``units`` and ``evens``
-    are folded out first, by :func:`_fold`.  The march is the one
-    Dormand-Prince step loop of the package: the step budget, the cut to
+    ``body``, once per text: bodies that :func:`compile_field` folds to
+    the same text share a compile.  The march is the one Dormand-Prince
+    step loop of the package: the step budget, the cut to
     ``r_end``, the underflow check, the seven stages of a trial step and
     the PI controller, with the state and the slope of the last stage
     (FSAL) kept in locals.  A non-finite error shrinks the step by 4, a
@@ -436,7 +434,6 @@ def _end_trial(
     the four interpolant weights per component of its cell summed from
     ``_P`` in the same way.
     """
-    body = _fold(body, units, evens)
     named = [node for node in ast.walk(ast.parse("\n".join(body))) if isinstance(node, ast.Name)]
     radius_reads = sum(node.id == "r" for node in named)
     stored = [node.id for node in named if isinstance(node.ctx, ast.Store)]

@@ -74,6 +74,14 @@ LOOKUP = (
 )
 
 
+def _pow_abs(x: float, e: float) -> float:
+    """``|x|**e`` saturating to inf instead of raising on overflow."""
+    try:
+        return abs(x) ** e
+    except OverflowError:
+        return math.inf
+
+
 def phi_p(s: float, p: float) -> float:
     """The odd power map ``|s|**(p-2) * s``.
 
@@ -126,7 +134,7 @@ class PTrigContext:
             c, s = y
             return (
                 -math.copysign(abs(s) ** (pp - 1.0), s),
-                math.copysign(abs(c) ** (p - 1.0), c),
+                math.copysign(_pow_abs(c, p - 1.0), c),
             )
 
         self._quarter = integrate(

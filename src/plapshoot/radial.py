@@ -71,7 +71,7 @@ from .config import SolverConfig
 from .errors import IntegrationError, NearConstantShotError, SpecError
 from .errors import check_count, check_number
 from .odeint import IvpSpec, RhsFunc, compile_field, crossings, end_state, integrate
-from .ptrig import get_context, phi_p_inv, pi_p
+from .ptrig import _pow_abs, get_context, phi_p_inv, pi_p
 
 # A shot has collapsed onto the constant state once the squared
 # phase-plane radius falls below this floor: the angle is then no longer
@@ -418,14 +418,6 @@ def startup_state(d: float, spec: ProblemSpec, eps0: float) -> tuple[float, floa
     c = math.exp(-log1p_r / p)
     s = math.exp((lr - log1p_r - math.log(p - 1.0)) / pp)
     return (u, v, anchor + get_context(p).angle(c, s))
-
-
-def _pow_abs(x: float, e: float) -> float:
-    """``|x|**e`` saturating to inf instead of raising on overflow."""
-    try:
-        return abs(x) ** e
-    except OverflowError:
-        return math.inf
 
 
 @lru_cache(maxsize=8)

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -217,6 +218,73 @@ def test_a_reader_closing_stdout_stops_the_command_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+class _FullStream(io.StringIO):
+    """A stream on a full device: every write raises ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_failed_file_write_exits_two(capsys, tmp_path, monkeypatch):
+    # Only a failed open was mapped; a failed write ended in a traceback.
+    path = tmp_path / "x.csv"
+    monkeypatch.setattr(cli, "_open_out", lambda *args: _FullStream())
+    assert run(["ptrig", "--p", "2", "--table", "3", "--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {path}: No space left on device\n"
+
+
+@pytest.mark.parametrize("argv", [["--theta", "1"], ["--table", "3", "--out", "-"]])
+def test_a_failed_stdout_write_exits_two(capsys, tmp_path, monkeypatch, argv):
+    # main points the descriptor of stdout at devnull, so that the flush
+    # at exit does not fail again: here that of a scratch file.
+    with open(tmp_path / "stdout", "w") as fh:
+        stdout = _FullStream()
+        stdout.fileno = fh.fileno
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "argv", ["plapshoot", "ptrig", "--p", "2", *argv])
+        with pytest.raises(SystemExit) as stop:
+            cli.main()
+    assert stop.value.code == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["--table", "3", "--out", "/dev/full"], None),
+        (["--theta", "1"], "/dev/full"),
+    ],
+)
+def test_a_full_device_stops_the_command_with_one_line(argv, stdout):
+    # The flush at exit must not fail a second time ("Exception ignored").
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with open(stdout or os.devnull, "w") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "plapshoot.cli", "ptrig", "--p", "2", *argv],
+            stdout=out,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+    where = "/dev/full" if stdout is None else "stdout"
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write {where}: No space left on device\n".encode()
+
+
+@pytest.mark.parametrize("command", [["ptrig", "--theta", "1"], ["eigen", "--k", "2"]])
+def test_a_p_too_large_for_the_table_is_a_numerical_failure(capsys, command):
+    # Once an OverflowError traceback out of the table's right hand side.
+    assert run([command[0], "--p", "1e10", *command[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: quarter-period table for p=10000000000.0")
+    assert "failed its endpoint check" in err
 
 
 def test_ptrig_requires_theta_or_table(capsys):

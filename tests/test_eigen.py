@@ -1,7 +1,7 @@
 """Eigenvalue tests against closed-form and special-function oracles."""
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 from scipy.optimize import brentq
@@ -19,7 +19,7 @@ from plapshoot.errors import (
     SpecError,
 )
 from plapshoot.odeint import IvpSpec, integrate
-from plapshoot.ptrig import PTrigContext, get_context, pi_p
+from plapshoot.ptrig import LOOKUP, PTrigContext, get_context, pi_p
 from plapshoot.radial import (
     PROFILE_NODES,
     Annulus,
@@ -440,6 +440,47 @@ def test_angle_march_steps_on_the_bench_ladders(monkeypatch):
         eigenvalue(k, spec)
     steps, evals = map(sum, zip(*counts))
     assert (len(counts), steps, evals) == (50, 10_874, 72_088)
+
+
+def test_the_ladders_compile_one_angle_text_per_folded_body(monkeypatch):
+    # The cache of compiled fields is keyed on the folded text: p = 1.5
+    # and p = 3 at N = 1 fold to the same angle body (pm1 = 2.0 being
+    # even folds nothing in it), and N = 3 at p = 2.5 to another.
+    misses = []
+    end_trial = odeint_mod._end_trial.__wrapped__
+
+    def compiled(reads, *args, **kwargs):
+        misses.append(reads)
+        return end_trial(reads, *args, **kwargs)
+
+    monkeypatch.setattr(odeint_mod, "_end_trial", lru_cache(maxsize=None)(compiled))
+    for k, spec in _ladder_cases():
+        eigenvalue(k, spec)
+    assert misses.count(("th",)) == 2
+
+
+_N1_RATE = "f0 = pm1 * abs(s) ** pp + lam * abs(c) ** p"
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 7.3])
+@pytest.mark.parametrize("p", [1.5, 1.52, 2.0, 2.5, 3.0, 4.0])
+def test_the_angle_body_at_n1_folds_to_the_rate_without_weights(monkeypatch, p, lam):
+    # nm1 = 0 and r_expo = -0.0 fold both weights r ** 0 out, so the
+    # body is the unweighted rate, folded alike, and no stage reads r.
+    seen = []
+    fold = odeint_mod._fold
+
+    def spy(body, *classes):
+        seen.append((classes, fold(body, *classes)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(odeint_mod, "_fold", spy)
+    eigen_angle(lam, geom(p=p))
+    [(classes, body)] = seen
+    assert body == fold(LOOKUP + (_N1_RATE,), *classes)
+    assert not any(odeint_mod._RADIUS.search(line) for line in body)
+    if lam == 7.3 and p in (1.5, 2.0, 3.0):
+        assert body[-1] == ("f0 = s ** pp + lam * c ** p" if p == 2.0 else _N1_RATE)
 
 
 def test_angle_call_budget_on_the_bench_ladders(monkeypatch):

@@ -838,35 +838,42 @@ def test_grow_bracket_gives_none_when_a_clamped_end_has_the_wrong_sign():
 def test_only_constants_equal_to_one_are_folded(monkeypatch):
     # A square stays x ** 2.0, which differs from x * x in the last bit
     # for some doubles; a bool is not a number here.  Only the absolute
-    # value under an even power goes, not the power.
+    # value under an even power goes, not the power, and a zero power
+    # only as a factor on the right.
     seen = []
     fold = odeint._fold
 
-    def spy(body, units, evens):
-        seen.append((units, evens))
-        return fold(body, units, evens)
+    def spy(body, units, evens, zeros):
+        seen.append((units, evens, zeros))
+        return fold(body, units, evens, zeros)
 
     monkeypatch.setattr(odeint, "_fold", spy)
     body = (
         "f0 = k * y ** two + y ** one * flag + copysign(abs(y) ** one, y)"
-        " + abs(y) ** two + abs(y) ** three",
+        " + abs(y) ** two + abs(y) ** three + y * big ** nil",
     )
     consts = dict(
-        k=1.0, two=2.0, three=3.0, one=1, flag=True, copysign=math.copysign, big=math.inf
+        k=1.0, two=2.0, three=3.0, one=1, flag=True, copysign=math.copysign, big=math.inf,
+        nil=-0.0,
     )
     rhs = odeint.compile_field(("y",), body, **consts)
-    assert seen == [(frozenset({"k", "one"}), frozenset({"two"}))]
+    assert seen == [
+        (frozenset({"k", "one"}), frozenset({"two", "nil"}), frozenset({"nil"}))
+    ]
     assert fold(body, *seen[0]) == (
-        "f0 = y ** two + y * flag + y + y ** two + abs(y) ** three",
+        "f0 = y ** two + y * flag + y + y ** two + abs(y) ** three + y",
     )
     y = -3.0
-    assert rhs(0.0, (y,)) == (y**2.0 + y + y + abs(y) ** 2.0 + abs(y) ** 3.0,)
+    assert rhs(0.0, (y,)) == (y**2.0 + y + y + abs(y) ** 2.0 + abs(y) ** 3.0 + y,)
 
 
 # The constants that test_the_fold_follows_the_expression_tree binds:
-# k is 1, i2, f2, f4 and m2 are even integers, and f3, f25 and flag are
-# not (two is not bound).
-_FOLD_CONSTS = dict(k=1.0, i2=2, f2=2.0, f4=4.0, m2=-2.0, f3=3.0, f25=2.5, flag=True)
+# k is 1, i2, f2, f4 and m2 are even integers, i0, z0 and m0 are zeros
+# (and even), and f3, f25, tiny, flag and off are not (two is not bound).
+_FOLD_CONSTS = dict(
+    k=1.0, i2=2, f2=2.0, f4=4.0, m2=-2.0, f3=3.0, f25=2.5, flag=True,
+    i0=0, z0=0.0, m0=-0.0, tiny=1e-300, off=False,
+)
 
 
 @pytest.mark.parametrize(
@@ -887,16 +894,35 @@ _FOLD_CONSTS = dict(k=1.0, i2=2, f2=2.0, f4=4.0, m2=-2.0, f3=3.0, f25=2.5, flag=
         ("f0 = (abs(y) * z) ** f2", "f0 = (abs(y) * z) ** f2"),
         ("f0 = copysign(abs(y) ** f2, y)", "f0 = copysign(y ** f2, y)"),
         ("f0 = abs(y) ** k * f2", "f0 = abs(y) * f2"),
+        ("f0 = a * y ** i0 - b * y ** z0 + (a + b) * y ** m0", "f0 = a - b + (a + b)"),
+        ("f0 = y ** z0 * a", "f0 = y ** z0 * a"),
+        ("f0 = a / y ** z0", "f0 = a / y ** z0"),
+        ("f0 = y ** z0", "f0 = y ** z0"),
+        ("f0 = a * y ** tiny", "f0 = a * y ** tiny"),
+        ("f0 = a * y ** off", "f0 = a * y ** off"),
+        ("f0 = a * (y / z) ** z0", "f0 = a * (y / z) ** z0"),
+        ("f0 = a * y ** z0 ** f2", "f0 = a * y ** z0 ** f2"),
+        ("f0 = a * abs(y) ** z0", "f0 = a"),
+        (
+            "f0 = f3 * (abs(s) * r ** m0) ** f25 + a * abs(c) ** f3 * r ** i0",
+            "f0 = f3 * abs(s) ** f25 + a * abs(c) ** f3",
+        ),
     ],
 )
 def test_the_fold_follows_the_expression_tree(line, folded):
     # a / k * y is (a / k) * y and y ** k ** two is y ** (k ** two):
     # neither has a product or power with k to fold.  The signed power
     # folds only as a whole, with the same x in both places.  An even
-    # power drops the abs right under it, and nothing else.
-    units, evens = odeint._fold_classes(_FOLD_CONSTS)
-    assert (units, evens) == (frozenset({"k"}), frozenset({"i2", "f2", "f4", "m2"}))
-    assert odeint._fold((line,), units, evens) == (folded,)
+    # power drops the abs right under it, and nothing else.  A zero power
+    # of a name goes only as the right factor of a product: the power of
+    # y / z may raise, and y ** z0 ** f2 is not a power with z0.
+    units, evens, zeros = odeint._fold_classes(_FOLD_CONSTS)
+    assert (units, evens, zeros) == (
+        frozenset({"k"}),
+        frozenset({"i2", "f2", "f4", "m2", "i0", "z0", "m0"}),
+        frozenset({"i0", "z0", "m0"}),
+    )
+    assert odeint._fold((line,), units, evens, zeros) == (folded,)
 
 
 def _power(x, k):
@@ -926,3 +952,18 @@ def test_an_even_power_of_abs_x_is_the_power_of_x(k):
             assert folded.hex() == written.hex(), (x, k)
         else:
             assert folded == written, (x, k)
+
+
+@pytest.mark.parametrize("k", [0, 0.0, -0.0])
+def test_a_factor_times_a_zero_power_is_the_factor(k):
+    # y ** k is 1.0 and raises nothing for every double y, and x * 1.0
+    # keeps the bits of x: the folded field gives the unfolded product's
+    # bits for every pair of extreme doubles.  Only the sign of a NaN may
+    # differ, which neither a finiteness test nor hex() sees.
+    body = ("f0 = x * y ** k", "f1 = y")
+    assert odeint._fold(body, *odeint._fold_classes(dict(k=k))) == ("f0 = x", "f1 = y")
+    rhs = odeint.compile_field(("x", "y"), body, k=k)
+    doubles = _FOLD_BASES + [-x for x in _FOLD_BASES]
+    for x in doubles:
+        for y in doubles:
+            assert rhs(0.0, (x, y))[0].hex() == (x * y**k).hex(), (x, y, k)

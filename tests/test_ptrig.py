@@ -211,6 +211,15 @@ def test_quarter_table_that_misses_its_endpoint_is_refused(monkeypatch):
         PTrigContext(2.5)
 
 
+@pytest.mark.parametrize("p", [1e9, 1e10])
+def test_quarter_table_at_huge_p_fails_its_endpoint_check(p):
+    # |c| ** (p - 1) overflowed in the table's right hand side from
+    # p = 1e9 on and escaped as OverflowError; it saturates to inf now,
+    # which the step rejects like any other non-finite stage.
+    with pytest.raises(NumericsError, match=f"p={p!r} failed its endpoint check"):
+        PTrigContext(p)
+
+
 def test_pair_rejects_non_finite_angle():
     ctx = get_context(2.0)
     with pytest.raises(SpecError):
