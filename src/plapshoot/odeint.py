@@ -33,11 +33,11 @@ The dense output is what profiles and events build on: event
 location (:func:`crossings`) and profile sampling both evaluate the
 stored interpolants rather than re-integrating.  Shots that need a
 profile (validated solutions, the ``shoot`` command), eigenfunction
-profiles and the p-trig table run :func:`integrate`.
-Events, eigenvalues and the sweeps in R and q close in on a sign change
-with :func:`illinois_bracket`, a safeguarded regula falsi, after
-:func:`grow_bracket` where no bracket is given; only the roots in ``d``
-still bisect, with :func:`bisect_bracket`.
+profiles, the p-trig table and the shots of ``rstar``, which ``until``
+stops where their angle reaches its target, run :func:`integrate`.
+Events, eigenvalues and the sweep in q close in on a sign change with
+:func:`illinois_bracket`, a safeguarded regula falsi, after :func:`grow_bracket`
+where no bracket is given; only the roots in ``d`` still bisect, with :func:`bisect_bracket`.
 """
 
 from __future__ import annotations
@@ -273,16 +273,17 @@ def _run(ivp: IvpSpec, march, *dense) -> tuple[tuple[float, ...], int, int]:
     return y, n_steps, n_evals + 2
 
 
-def integrate(ivp: IvpSpec) -> DenseSolution:
-    """Integrate ``ivp`` over its full interval.
+def integrate(ivp: IvpSpec, until: float = math.inf) -> DenseSolution:
+    """Integrate ``ivp`` until its last component reaches ``until``, or over its interval.
 
     Runs the dense march that :func:`_end_trial` generates for the
     one-line body that calls ``ivp.rhs``, so every stage calls
-    ``ivp.rhs`` and the steps are those of :func:`end_state`.  The
-    number of components ``ivp.rhs`` returns is checked, with
-    :class:`SpecError`, at the start and at the first-step probe only; a
-    later stage that returns the wrong number raises the ``ValueError``
-    of the tuple unpacking.
+    ``ivp.rhs`` and the steps are those of :func:`end_state`, up to the
+    first accepted step whose last component is at least ``until`` (no
+    step if the start is, or ``until`` is NaN).  The number of components
+    ``ivp.rhs`` returns is checked, with :class:`SpecError`, at the start
+    and at the first-step probe only; a later stage that returns the
+    wrong number raises the ``ValueError`` of the tuple unpacking.
 
     Raises :class:`IntegrationError` when the step budget runs out or
     the right hand side stops returning finite values; the exception
@@ -295,7 +296,7 @@ def integrate(ivp: IvpSpec) -> DenseSolution:
     rs = [ivp.r_start]
     ys = [ivp.y0]
     cells: list[tuple[float, ...]] = []
-    n_evals = _run(ivp, march, rs, ys, cells)[2]
+    n_evals = _run(ivp, march, rs, ys, cells, until)[2]
     return DenseSolution(rs=rs, ys=ys, cells=cells, n_rhs_evals=n_evals)
 
 
@@ -429,10 +430,10 @@ def _end_trial(reads: tuple, body: tuple, consts: tuple, dense: bool = False):
     without a call.
 
     With ``dense``, the march is that of :func:`integrate`: it takes the
-    lists ``rs``, ``ys`` and ``cells`` of a :class:`DenseSolution` as
-    three more arguments and appends every accepted step to them, with
-    the four interpolant weights per component of its cell summed from
-    ``_P`` in the same way.
+    lists ``rs``, ``ys`` and ``cells`` of a :class:`DenseSolution` and
+    ``until`` as four more arguments and appends every accepted step to
+    them, with the four interpolant weights per component of its cell
+    summed from ``_P`` in the same way, while the last component is below ``until``.
     """
     named = [node for node in ast.walk(ast.parse("\n".join(body))) if isinstance(node, ast.Name)]
     radius_reads = sum(node.id == "r" for node in named)
@@ -536,13 +537,13 @@ def _end_trial(reads: tuple, body: tuple, consts: tuple, dense: bool = False):
             "    def rhs(r, _y):\n",
             *(f"        {line}\n" for line in rhs),
             f"        return {tup(names('f'))}\n",
-            f"    def march({args}{', _rs, _ys, _cells' if dense else ''}):\n",
+            f"    def march({args}{', _rs, _ys, _cells, _until' if dense else ''}):\n",
             f"        {tup(names('_y'))} = _y\n",
             f"        {tup(names('_k1_'))} = _k1\n",
             "        _facold = 0.0001\n",
             "        _rejected = False\n",
             "        _attempts = _steps = _evals = 0\n",
-            "        while _r < _r_end:\n",
+            f"        while _r < _r_end{f' and _y{dim - 1} < _until' if dense else ''}:\n",
             *(f"            {line}\n" for line in loop),
             f"        return {tup(names('_y'))}, _steps, _evals\n",
             "    rhs.march = march\n",

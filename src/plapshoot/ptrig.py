@@ -112,8 +112,9 @@ class PTrigContext:
     Holds ``p`` and its conjugate ``pprime = p/(p-1)``.  Build through
     :func:`get_context`, which caches per ``p``; direct construction
     integrates the defining system at tight tolerance and is
-    comparatively expensive.  The table is checked only at its end,
-    where ``cos_p`` must vanish and ``sin_p`` reach its maximum.
+    comparatively expensive.  The table's series start must have
+    ``sin_p > 0``, which fails from p of about 2e6 on (a march would crawl
+    to ``max_steps``), and its end ``cos_p = 0`` and ``sin_p`` at its maximum.
     :meth:`pair` runs :data:`LOOKUP`, with :meth:`table` bound, which
     folds an angle into the quarter period and evaluates the table's
     quartic there, as ``DenseSolution.eval`` would.  :meth:`angle` is
@@ -137,6 +138,8 @@ class PTrigContext:
                 math.copysign(_pow_abs(c, p - 1.0), c),
             )
 
+        if not self._series_pair(self._delta)[1] > 0.0:
+            raise NumericsError(f"quarter-period table for p={p} failed its endpoint check at its start")
         self._quarter = integrate(
             IvpSpec(
                 rhs=rhs,

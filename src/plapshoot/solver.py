@@ -33,9 +33,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
+from . import radial
 from .config import SolverConfig
 from .errors import NumericsError, SearchError, SpecError, check_count, check_number
-from .odeint import bisect_bracket, grow_bracket, illinois_bracket
+from .odeint import bisect_bracket, crossings
 from .ptrig import pi_p
 from .radial import ProblemSpec, ShotSummary, Trajectory, shoot
 
@@ -108,14 +109,12 @@ def d_grid(cfg: SolverConfig, side: str = "lower") -> list[float]:
     return sorted(pts)
 
 
-def _theta_end(
-    d: float, spec: ProblemSpec, cfg: SolverConfig, failed: float = math.nan
-) -> float:
-    """End-state terminal angle from ``d``; ``failed`` if the shot fails."""
+def _theta_end(d: float, spec: ProblemSpec, cfg: SolverConfig) -> float:
+    """End-state terminal angle from ``d``; NaN if the shot fails."""
     try:
         return shoot(d, spec, cfg, profile=False).theta_end
     except NumericsError:
-        return failed
+        return math.nan
 
 
 def _zero_energy_level(spec: ProblemSpec) -> float:
@@ -320,21 +319,19 @@ def find_solutions(
     return records
 
 
-def _max_theta_end(spec: ProblemSpec, cfg: SolverConfig) -> float:
-    """Max of theta_end over d by Brent's bounded search (Brent 1973, ch. 5).
+def _max_over_d(f) -> float:
+    """Max of ``f(d)`` over [D_MIN, D_MAX] by Brent's bounded search (Brent 1973, ch. 5).
 
-    x is the best d shot so far, w the second best and v the previous
-    w.  Each step goes to the vertex of the parabola through the three,
-    or by golden section into the larger part of [a, b] when that
-    vertex is unsafe or one of the three failed: a failed shot counts as
-    -inf.  The search stops once x lies within half of 1e-6 of both ends
-    and returns the largest theta_end it shot.
+    x is the best d so far, w the second best and v the previous w.  Each step
+    goes to the vertex of the parabola through the three, or by golden section
+    into the larger part of [a, b] when that vertex is unsafe or one of the three
+    is -inf, a failed shot.  It stops once x lies within half of 1e-6 of both ends.
     """
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     tol = 2.5e-7
     a, b = D_MIN, D_MAX
     x = w = v = a + golden * (b - a)
-    t_x = t_w = t_v = _theta_end(x, spec, cfg, -math.inf)
+    t_x = t_w = t_v = f(x)
     step = last = 0.0
     while max(x - a, b - x) > 2.0 * tol:
         before, last = last, step
@@ -354,7 +351,7 @@ def _max_theta_end(spec: ProblemSpec, cfg: SolverConfig) -> float:
             last = (a if x >= mid else b) - x
             step = golden * last
         u = x + (step if abs(step) >= tol else math.copysign(tol, step))
-        t_u = _theta_end(u, spec, cfg, -math.inf)
+        t_u = f(u)
         if t_u >= t_x:
             a, b = (x, b) if u >= x else (a, x)
             v, t_v, w, t_w, x, t_x = w, t_w, x, t_x, u, t_u
@@ -368,26 +365,21 @@ def _max_theta_end(spec: ProblemSpec, cfg: SolverConfig) -> float:
 
 
 def rstar(
-    k: int,
-    spec: ProblemSpec,
-    cfg: SolverConfig | None = None,
-    r_cap: float = 1e4,
+    k: int, spec: ProblemSpec, cfg: SolverConfig | None = None, r_cap: float = 1e4
 ) -> float:
-    """Smallest outer radius at which k-zero solutions appear.
+    """Smallest outer radius at which k-zero solutions appear (p < 2).
 
-    Only meaningful in the regime where the terminal angle of shots
-    near the constant state flattens out (p < 2): there, solutions with
-    k interior zeros exist precisely beyond a threshold radius.  The
-    domain shape of ``spec`` is kept (annuli keep their radius ratio).
-    g(R) = max_d theta_end(d; R) - (k+1) pi_p, the maximum taken by
-    Brent's bounded search (:func:`_max_theta_end`), is bracketed from
-    the radius R of ``spec`` within [1e-6 R, max(R, r_cap)] and closed
-    in on by Illinois steps to a relative width of 1.5e-3; the end with
-    the smaller |g| is returned.  That assumes one peak in d, which a
-    scan at the returned R confirms (one local maximum, none of its
-    nodes above the searched maximum, which is kept from the search and
-    not computed again), or :class:`SearchError` is raised, as it is
-    when g keeps its sign.
+    There the terminal angle of shots near the constant state flattens
+    out, and the threshold is the least over d of R_k(d), where the angle
+    of the shot from d first reaches (k+1) pi_p, by the Brent search of
+    :func:`_max_over_d` over shots that start where those of ``spec`` do
+    and stop there (``integrate`` with ``until``) or at max(R, r_cap),
+    where R_k(d) = inf, as for a failed shot.  An N = 1 annulus keeps its
+    radius ratio: its equation is autonomous, so R_k(d) is the width
+    reached over one minus that ratio.  An annulus with N > 1 is a
+    :class:`SpecError`.  A scan at R* must show one peak and no node above
+    the target by more than the phase tolerance, or :class:`SearchError`
+    is raised, as it is when no shot reaches the target.
     """
     cfg = cfg or SolverConfig()
     check_count(k, 1, "zero count")
@@ -397,25 +389,29 @@ def rstar(
             "threshold radius requires a vanishing phase limit (p < 2);"
             f" this problem has c1={spec.c1!r}"
         )
-    target = (k + 1) * pi_p(spec.p)
-    maxima: dict[float, float] = {}
+    if spec.dim > 1 and not spec.is_ball:
+        raise SpecError(f"threshold radius on an annulus needs N = 1, got N={spec.dim!r}")
+    target = (k + 1) * spec.pi_p
+    r_in = 0.0 if spec.is_ball else spec.domain.r_inner
+    scale = 1.0 - r_in / spec.r_outer
+    r_max = max(spec.r_outer, r_cap)
 
-    def g(r_outer: float) -> float:
-        maxima[r_outer] = _max_theta_end(spec.with_outer_radius(r_outer), cfg)
-        return maxima[r_outer] - target
+    def reach(d: float) -> float:
+        # -R_k(d), through radial's integrate, which the benchmark's tracer wraps.
+        try:
+            ivp = replace(radial._shot_start(d, spec, cfg), r_end=r_in + scale * r_max)
+            hits = crossings(radial.integrate(ivp, until=target), 2, [target])
+        except NumericsError:
+            return -math.inf
+        return (r_in - hits[0][0]) / scale if hits else -math.inf
 
-    r0 = spec.r_outer
-    bracket = grow_bracket(g, r0, 1e-6 * r0, max(r0, r_cap))
-    if bracket is None:
-        raise SearchError(
-            f"no threshold for {k}-zero solutions between outer radii"
-            f" {1e-6 * r0!r} and {max(r0, r_cap)!r}"
-        )
-    r_hat = illinois_bracket(g, *bracket, 0.0, lambda a, b: b - a <= 1.5e-3 * a)[0]
+    r_hat = -_max_over_d(reach)
+    if r_hat == math.inf:
+        raise SearchError(f"no threshold for {k}-zero solutions up to outer radius {r_max!r}")
     scan = theta_scan(spec.with_outer_radius(r_hat), cfg)
     ts = [-math.inf] + [t for _, t in scan if not math.isnan(t)] + [-math.inf]
     rises = [b > a for a, b in zip(ts, ts[1:]) if a != b]
     peaks = sum(up and not nxt for up, nxt in zip(rises, rises[1:]))
-    if peaks != 1 or max(ts) > maxima[r_hat]:
+    if peaks != 1 or max(ts) > target + PHASE_TOL_FACTOR * spec.pi_p:
         raise SearchError(f"theta_end at R={r_hat!r} is not single-peaked")
     return r_hat

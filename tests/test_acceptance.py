@@ -219,7 +219,7 @@ def test_criterion_7_threshold_radius_p_below_2(rstar1):
          len(ds) >= 2 and ds[-1] - ds[0] > 1e-3)
     )
     # The time map of tests/test_solver.py: R*_1 = min T, within the
-    # benchmark's RSTAR_REL_TOL, 1.5e-3 (2.5e-7 off), and the lower
+    # benchmark's RSTAR_REL_TOL, 1.5e-3 (4.8e-8 off), and the lower
     # j = 1 roots on Ball(2 R*_1) solve T(d) = 2 R*_1 on either side of
     # the d that takes min T, within its ROOT_TOL, 1e-8 (2.5e-9 and
     # 4.5e-10 off).
@@ -309,7 +309,7 @@ def test_criterion_9_annulus_path():
         (f"annulus rstar {r_hat:.4f} finite", math.isfinite(r_hat) and r_hat > 0.0)
     )
     # The time map of tests/test_solver.py: the annulus width 0.9 R*_1 is
-    # min T, within the benchmark's RSTAR_REL_TOL, 1.5e-3 (7.6e-5 off).
+    # min T, within the benchmark's RSTAR_REL_TOL, 1.5e-3 (4.8e-8 off).
     exact = _least_time(1.8, 3.0)[0] / 0.9
     checks.append(
         (f"annulus rstar vs min T / 0.9={exact:.7f}",

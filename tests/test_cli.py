@@ -10,10 +10,11 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from plapshoot import cli
+from plapshoot import cli, ptrig
 from plapshoot.cli import build_parser, run
 from plapshoot.config import SolverConfig
 from plapshoot.eigen import eigenvalue
@@ -285,6 +286,21 @@ def test_a_p_too_large_for_the_table_is_a_numerical_failure(capsys, command):
     assert out == ""
     assert err.startswith("numerical failure: quarter-period table for p=10000000000.0")
     assert "failed its endpoint check" in err
+
+
+@pytest.mark.parametrize("p", ["1e11", "1e12", "1e300"])
+def test_a_p_past_the_table_series_fails_at_once(capsys, monkeypatch, p):
+    # The series start has sin_p <= 0 from p of about 2e6 on; the table's
+    # march from there once crawled to max_steps (3.95 s at 1e11, about
+    # 5 s from 1e12 up).  Now no march runs.
+    monkeypatch.setattr(ptrig, "integrate", None)
+    start = time.perf_counter()
+    assert run(["ptrig", "--p", p, "--theta", "1"]) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"numerical failure: quarter-period table for p={float(p)!r}")
+    assert "failed its endpoint check at its start" in err
 
 
 def test_ptrig_requires_theta_or_table(capsys):
@@ -643,6 +659,14 @@ def test_rstar_rejects_bad_ratio(capsys):
     )
     assert rc == 2
     assert "r_outer must be a finite number > 1.5, got 1.0" in capsys.readouterr().err
+
+
+def test_rstar_on_an_annulus_above_one_dimension_exits_two(capsys):
+    argv = ["rstar", "--p", "1.8", "--g", "pow:3", "--k", "1", "--n", "2", "--annulus", "0.1", "1"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "threshold radius on an annulus needs N = 1, got N=2" in err
 
 
 def test_rstar_annulus_reports_its_ratio(capsys):

@@ -1,5 +1,6 @@
 """Eigenvalue tests against closed-form and special-function oracles."""
 
+import dataclasses
 import math
 from functools import lru_cache, partial
 
@@ -565,7 +566,8 @@ def test_a_start_radius_from_half_the_ball_up_is_one_spec_error():
 
 def test_eps0_on_an_annulus_is_one_spec_error():
     # An annulus starts at its inner radius; eps0 was once accepted there
-    # and dropped.  p = 1.8, so that rstar gets as far as its first shot.
+    # and dropped.  p = 1.8, so that rstar gets as far as its first shot,
+    # on the same annulus at N = 1, where it has a threshold.
     spec = ProblemSpec(
         p=1.8, dim=2, domain=Annulus(0.5, 2.0), g=Nonlinearity(q=3.0)
     )
@@ -577,7 +579,7 @@ def test_eps0_on_an_annulus_is_one_spec_error():
         partial(eigenfunction, 1.0, spec),
         lambda cfg: eigenvalue(2, spec, cfg),
         lambda cfg: find_solutions(spec, cfg),
-        lambda cfg: rstar(1, spec, cfg),
+        lambda cfg: rstar(1, dataclasses.replace(spec, dim=1), cfg),
     )
     message = (
         "^eps0 sets the start-up radius of a ball; an annulus starts at its"

@@ -723,11 +723,13 @@ def _dense_or_error(run):
 
 def _compare_with_reference(ivp):
     # Both generated trial steps against the stage loop, under a budget
-    # of 20 000 step attempts.
+    # of 20 000 step attempts; integrate's default level, inf, keeps
+    # every step.
     with pytest.MonkeyPatch.context() as m:
         m.setattr(odeint, "MAX_STEPS", 20_000)
         reference = _dense_or_error(lambda: _reference_integrate(ivp))
         assert _dense_or_error(lambda: integrate(ivp)) == reference
+        assert _dense_or_error(lambda: integrate(ivp, until=math.inf)) == reference
         assert _end_or_error(lambda: end_state(ivp)) == reference[:3]
 
 
@@ -790,6 +792,35 @@ def test_end_state_equals_integrate_on_one_scalar_component(case):
     # The eigenvalue angle's kind: one component, and a field that
     # returns its slope as a float.
     _compare_with_reference(case)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_smooth_ivps(3, _shot_like), st.floats(0.05, 1.25))
+def test_until_stops_after_the_first_step_that_reaches_the_level(case, share):
+    # The level lies a drawn share of the way from the start to the top
+    # of the last component.  The stopped solution is the full one's
+    # prefix, bit for bit, up to its first knot that reaches the level
+    # (none past the start if the start does), and its crossing of the
+    # level is the full one's first.
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(odeint, "MAX_STEPS", 20_000)
+        try:
+            full = integrate(case)
+        except IntegrationError:
+            return
+        start = case.y0[2]
+        level = start + share * (max(y[2] for y in full.ys) - start)
+        part = integrate(case, until=level)
+    reached = [i for i, y in enumerate(full.ys) if y[2] >= level]
+    n = reached[0] + 1 if reached else len(full.rs)
+    assert _bits(part.rs) == _bits(full.rs[:n])
+    assert [_bits(y) for y in part.ys] == [_bits(y) for y in full.ys[:n]]
+    assert [_bits(c) for c in part.cells] == [_bits(c) for c in full.cells[: n - 1]]
+    assert part.n_rhs_evals <= full.n_rhs_evals
+    if n > 1 and reached:
+        r_part = crossings(part, 2, [level])[0][0]
+        r_full = crossings(full, 2, [level])[0][0]
+        assert abs(r_part - r_full) <= 1e-12 * max(1.0, abs(r_full))
 
 
 def _logged(side, calls):
