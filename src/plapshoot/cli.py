@@ -125,7 +125,6 @@ def cmd_ptrig(args) -> int:
     if args.out is not None:
         raise SpecError("--out needs --table: a single --theta makes no table")
     c, s = ctx.pair(args.theta)
-    defect = abs((args.p - 1.0) * abs(s) ** ctx.pprime + abs(c) ** args.p - 1.0)
     _emit_json(
         {
             "p": args.p,
@@ -133,7 +132,7 @@ def cmd_ptrig(args) -> int:
             "theta": args.theta,
             "cos_p": c,
             "sin_p": s,
-            "identity_defect": defect,
+            "identity_defect": ctx.identity_defect(c, s),
         }
     )
     return 0

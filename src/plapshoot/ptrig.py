@@ -36,6 +36,9 @@ from .odeint import IvpSpec, compile_field, illinois_bracket, integrate
 # its omitted terms are O(delta**(2q)) <= 1e-16 for the p range allowed.
 _SERIES_CUTOFF = 1e-6
 
+# How far the table's start and knots may lie off the p-circle.
+_IDENTITY_TOL = 1e-9
+
 # The statements that assign (c, s) = (cos_p(th), sin_p(th)), with the
 # constants of PTrigContext.table.  th is folded into [0, pi_p/2] (fold
 # arithmetic can land a few ulp outside, which is clamped), then read off
@@ -112,9 +115,12 @@ class PTrigContext:
     Holds ``p`` and its conjugate ``pprime = p/(p-1)``.  Build through
     :func:`get_context`, which caches per ``p``; direct construction
     integrates the defining system at tight tolerance and is
-    comparatively expensive.  The table's series start must have
-    ``sin_p > 0``, which fails from p of about 2e6 on (a march would crawl
-    to ``max_steps``), and its end ``cos_p = 0`` and ``sin_p`` at its maximum.
+    comparatively expensive.  The table's series start and every knot
+    must meet the p-circle identity to 1e-9, and its end must be
+    ``cos_p = 0`` and ``sin_p`` at its maximum.  The knots miss the
+    identity from p of about 200 on; the start misses it from about 3e3
+    on, so no march runs there (from about 2e6 on it would crawl to
+    ``max_steps``).
     :meth:`pair` runs :data:`LOOKUP`, with :meth:`table` bound, which
     folds an angle into the quarter period and evaluates the table's
     quartic there, as ``DenseSolution.eval`` would.  :meth:`angle` is
@@ -129,7 +135,6 @@ class PTrigContext:
         self.half_pi_p = 0.5 * self.pi_p
         # Largest value of sin_p, attained at the quarter period.
         self.sin_p_max = (1.0 / (p - 1.0)) ** (1.0 / pp)
-        self._delta = min(_SERIES_CUTOFF, self.half_pi_p / 8.0)
 
         def rhs(t, y):
             c, s = y
@@ -138,14 +143,15 @@ class PTrigContext:
                 math.copysign(_pow_abs(c, p - 1.0), c),
             )
 
-        if not self._series_pair(self._delta)[1] > 0.0:
+        start = self._series_pair(_SERIES_CUTOFF)
+        if not self.identity_defect(*start) <= _IDENTITY_TOL:
             raise NumericsError(f"quarter-period table for p={p} failed its endpoint check at its start")
         self._quarter = integrate(
             IvpSpec(
                 rhs=rhs,
-                r_start=self._delta,
+                r_start=_SERIES_CUTOFF,
                 r_end=self.half_pi_p,
-                y0=self._series_pair(self._delta),
+                y0=start,
                 rel_tol=1e-12,
                 abs_tol=1e-14,
             )
@@ -156,6 +162,11 @@ class PTrigContext:
                 f"quarter-period table for p={p} failed its endpoint check:"
                 f" C={c_end:.3e}, S-S_max={s_end - self.sin_p_max:.3e}"
             )
+        worst = max(self.identity_defect(c, s) for c, s in self._quarter.ys)
+        if not worst <= _IDENTITY_TOL:
+            raise NumericsError(
+                f"quarter-period table for p={p} misses the p-circle identity by {worst:.3e}"
+            )
         self._rs = self._quarter.rs
         # The knot values of -cos_p and sin_p, both rising over the
         # quarter, in which angle locates its cell.
@@ -163,6 +174,10 @@ class PTrigContext:
             [-c for c, _ in self._quarter.ys],
             [s for _, s in self._quarter.ys],
         )
+
+    def identity_defect(self, c: float, s: float) -> float:
+        """How far ``(c, s)`` lies off the p-circle ``(p-1)|s|^p' + |c|^p = 1``."""
+        return abs((self.p - 1.0) * _pow_abs(s, self.pprime) + _pow_abs(c, self.p) - 1.0)
 
     def _series_pair(self, t: float) -> tuple[float, float]:
         # Two-term expansions around the C = 1, S = 0 corner.
@@ -180,7 +195,7 @@ class PTrigContext:
         return dict(
             fmod=math.fmod, bisect=bisect_right, nan=math.nan, p=self.p, pp=self.pprime,
             pi_p=self.pi_p, two_pi_p=2.0 * self.pi_p, half_pi_p=self.half_pi_p,
-            cutoff=self._delta, knots=self._rs[:-1], cells=self._quarter.cells,
+            cutoff=_SERIES_CUTOFF, knots=self._rs[:-1], cells=self._quarter.cells,
             end=self._quarter.y_end,
         )
 

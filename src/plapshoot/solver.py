@@ -24,6 +24,14 @@ Shots that collapse onto the constant state are recorded as gaps in
 the scan rather than failures: near ``d = 1`` the phase-plane radius
 legitimately falls under the floor (most visibly for p > 2), and the
 scan simply cannot bracket inside such a gap.
+
+:func:`rstar` (p < 2) needs no search in the outer radius: it minimises
+R_k(d), the radius at which the angle of the shot from d first reaches
+(k+1) pi_p, over the lower d range by Brent's search of
+:func:`_min_over_d`, on dense shots that stop at the target.  One scan
+at the radius found confirms it: the angle must have one peak over the
+grid, counting only steps larger than the phase tolerance, and stay
+below the target.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .config import SolverConfig
 from .errors import NumericsError, SearchError, SpecError, check_count, check_number
 from .odeint import bisect_bracket, crossings
 from .ptrig import pi_p
-from .radial import ProblemSpec, ShotSummary, Trajectory, shoot
+from .radial import ProblemSpec, ShotSummary, shoot
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +79,9 @@ class SolutionRecord:
 
     ``residual`` is the terminal flux relative to the largest flux along
     the shot, so it measures how well the outer Neumann condition is
-    met independently of the solution's scale.
+    met independently of the solution's scale.  The record keeps no
+    profile: ``shoot(rec.d, spec, cfg)`` runs the validation shot again
+    and returns its trajectory, with a summary equal to ``summary``.
     """
 
     d: float
@@ -79,7 +89,6 @@ class SolutionRecord:
     zeros: int
     theta_end: float
     residual: float
-    trajectory: Trajectory
     summary: ShotSummary
 
 
@@ -231,7 +240,6 @@ def _validated_record(
         zeros=zeros,
         theta_end=summ.theta_end,
         residual=residual,
-        trajectory=traj,
         summary=summ,
     )
 
@@ -319,27 +327,27 @@ def find_solutions(
     return records
 
 
-def _max_over_d(f) -> float:
-    """Max of ``f(d)`` over [D_MIN, D_MAX] by Brent's bounded search (Brent 1973, ch. 5).
+def _min_over_d(f) -> float:
+    """Min of ``f(d)`` over [D_MIN, D_MAX] by Brent's bounded search (Brent 1973, ch. 5).
 
     x is the best d so far, w the second best and v the previous w.  Each step
     goes to the vertex of the parabola through the three, or by golden section
     into the larger part of [a, b] when that vertex is unsafe or one of the three
-    is -inf, a failed shot.  It stops once x lies within half of 1e-6 of both ends.
+    is inf, a failed shot.  It stops once x lies within half of 1e-6 of both ends.
     """
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     tol = 2.5e-7
     a, b = D_MIN, D_MAX
     x = w = v = a + golden * (b - a)
-    t_x = t_w = t_v = f(x)
+    f_x = f_w = f_v = f(x)
     step = last = 0.0
     while max(x - a, b - x) > 2.0 * tol:
         before, last = last, step
         mid = 0.5 * (a + b)
         p = q = 0.0
-        if abs(before) > tol and -math.inf not in (t_x, t_w, t_v):
-            r = (x - w) * (t_x - t_v)
-            q = (x - v) * (t_x - t_w)
+        if abs(before) > tol and math.inf not in (f_x, f_w, f_v):
+            r = (x - w) * (f_x - f_v)
+            q = (x - v) * (f_x - f_w)
             p = (x - v) * q - (x - w) * r
             q = 2.0 * (q - r)
             p, q = (-p if q > 0.0 else p), abs(q)
@@ -351,17 +359,17 @@ def _max_over_d(f) -> float:
             last = (a if x >= mid else b) - x
             step = golden * last
         u = x + (step if abs(step) >= tol else math.copysign(tol, step))
-        t_u = f(u)
-        if t_u >= t_x:
+        f_u = f(u)
+        if f_u <= f_x:
             a, b = (x, b) if u >= x else (a, x)
-            v, t_v, w, t_w, x, t_x = w, t_w, x, t_x, u, t_u
+            v, f_v, w, f_w, x, f_x = w, f_w, x, f_x, u, f_u
         else:
             a, b = (u, b) if u < x else (a, u)
-            if t_u >= t_w or w == x:
-                v, t_v, w, t_w = w, t_w, u, t_u
-            elif t_u >= t_v or v in (x, w):
-                v, t_v = u, t_u
-    return t_x
+            if f_u <= f_w or w == x:
+                v, f_v, w, f_w = w, f_w, u, f_u
+            elif f_u <= f_v or v in (x, w):
+                v, f_v = u, f_u
+    return f_x
 
 
 def rstar(
@@ -372,14 +380,15 @@ def rstar(
     There the terminal angle of shots near the constant state flattens
     out, and the threshold is the least over d of R_k(d), where the angle
     of the shot from d first reaches (k+1) pi_p, by the Brent search of
-    :func:`_max_over_d` over shots that start where those of ``spec`` do
+    :func:`_min_over_d` over shots that start where those of ``spec`` do
     and stop there (``integrate`` with ``until``) or at max(R, r_cap),
     where R_k(d) = inf, as for a failed shot.  An N = 1 annulus keeps its
     radius ratio: its equation is autonomous, so R_k(d) is the width
     reached over one minus that ratio.  An annulus with N > 1 is a
-    :class:`SpecError`.  A scan at R* must show one peak and no node above
-    the target by more than the phase tolerance, or :class:`SearchError`
-    is raised, as it is when no shot reaches the target.
+    :class:`SpecError`.  A scan at R* must show one peak, counting only
+    steps above the phase tolerance, and no node above the target by more
+    than it, or :class:`SearchError` is raised, as it is when no shot
+    reaches the target.
     """
     cfg = cfg or SolverConfig()
     check_count(k, 1, "zero count")
@@ -397,21 +406,22 @@ def rstar(
     r_max = max(spec.r_outer, r_cap)
 
     def reach(d: float) -> float:
-        # -R_k(d), through radial's integrate, which the benchmark's tracer wraps.
+        # R_k(d), through radial's integrate, which the benchmark's tracer wraps.
         try:
             ivp = replace(radial._shot_start(d, spec, cfg), r_end=r_in + scale * r_max)
             hits = crossings(radial.integrate(ivp, until=target), 2, [target])
         except NumericsError:
-            return -math.inf
-        return (r_in - hits[0][0]) / scale if hits else -math.inf
+            return math.inf
+        return (hits[0][0] - r_in) / scale if hits else math.inf
 
-    r_hat = -_max_over_d(reach)
+    r_hat = _min_over_d(reach)
     if r_hat == math.inf:
         raise SearchError(f"no threshold for {k}-zero solutions up to outer radius {r_max!r}")
     scan = theta_scan(spec.with_outer_radius(r_hat), cfg)
+    phase_tol = PHASE_TOL_FACTOR * spec.pi_p
     ts = [-math.inf] + [t for _, t in scan if not math.isnan(t)] + [-math.inf]
-    rises = [b > a for a, b in zip(ts, ts[1:]) if a != b]
+    rises = [b > a for a, b in zip(ts, ts[1:]) if abs(b - a) > phase_tol]
     peaks = sum(up and not nxt for up, nxt in zip(rises, rises[1:]))
-    if peaks != 1 or max(ts) > target + PHASE_TOL_FACTOR * spec.pi_p:
+    if peaks != 1 or max(ts) > target + phase_tol:
         raise SearchError(f"theta_end at R={r_hat!r} is not single-peaked")
     return r_hat

@@ -146,7 +146,7 @@ def test_criterion_4_multiplicity_q100(q100_records):
         checks.append((f"j={rec.zeros} flux residual {rec.residual:.1e}",
                        rec.residual <= 1e-7))
         checks.append((f"j={rec.zeros} positive", rec.summary.min_u > 0.0))
-    u = recs[0].trajectory.u if recs else []
+    u = shoot(recs[0].d, SPEC_Q100, CFG)[0].u if recs else []
     checks.append(
         ("j=1 profile nondecreasing",
          bool(u) and all(b >= a - 1e-10 for a, b in zip(u, u[1:])))
@@ -263,12 +263,14 @@ def test_criterion_8_robustness(q100_records, p3_records):
             rel = abs(l0 - l1) / l0
             checks.append((f"lambda p={p} k={k} moved rel {rel:.1e}", rel <= 1e-8))
 
-    # Polar reconstruction at every stored node of every reported shot.
+    # Polar reconstruction at every stored node of every reported
+    # solution's profile, which shooting its d again gives.
     worst = 0.0
     worst_dth = 0.0
-    for rec, p in [(r, 2.0) for r in q100_records] + [(r, 3.0) for r in p3_records]:
+    for rec, spec in [(r, SPEC_Q100) for r in q100_records] + [(r, SPEC_P3) for r in p3_records]:
+        p = spec.p
         ctx = get_context(p)
-        t = rec.trajectory
+        t = shoot(rec.d, spec, CFG)[0]
         for u, v, th, rho2 in zip(t.u, t.v, t.theta, t.rho_sq):
             rho = math.sqrt(rho2)
             c, s = ctx.pair(th)

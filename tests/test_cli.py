@@ -288,11 +288,23 @@ def test_a_p_too_large_for_the_table_is_a_numerical_failure(capsys, command):
     assert "failed its endpoint check" in err
 
 
+def test_a_table_off_the_p_circle_is_a_numerical_failure(capsys):
+    # At p = 1000 the table's march drifts 4.8e-9 off the p-circle
+    # identity, past the 1e-9 every knot must meet.
+    assert run(["ptrig", "--p", "1000", "--theta", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        "numerical failure: quarter-period table for p=1000.0 misses the p-circle identity by"
+    )
+
+
 @pytest.mark.parametrize("p", ["1e11", "1e12", "1e300"])
 def test_a_p_past_the_table_series_fails_at_once(capsys, monkeypatch, p):
-    # The series start has sin_p <= 0 from p of about 2e6 on; the table's
-    # march from there once crawled to max_steps (3.95 s at 1e11, about
-    # 5 s from 1e12 up).  Now no march runs.
+    # The series start misses the p-circle identity by more than 1e-9
+    # from p of about 3e3 on, and has sin_p <= 0 from about 2e6 on; the
+    # table's march from there once crawled to max_steps (3.95 s at 1e11,
+    # about 5 s from 1e12 up).  Now no march runs.
     monkeypatch.setattr(ptrig, "integrate", None)
     start = time.perf_counter()
     assert run(["ptrig", "--p", p, "--theta", "1"]) == 1
@@ -541,22 +553,22 @@ def test_solve_reports_each_solution(capsys):
 
 def test_shoot_at_a_solved_d_prints_that_solution_profile(capsys):
     # solve reports each d; shoot --d with the same problem flags gives
-    # the profile: the validation shot and shoot share the tolerances and
-    # the start radius, --grid does not enter a shot, and JSON floats
-    # round-trip exactly.
+    # the profile of the record's validation shot: the validation shot
+    # and shoot share the tolerances and the start radius, --grid does
+    # not enter a shot, and JSON floats round-trip exactly.
     problem = ["--p", "2", "--g", "pow:15"]
     search = ["--max-zeros", "1", "--sides", "lower,upper", "--grid", "100"]
     doc = run_json(capsys, ["solve", *problem, *search])
     spec = ProblemSpec(p=2.0, dim=1, domain=Ball(1.0), g=Nonlinearity(q=15.0))
-    records = find_solutions(
-        spec, SolverConfig(d_grid_size=100), max_zeros=1, sides=("lower", "upper")
-    )
+    cfg = SolverConfig(d_grid_size=100)
+    records = find_solutions(spec, cfg, max_zeros=1, sides=("lower", "upper"))
     assert [(s["side"], s["zeros"]) for s in doc["solutions"]] == [
         ("lower", 1), ("upper", 1),
     ]
     for sol, rec in zip(doc["solutions"], records, strict=True):
         assert sol["d"] == rec.d
-        traj = rec.trajectory
+        traj, summ = shoot(rec.d, spec, cfg)
+        assert summ == rec.summary
         want = io.StringIO()
         writer = csv.writer(want)
         writer.writerow(["r", "u", "v", "theta", "rho_sq"])

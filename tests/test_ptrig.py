@@ -29,6 +29,16 @@ def test_pi_p_frozen_values():
     assert pi_p(3.0) == pytest.approx(3.046991999046172, rel=1e-12)
 
 
+def test_pi_p_stays_above_1_98():
+    # pi_p tends to 2 as p falls to 1 and as p grows, and is pi at p = 2.
+    # Its closed form stays above 1.98 from p = 1 + 1e-14 on (1.9834
+    # there; rounding scatters it down to 1.38 within a few ulp of 1).
+    # So a quarter period is far longer than the series cutoff 1e-6.
+    ps = [1.0 + 10.0**e for e in range(-14, 1)] + [10.0**e for e in range(1, 301, 3)]
+    assert min(map(pi_p, ps)) > 1.98
+    assert pi_p(1e300) == 2.0
+
+
 def test_pi_p_rejects_bad_exponent():
     for bad in (1.0, 0.5, -2.0, float("inf"), float("nan")):
         with pytest.raises(SpecError):
@@ -211,6 +221,22 @@ def test_quarter_table_that_misses_its_endpoint_is_refused(monkeypatch):
         PTrigContext(2.5)
 
 
+@pytest.mark.parametrize("p", [200.0, 1e3])
+def test_quarter_table_whose_knots_miss_the_identity_is_refused(p):
+    # The series start meets the p-circle identity to 1e-9 up to p of
+    # about 3e3, but the march drifts off it from p of about 200 on:
+    # by 1.1e-9 at a knot at p = 200 and 4.8e-9 at p = 1e3.
+    with pytest.raises(NumericsError, match=f"p={p!r} misses the p-circle identity by"):
+        PTrigContext(p)
+
+
+@pytest.mark.parametrize("p", [1.01, 10.0, 100.0])
+def test_every_knot_meets_the_identity(p):
+    # Tables from p near 1 up to 100 pass the knot check.
+    ctx = PTrigContext(p)
+    assert max(ctx.identity_defect(c, s) for c, s in ctx._quarter.ys) <= 1e-9
+
+
 @pytest.mark.parametrize("p", [1e9, 1e10])
 def test_quarter_table_at_huge_p_fails_its_endpoint_check(p):
     # |c| ** (p - 1) overflowed in the table's right hand side from
@@ -236,7 +262,7 @@ def _pair_by_eval(ctx, theta):
         raise SpecError(f"angle must be finite, got {theta!r}")
 
     def quarter(t):
-        if t <= ctx._delta:
+        if t <= ptrig._SERIES_CUTOFF:
             return ctx._series_pair(max(t, 0.0))
         c, s = ctx._quarter.eval(min(t, ctx.half_pi_p))
         return (c, s)
@@ -265,7 +291,7 @@ def test_pair_equals_dense_eval(p):
     thetas = [rng.uniform(-6.0 * ctx.pi_p, 6.0 * ctx.pi_p) for _ in range(20_000)]
     # The series cutoff, the quarter and half periods, whole periods,
     # one ulp on either side of each, and every knot of the table.
-    edges = [0.0, ctx._delta, ctx.half_pi_p, ctx.pi_p, *ctx._quarter.rs]
+    edges = [0.0, ptrig._SERIES_CUTOFF, ctx.half_pi_p, ctx.pi_p, *ctx._quarter.rs]
     edges += [k * 2.0 * ctx.pi_p for k in range(1, 6)]
     for t in list(edges):
         edges += [math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
@@ -313,7 +339,7 @@ def _lookup_angles(draw):
         theta = draw(st.integers(-100, 100)) * ctx.half_pi_p
     else:
         side = draw(st.sampled_from([-1.0, 1.0]))
-        theta = draw(st.integers(-50, 50)) * ctx.pi_p + side * ctx._delta
+        theta = draw(st.integers(-50, 50)) * ctx.pi_p + side * ptrig._SERIES_CUTOFF
     ulps = draw(st.integers(-2, 2))
     for _ in range(abs(ulps)):
         theta = math.nextafter(theta, math.copysign(math.inf, ulps))
@@ -354,7 +380,7 @@ def test_angle_inverts_pair(p):
     rng = random.Random(1)
     # Every knot of the table, one ulp either side of each, points
     # inside the series cutoff and at random, in all four quadrants.
-    base = [0.0, 1e-300, 1e-12, 5e-7, ctx._delta, *ctx._rs]
+    base = [0.0, 1e-300, 1e-12, 5e-7, ptrig._SERIES_CUTOFF, *ctx._rs]
     base += [rng.uniform(0.0, half) for _ in range(300)]
     for t in list(base):
         base += [math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
@@ -374,7 +400,7 @@ def test_angle_inverts_pair(p):
             assert max(abs(c_back - c), abs(s_back - s)) <= 4e-15
             wrap = abs(back - theta)
             assert min(wrap, abs(wrap - 2.0 * ctx.pi_p)) <= 1e-12, (t, k)
-    for t in (1e-300, 1e-12, 5e-7, ctx._delta):
+    for t in (1e-300, 1e-12, 5e-7, ptrig._SERIES_CUTOFF):
         # Inside the series cutoff the inverse keeps relative accuracy.
         assert ctx.angle(*ctx.pair(t)) == pytest.approx(t, rel=1e-15)
 

@@ -167,7 +167,7 @@ def test_q100_lower_multiplicity(q100_lower):
 
 def test_q100_j1_profile_is_monotone(q100_lower):
     rec = q100_lower[0]
-    u = rec.trajectory.u
+    u = shoot(rec.d, ball(q=100.0), CFG)[0].u
     assert all(b >= a - 1e-10 for a, b in zip(u, u[1:]))
     assert u[0] == pytest.approx(rec.d, abs=1e-6)
 
@@ -179,8 +179,27 @@ def test_q100_upper_records(q100_upper):
         assert rec.d > 1.0
         assert rec.summary.min_u > 0.0
     # The one-zero profile starts above 1 and decreases.
-    u = q100_upper[0].trajectory.u
+    u = shoot(q100_upper[0].d, ball(q=100.0), CFG)[0].u
     assert all(b <= a + 1e-10 for a, b in zip(u, u[1:]))
+
+
+def test_a_record_is_its_validation_shot(q100_lower, q100_upper_to_j3):
+    # A record keeps no profile: shooting its d again at the solve's
+    # configuration runs its validation shot, with the same summary and
+    # the flux residual read off the same profile.
+    n3 = ball(dim=3, q=100.0)
+    cases = [(ball(q=100.0), rec) for rec in q100_lower + q100_upper_to_j3]
+    cases += [(n3, rec) for rec in find_solutions(n3, CFG, max_zeros=2, sides=("lower",))]
+    assert [(spec.dim, rec.side, rec.zeros) for spec, rec in cases] == [
+        (1, "lower", 1), (1, "lower", 2), (1, "lower", 3),
+        (1, "upper", 1), (1, "upper", 2), (1, "upper", 3),
+        (3, "lower", 1), (3, "lower", 2),
+    ]
+    for spec, rec in cases:
+        traj, summ = shoot(rec.d, spec, CFG)
+        assert summ == rec.summary
+        assert abs(summ.v_end) / max(abs(v) for v in traj.v) == rec.residual
+        assert not hasattr(rec, "trajectory")
 
 
 def test_collocation_oracle_agrees_with_every_p2_record(q100_lower, q100_upper_to_j3):
@@ -200,7 +219,7 @@ def test_collocation_oracle_agrees_with_every_p2_record(q100_lower, q100_upper_t
     x = np.linspace(0.0, 1.0, 200)
     fine = np.linspace(0.0, 1.0, 20_001)
     for q, rec in cases:
-        traj = rec.trajectory
+        traj = shoot(rec.d, ball(q=q), CFG)[0]
         guess = np.vstack(
             (
                 1.0 + 1.01 * (np.interp(x, traj.r, traj.u) - 1.0),
@@ -509,22 +528,13 @@ def test_rstar_refuses_an_annulus_above_one_dimension():
         rstar(1, spec, SolverConfig(d_grid_size=40))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=SearchError,
-    reason=(
-        "the lower d grid holds two nodes one ulp apart at its top, 0.9999989999999999"
-        " and 0.999999, whose angles rise by 1e-11: the confirming scan counts that"
-        " rise as a second peak; mending the grid moves the benchmark's 498-shot pin"
-    ),
-)
 def test_rstar_2_at_p_1_5_is_twice_rstar_1():
     # p = 1.5, q = 20: the time map has one minimum, so R*_2 = 2 R*_1
     # (ROADMAP item 6).  The search finds R = 2.3928302679415614, 6.4e-9
-    # relative below 2 rstar(1), but the scan at that radius reads
-    # theta_end 3.091275783342705 and 3.0912757833530184 at the grid's
-    # top nodes, a second peak, as the search in R did at
-    # R = 2.392900739616521.
+    # relative below 2 rstar(1).  The scan at that radius reads
+    # theta_end 3.091275783342705 and 3.0912757833530184 at the lower
+    # grid's two top nodes, one ulp apart in d: a rise of 1e-11, below
+    # the phase tolerance, which the scan does not count as a second peak.
     spec = ProblemSpec(p=1.5, dim=1, domain=Ball(20.0), g=Nonlinearity(q=20.0))
     assert rstar(2, spec, CFG) == pytest.approx(2.0 * rstar(1, spec, CFG), rel=1e-6)
 
@@ -613,35 +623,36 @@ def test_rstar_rejects_two_humps(monkeypatch):
         rstar(1, ball(p=1.8, q=3.0), SolverConfig(d_grid_size=40))
 
 
-def _hump_search(f):
-    """_max_over_d of ``f``; the max and the d it was given."""
+def _valley_search(f):
+    """_min_over_d of ``f``; the min and the d it was given."""
     seen = []
-    got = solver._max_over_d(lambda d: seen.append(d) or f(d))
+    got = solver._min_over_d(lambda d: seen.append(d) or f(d))
     return got, seen
 
 
-def test_max_over_d_finds_a_skewed_hump():
-    # sin(pi d^1.5) peaks at d = 2^(-2/3); golden section took 30 shots.
-    def theta(d):
-        return math.sin(math.pi * d ** 1.5)
+def test_min_over_d_finds_a_skewed_valley():
+    # 1 / sin(pi d^1.5) has its least value at d = 2^(-2/3); golden
+    # section took 30 shots.
+    def radius(d):
+        return 1.0 / math.sin(math.pi * d ** 1.5)
 
-    got, shots = _hump_search(theta)
+    got, shots = _valley_search(radius)
     assert len(shots) <= 20
-    assert got == max(map(theta, shots))
-    best = max(shots, key=theta)
+    assert got == min(map(radius, shots))
+    best = min(shots, key=radius)
     assert abs(best - 2.0 ** (-2.0 / 3.0)) <= 1e-6
 
 
-def test_max_over_d_steps_past_failed_shots():
-    # Every shot below d = 0.3 fails and counts as -inf; the parabola
-    # through such a point is never taken, and the hump at 0.31 is found.
-    def theta(d):
-        return math.exp(-20.0 * (d - 0.31) ** 2) if d >= 0.3 else -math.inf
+def test_min_over_d_steps_past_failed_shots():
+    # Every shot below d = 0.3 fails and counts as inf; the parabola
+    # through such a point is never taken, and the valley at 0.31 is found.
+    def radius(d):
+        return 2.0 - math.exp(-20.0 * (d - 0.31) ** 2) if d >= 0.3 else math.inf
 
-    got, shots = _hump_search(theta)
+    got, shots = _valley_search(radius)
     assert any(d < 0.3 for d in shots)
-    best = max((d for d in shots if d >= 0.3), key=theta)
-    assert got == theta(best)
+    best = min((d for d in shots if d >= 0.3), key=radius)
+    assert got == radius(best)
     assert abs(best - 0.31) <= 1e-6
 
 
