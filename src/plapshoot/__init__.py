@@ -8,7 +8,7 @@ adaptive integrator with dense output, and a radial eigenvalue solver,
 are exposed as well because they are useful on their own.
 """
 
-from .branch import BranchPoint, BranchTable, bifurcation_onset, branch_sweep
+from .branch import BranchPoint, bifurcation_onset, branch_sweep
 from .config import SolverConfig
 from .eigen import EigenResult, eigen_angle, eigenfunction, eigenvalue
 from .errors import (
@@ -38,7 +38,6 @@ __all__ = [
     "Annulus",
     "Ball",
     "BranchPoint",
-    "BranchTable",
     "DenseSolution",
     "EigenResult",
     "IntegrationError",

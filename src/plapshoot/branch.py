@@ -2,9 +2,11 @@
 
 A branch is the set of roots ``d`` of the angle condition followed as
 one parameter (the reaction exponent q or the outer radius R) varies.
-:func:`branch_sweep` tabulates every validated solution across a sweep
-and flags apparent folds, where the root jumps by more than a branch
-would move continuously.  :func:`bifurcation_onset` locates, for the
+:func:`branch_sweep` returns every validated solution across a sweep as
+a :class:`BranchPoint`, which holds the parameter value, the
+:class:`~plapshoot.solver.SolutionRecord` found there and a flag for
+an apparent fold, where the root jumps by more than a branch would move
+continuously.  :func:`bifurcation_onset` locates, for the
 p = 2 family, the exponent at which a branch with a given zero count
 detaches from the constant solution; at that point the phase limit
 ``f'(1)`` crosses the corresponding Neumann eigenvalue, so the onset
@@ -15,13 +17,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .config import SolverConfig
 from .errors import SearchError, SpecError, check_count, check_number
 from .odeint import illinois_bracket
 from .radial import ProblemSpec
-from .solver import _records_for_side, _theta_end, find_solutions
+from .solver import SolutionRecord, _records_for_side, _theta_end, find_solutions
 
 logger = logging.getLogger(__name__)
 
@@ -37,29 +39,8 @@ class BranchPoint:
     """One solution on one branch at one parameter value."""
 
     param: float
-    d: float
-    side: str
-    zeros: int
-    theta_end: float
-    residual: float
+    record: SolutionRecord
     fold: bool
-
-
-@dataclass
-class BranchTable:
-    """All branch points of a sweep, sorted by (zeros, side, param, d)."""
-
-    param_name: str
-    rows: list[BranchPoint]
-    metadata: dict = field(default_factory=dict)
-
-    def group(self, zeros: int, side: str) -> list[BranchPoint]:
-        """Points of one branch family, in sweep order."""
-        return [
-            row
-            for row in self.rows
-            if row.zeros == zeros and row.side == side
-        ]
 
 
 def _spec_with_param(spec: ProblemSpec, name: str, value: float) -> ProblemSpec:
@@ -75,11 +56,14 @@ def branch_sweep(
     cfg: SolverConfig | None = None,
     max_zeros: int = 3,
     sides: tuple[str, ...] = ("lower", "upper"),
-) -> BranchTable:
-    """Solve the problem at every parameter value and tabulate the roots.
+) -> list[BranchPoint]:
+    """Solve the problem at every parameter value and list its solutions.
 
-    Values are processed in increasing order.  Within each branch
-    family (fixed zero count and side), a point whose ``d`` is farther
+    Returns one :class:`BranchPoint` per record that
+    :func:`~plapshoot.solver.find_solutions` gives at each value, sorted
+    by (zeros, side, param, d); a branch family is the points with one
+    ``record.zeros`` and ``record.side``.  Values are processed in
+    increasing order.  Within each family, a point whose ``d`` is farther
     than 0.2 from every root at the previous parameter value is marked
     ``fold=True``: either a second root appeared (folded branch) or the
     branch moved discontinuously, and both deserve a closer look.
@@ -93,7 +77,7 @@ def branch_sweep(
         check_number(v, "parameter value")
     spec._require_g()
 
-    rows: list[BranchPoint] = []
+    points: list[BranchPoint] = []
     prev_ds: dict[tuple[int, str], list[float]] = {}
     for value in sorted(values):
         recs = find_solutions(
@@ -104,31 +88,13 @@ def branch_sweep(
             family = (rec.zeros, rec.side)
             prev = prev_ds.get(family, [])
             fold = bool(prev) and all(abs(rec.d - pd) > _FOLD_JUMP for pd in prev)
-            rows.append(
-                BranchPoint(
-                    param=value,
-                    d=rec.d,
-                    side=rec.side,
-                    zeros=rec.zeros,
-                    theta_end=rec.theta_end,
-                    residual=rec.residual,
-                    fold=fold,
-                )
-            )
+            points.append(BranchPoint(value, rec, fold))
             ds.setdefault(family, []).append(rec.d)
         prev_ds.update(ds)
-    rows.sort(key=lambda row: (row.zeros, row.side, row.param, row.d))
-    return BranchTable(
-        param_name=param_name,
-        rows=rows,
-        metadata={
-            **spec.describe(),
-            "param_name": param_name,
-            "n_values": len(values),
-            "max_zeros": max_zeros,
-            "sides": list(sides),
-        },
+    points.sort(
+        key=lambda pt: (pt.record.zeros, pt.record.side, pt.param, pt.record.d)
     )
+    return points
 
 
 def bifurcation_onset(

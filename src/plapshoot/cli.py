@@ -205,7 +205,7 @@ def cmd_branch(args) -> int:
             made = os.path.realpath(args.out)
         _open_out(args.out, "a").close()
     try:
-        table = branch_sweep(
+        points = branch_sweep(
             spec, args.param, values, cfg, max_zeros=args.max_zeros, sides=args.sides
         )
     except BaseException:
@@ -213,17 +213,26 @@ def cmd_branch(args) -> int:
             os.remove(made)
         raise
     rows = [
-        [r.param, r.d, r.side, r.zeros, r.theta_end, r.residual, int(r.fold)]
-        for r in table.rows
+        [
+            pt.param, pt.record.d, pt.record.side, pt.record.zeros,
+            pt.record.theta_end, pt.record.residual, int(pt.fold),
+        ]
+        for pt in points
     ]
     summary = {
-        "param": table.param_name,
-        "n_rows": len(table.rows),
-        "metadata": table.metadata,
+        "param": args.param,
+        "n_rows": len(rows),
+        "metadata": {
+            **spec.describe(),
+            "param_name": args.param,
+            "n_values": len(values),
+            "max_zeros": args.max_zeros,
+            "sides": list(args.sides),
+        },
     }
     _write_table(
         args,
-        [table.param_name, "d", "side", "zeros", "theta_end", "residual", "fold"],
+        [args.param, "d", "side", "zeros", "theta_end", "residual", "fold"],
         rows,
         summary,
     )

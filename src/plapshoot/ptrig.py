@@ -98,9 +98,18 @@ def phi_p(s: float, p: float) -> float:
 
 
 def phi_p_inv(s: float, p: float) -> float:
-    """Inverse of :func:`phi_p`, which is the power map of the conjugate."""
+    """Inverse of :func:`phi_p`, which is the power map of the conjugate.
+
+    From p of about 9.007e15 (just above 2**53) on, the conjugate
+    p/(p-1) rounds to 1, which is no exponent; such a p is refused by name.
+    """
     check_number(p, "exponent p", above=1.0)
-    return phi_p(s, p / (p - 1.0))
+    pc = p / (p - 1.0)
+    if pc == 1.0:
+        raise SpecError(
+            f"exponent p={p!r} is too large: its conjugate p/(p-1) rounds to 1"
+        )
+    return phi_p(s, pc)
 
 
 def pi_p(p: float) -> float:

@@ -1,4 +1,4 @@
-"""Branch tables under q and R sweeps, fold flags, and onset location."""
+"""Branch points under q and R sweeps, fold flags, and onset location."""
 
 import math
 from types import SimpleNamespace
@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from plapshoot import branch, solver
-from plapshoot.branch import BranchTable, bifurcation_onset, branch_sweep
+from plapshoot.branch import bifurcation_onset, branch_sweep
 from plapshoot.config import SolverConfig
 from plapshoot.errors import SearchError, SpecError
 from plapshoot.radial import Ball, Nonlinearity, ProblemSpec
@@ -24,38 +24,37 @@ def ball(p=2.0, dim=1, radius=1.0, q=15.0):
 
 
 def test_q_sweep_branch_moves_toward_zero():
-    table = branch_sweep(
+    points = branch_sweep(
         ball(), "q", [80.0, 12.0, 40.0, 20.0], CFG, max_zeros=1,
         sides=("lower",),
     )
-    rows = table.group(1, "lower")
-    assert [row.param for row in rows] == [12.0, 20.0, 40.0, 80.0]
-    ds = [row.d for row in rows]
+    assert [(pt.record.zeros, pt.record.side) for pt in points] == [(1, "lower")] * 4
+    assert [pt.param for pt in points] == [12.0, 20.0, 40.0, 80.0]
+    ds = [pt.record.d for pt in points]
     assert ds == sorted(ds, reverse=True)
     assert ds[0] == pytest.approx(0.966074, abs=5e-4)
     assert ds[-1] == pytest.approx(0.686973, abs=5e-4)
     # Branch moves continuously here, no fold flags.
-    assert not any(row.fold for row in rows)
-    assert table.param_name == "q"
-    assert table.metadata["n_values"] == 4
-    assert table.metadata["g"] == "pow:15"
+    assert not any(pt.fold for pt in points)
 
 
 def test_q_sweep_tracks_both_sides_for_p3():
     spec = ball(p=3.0, q=4.0)
-    table = branch_sweep(
+    points = branch_sweep(
         spec, "q", [3.5, 4.5], CFG, max_zeros=1, sides=("lower", "upper")
     )
-    lower = table.group(1, "lower")
-    upper = table.group(1, "upper")
-    assert [row.param for row in lower] == [3.5, 4.5]
-    assert [row.param for row in upper] == [3.5, 4.5]
-    assert lower[0].d == pytest.approx(0.97809, abs=2e-3)
-    assert lower[1].d == pytest.approx(0.93273, abs=2e-3)
-    assert upper[0].d == pytest.approx(1.02136, abs=2e-3)
-    assert upper[1].d == pytest.approx(1.06108, abs=2e-3)
+    lower = [pt for pt in points if pt.record.side == "lower"]
+    upper = [pt for pt in points if pt.record.side == "upper"]
+    assert points == lower + upper
+    assert {pt.record.zeros for pt in points} == {1}
+    assert [pt.param for pt in lower] == [3.5, 4.5]
+    assert [pt.param for pt in upper] == [3.5, 4.5]
+    assert lower[0].record.d == pytest.approx(0.97809, abs=2e-3)
+    assert lower[1].record.d == pytest.approx(0.93273, abs=2e-3)
+    assert upper[0].record.d == pytest.approx(1.02136, abs=2e-3)
+    assert upper[1].record.d == pytest.approx(1.06108, abs=2e-3)
     # Sides separate at the same rate to leading order.
-    assert not any(row.fold for row in table.rows)
+    assert not any(pt.fold for pt in points)
 
 
 def test_radius_sweep_flags_fold():
@@ -64,23 +63,17 @@ def test_radius_sweep_flags_fold():
     # R = 3.5 and R = 4.0 the outer root jumps from 0.45 to 0.20, which
     # no continuous branch motion explains: that row gets the flag.
     spec = ball(p=1.8, q=3.0)
-    table = branch_sweep(
+    points = branch_sweep(
         spec, "R", [3.0, 3.5, 4.0], CFG_COARSE, max_zeros=1,
         sides=("lower",),
     )
-    rows = table.group(1, "lower")
-    assert [row.param for row in rows] == [3.5, 3.5, 4.0, 4.0]
-    assert rows[0].d == pytest.approx(0.452974, abs=5e-3)
-    assert rows[1].d == pytest.approx(0.779179, abs=5e-3)
-    assert rows[2].d == pytest.approx(0.198972, abs=5e-3)
-    assert rows[3].d == pytest.approx(0.945270, abs=5e-3)
-    assert [row.fold for row in rows] == [False, False, True, False]
-
-
-def test_branch_table_sorted_and_grouped():
-    table = BranchTable(param_name="q", rows=[])
-    assert table.group(1, "lower") == []
-    assert table.metadata == {}
+    assert [(pt.record.zeros, pt.record.side) for pt in points] == [(1, "lower")] * 4
+    assert [pt.param for pt in points] == [3.5, 3.5, 4.0, 4.0]
+    assert points[0].record.d == pytest.approx(0.452974, abs=5e-3)
+    assert points[1].record.d == pytest.approx(0.779179, abs=5e-3)
+    assert points[2].record.d == pytest.approx(0.198972, abs=5e-3)
+    assert points[3].record.d == pytest.approx(0.945270, abs=5e-3)
+    assert [pt.fold for pt in points] == [False, False, True, False]
 
 
 def test_branch_sweep_validates_arguments():
@@ -242,20 +235,12 @@ def _old_rows(per_param, max_zeros, sides):
                     fold = bool(prev_ds) and all(
                         abs(rec.d - pd) > 0.2 for pd in prev_ds
                     )
-                    rows.append(
-                        branch.BranchPoint(
-                            param=value,
-                            d=rec.d,
-                            side=side,
-                            zeros=zeros,
-                            theta_end=rec.theta_end,
-                            residual=rec.residual,
-                            fold=fold,
-                        )
-                    )
+                    rows.append(branch.BranchPoint(param=value, record=rec, fold=fold))
                 if ds:
                     prev_ds = ds
-    rows.sort(key=lambda row: (row.zeros, row.side, row.param, row.d))
+    rows.sort(
+        key=lambda row: (row.record.zeros, row.record.side, row.param, row.record.d)
+    )
     return rows
 
 
@@ -277,14 +262,14 @@ def test_branch_rows_equal_old_triple_loop_on_a_fold(monkeypatch):
         return recs
 
     monkeypatch.setattr(branch, "find_solutions", spy)
-    table = branch_sweep(
+    points = branch_sweep(
         ball(p=1.8, q=3.0), "R", [4.0, 3.0, 3.5], CFG_COARSE, max_zeros=1,
         sides=("lower",),
     )
     assert [value for value, _ in per_param] == [3.0, 3.5, 4.0]
     assert per_param[0][1] == []
-    assert any(row.fold for row in table.rows)
-    assert table.rows == _old_rows(per_param, 1, ("lower",))
+    assert any(pt.fold for pt in points)
+    assert points == _old_rows(per_param, 1, ("lower",))
 
 
 def test_branch_rows_equal_old_triple_loop_on_fake_records(monkeypatch):
@@ -303,12 +288,12 @@ def test_branch_rows_equal_old_triple_loop_on_fake_records(monkeypatch):
         6.0: [rec(0.95, "lower", 2), rec(0.3, "lower", 2), rec(1.95, "upper", 1)],
     }
     monkeypatch.setattr(branch, "find_solutions", lambda spec, *_: by_q[spec.g.q])
-    table = branch_sweep(
+    points = branch_sweep(
         ball(p=2.0), "q", [6.0, 4.0, 5.0, 3.0], CFG, max_zeros=2,
         sides=("lower", "upper"),
     )
-    assert [row.fold for row in table.rows].count(True) == 3
-    assert table.rows == _old_rows(sorted(by_q.items()), 2, ("lower", "upper"))
+    assert [pt.fold for pt in points].count(True) == 3
+    assert points == _old_rows(sorted(by_q.items()), 2, ("lower", "upper"))
 
 
 def test_branch_sweep_rejects_repeated_or_no_sides():

@@ -315,6 +315,25 @@ def test_a_p_past_the_table_series_fails_at_once(capsys, monkeypatch, p):
     assert "failed its endpoint check at its start" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shoot", "--p", "1e300", "--g", "pow:1e301", "--d", "0.5"],
+        ["solve", "--p", "1e300", "--g", "pow:1e301"],
+        ["shoot", "--p", "1e16", "--g", "pow:1e17", "--d", "0.5"],
+    ],
+)
+def test_a_p_whose_conjugate_rounds_to_1_is_named(capsys, argv):
+    # The message once named the conjugate: "got 1.0".
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    p = float(argv[2])
+    assert err == (
+        f"error: exponent p={p!r} is too large: its conjugate p/(p-1) rounds to 1\n"
+    )
+
+
 def test_ptrig_requires_theta_or_table(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["ptrig", "--p", "2"])
@@ -587,11 +606,23 @@ def test_branch_sweep_tabulates_the_lower_branch(capsys):
             "--max-zeros", "1", "--sides", "lower", "--grid", "300",
         ],
     )
+    assert list(doc) == ["param", "n_rows", "metadata", "header", "rows"]
+    assert doc["param"] == "q"
     assert doc["n_rows"] == 3
+    # The whole metadata, keys in order: the problem, then the sweep.
+    assert list(doc["metadata"].items()) == [
+        ("p", 2.0),
+        ("dim", 1),
+        ("domain", "Ball(radius=1.0)"),
+        ("g", "pow:15"),
+        ("param_name", "q"),
+        ("n_values", 3),
+        ("max_zeros", 1),
+        ("sides", ["lower"]),
+    ]
     assert doc["header"][0] == "q"
     ds = [row[1] for row in doc["rows"]]
     assert ds == sorted(ds, reverse=True)
-    assert doc["metadata"]["sides"] == ["lower"]
 
 
 def test_empty_branch_sweep_is_no_error(capsys):

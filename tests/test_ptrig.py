@@ -75,6 +75,24 @@ def test_phi_p_roundtrip():
             assert rt2 == pytest.approx(s, rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("p", [9007199779152872.0, 1e16, 1e300])
+def test_phi_p_inv_refuses_a_p_whose_conjugate_rounds_to_1(p):
+    # The conjugate 1.0 was once passed on to phi_p, whose message named
+    # it, "exponent p must be a finite number > 1.0, got 1.0", and not p.
+    assert p / (p - 1.0) == 1.0
+    with pytest.raises(SpecError) as exc:
+        phi_p_inv(0.5, p)
+    assert str(exc.value) == (
+        f"exponent p={p!r} is too large: its conjugate p/(p-1) rounds to 1"
+    )
+
+
+def test_phi_p_inv_takes_the_largest_p_whose_conjugate_exceeds_1():
+    p = 9007199779152870.0
+    assert p / (p - 1.0) > 1.0
+    assert phi_p_inv(0.5, p) == phi_p(0.5, p / (p - 1.0))
+
+
 def test_pexponent_conjugate():
     for e in (get_context(3.0), ProblemSpec(p=3.0, dim=1, domain=Ball(1.0))):
         assert e.pprime == pytest.approx(1.5, rel=1e-15)

@@ -834,6 +834,52 @@ def test_top_upper_nodes_at_q100_still_fail_on_their_first_evaluation():
             shoot(d, spec, cfg, profile=False)
 
 
+def _first_integral(spec, r, u, v):
+    """(p-1)/p |u'|^p + F(u), with |u'|^(p-1) = |v| / r^(N-1).
+
+    F(u) = u^q/q - u^p/p for u > 0, and 0 below, where f vanishes.
+    """
+    p, q = spec.p, spec.g.q
+    big_f = u**q / q - u**p / p if u > 0.0 else 0.0
+    return (p - 1.0) / p * (abs(v) / r ** (spec.dim - 1)) ** spec.pprime + big_f
+
+
+@st.composite
+def _energy_cases(draw):
+    p = draw(st.floats(1.5, 3.0))
+    q = draw(st.floats(p + 0.5, 30.0))
+    dim = draw(st.sampled_from([1, 2, 3]))
+    if dim == 1:
+        # Below d0, where F(d0) = F(0), as the upper scan's cut assumes.
+        d0 = (q / p) ** (1.0 / (q - p))
+        lo, hi = draw(st.sampled_from([(0.2, 0.95), (1.05, 0.98 * d0)]))
+    else:
+        lo, hi = 1.05, 3.0
+    return ball_spec(p=p, dim=dim, q=q), draw(st.floats(lo, hi))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_energy_cases())
+def test_first_integral_is_conserved_at_n1_and_never_rises_above(case):
+    # d/dr [(p-1)/p |u'|^p + F(u)] = -(N-1)/r |u'|^p: the energy is
+    # conserved at N = 1, which theta_scan's cut of the N = 1 upper grid
+    # at d0 rests on, and falls at N > 1.  Over these 300 shots the
+    # N = 1 drift stays below 1.2e-7 |F(d)| (84 shots), and at N = 2 and
+    # 3 the energy falls by at least 2.4e-6 |F(d)| (216 shots).
+    spec, d = case
+    eps0 = 1e-8
+    u0, v0, _ = startup_state(d, spec, eps0)
+    end = shoot(d, spec, profile=False)
+    change = _first_integral(spec, 1.0, end.u_end, end.v_end) - _first_integral(
+        spec, eps0, u0, v0
+    )
+    scale = abs(d**spec.g.q / spec.g.q - d**spec.p / spec.p)
+    if spec.dim == 1:
+        assert abs(change) <= 1e-6 * scale
+    else:
+        assert change <= 1e-9 * scale
+
+
 def _bits(x):
     # Floats as hex, so that -0.0, NaN and every last bit count.
     if isinstance(x, float):
