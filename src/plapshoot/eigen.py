@@ -14,9 +14,9 @@ and lam is an eigenvalue exactly when the angle sweeps a whole number
 of half-periods across the domain.  The k-th eigenvalue (k = 1 is the
 constant eigenfunction, lam = 0) is the root in lam of the terminal
 angle, which is strictly increasing in lam, minus k half-periods.  The
-search starts from the closed form ((k-1) pi_p / width)^p of N = 1,
-brackets the root by doubling or halving with
-:func:`~plapshoot.odeint.grow_bracket`, and closes in on it with
+search starts from the asymptotic guess of :func:`_guess`, brackets the
+root by scaling lam with the p-th power of the share of the angle still
+to sweep, and closes in on it with
 :func:`~plapshoot.odeint.illinois_bracket`.
 
 The angle runs through :func:`~plapshoot.odeint.end_state`: its rate,
@@ -46,15 +46,14 @@ from .odeint import (
     IvpSpec,
     compile_field,
     end_state,
-    grow_bracket,
     illinois_bracket,
     integrate,
 )
 from .ptrig import LOOKUP, _pow_abs, get_context, phi_p, phi_p_inv
 from .radial import PROFILE_NODES, ProblemSpec
 
-# The bracket for eigenvalues is grown by doubling until the angle
-# overshoots; past this multiple of R^-p something is wrong.
+# The bracket for eigenvalues is grown until the angle overshoots; past
+# this multiple of R^-p something is wrong.
 LAMBDA_CAP_FACTOR = 1e8
 
 # The search stops on a bracket this narrow relative to its top, or on
@@ -123,22 +122,38 @@ def eigen_angle(lam: float, spec: ProblemSpec, cfg: SolverConfig | None = None) 
 
 
 def _guess(k: int, spec: ProblemSpec) -> float:
-    """The k-th eigenvalue ((k-1) pi_p / width)^p of N = 1, inf where it overflows."""
-    width = spec.r_outer - (0.0 if spec.is_ball else spec.domain.r_inner)
-    return _pow_abs((k - 1) * get_context(spec.p).pi_p / width, spec.p)
+    """A start for the k-th eigenvalue, inf where it overflows.
+
+    On a ball, mu = lam^(1/p) is guessed as (k - 1 + (N-1)/(2p)) pi_p / R:
+    at N = 1 this is exact, at p = 2 the shift (N-1)/4 is the large-k
+    limit of the Bessel roots, and at p = 2.5, N = 3 the guess is within
+    2.5 % of the root.  An annulus takes the N = 1 value
+    ((k-1) pi_p / width)^p.
+    """
+    p = spec.p
+    if spec.is_ball:
+        half_periods = k - 1 + (spec.dim - 1) / (2.0 * p)
+        width = spec.r_outer
+    else:
+        half_periods = k - 1
+        width = spec.r_outer - spec.domain.r_inner
+    return _pow_abs(half_periods * get_context(p).pi_p / width, p)
 
 
 def eigenvalue(k: int, spec: ProblemSpec, cfg: SolverConfig | None = None) -> EigenResult:
     """The k-th radial Neumann eigenvalue, k = 1 being the trivial zero.
 
-    For k >= 2 the search starts from the N = 1 closed form
-    ((k-1) pi_p / width)^p, clamped to the safety cap, and doubles or
-    halves lam until the terminal angle crosses k half-periods.
-    :func:`~plapshoot.odeint.illinois_bracket` then closes in on the
-    crossing until the angle is within 1e-12 k pi_p of it or the
-    bracket's relative width is below 1e-10; ``residual`` is the angle
-    miss it returns.  Raises :class:`SearchError` if the angle has not
-    crossed by the cap, and :class:`SpecError` if the cap overflows.
+    For k >= 2 the search starts from :func:`_guess`, clamped to the
+    safety cap, and multiplies lam by ((k-1) pi_p / (angle - pi_p))^p,
+    the p-th power of the share of the sweep still to go, clamped to
+    [2^-p, 2^p], until the terminal angle crosses k half-periods; a lam
+    whose angle is within 1e-12 k pi_p of them, the start included, is
+    returned at once.  :func:`~plapshoot.odeint.illinois_bracket`
+    then closes in on the crossing until the angle is within that
+    tolerance or the bracket's relative width is below 1e-10;
+    ``residual`` is the angle miss it returns.  Raises
+    :class:`SearchError` if the angle has not crossed by the cap, and
+    :class:`SpecError` if the cap overflows.
     Below p = 2 the miss can be larger: at p = 1.5, N = 1, k = 5 it is
     1.0e-6 on R = 1, where lam is 6.1e-8 relative off the closed form,
     because the terminal angle is not smooth in lam at about 1e-6 rad:
@@ -153,6 +168,7 @@ def eigenvalue(k: int, spec: ProblemSpec, cfg: SolverConfig | None = None) -> Ei
         return EigenResult(k=1, lam=0.0, residual=residual)
 
     target = k * pip
+    f_tol = _ANGLE_TOL * target
 
     def side(lam):
         return eigen_angle(lam, spec, cfg) - target
@@ -160,11 +176,27 @@ def eigenvalue(k: int, spec: ProblemSpec, cfg: SolverConfig | None = None) -> Ei
     cap = LAMBDA_CAP_FACTOR * _pow_abs(spec.r_outer, -spec.p)
     if cap == math.inf:
         raise SpecError(f"radius {spec.r_outer!r} too small: the lam cap overflows at p={spec.p!r}")
-    bracket = grow_bracket(side, _guess(k, spec), 0.0, cap)
-    if bracket is None:
-        raise SearchError(f"no angle crossing for k={k} below lam={cap:.3e}")
+    lam = min(_guess(k, spec), cap)
+    lo = hi = None
+    while True:
+        miss = side(lam)
+        if abs(miss) <= f_tol:
+            return EigenResult(k=k, lam=lam, residual=abs(miss))
+        if miss < 0.0:
+            lo, f_lo = lam, miss
+        else:
+            hi, f_hi = lam, miss
+        if lo is not None and hi is not None:
+            break
+        # The angle sweeps past its start pi_p about in proportion to lam^(1/p).
+        swept = miss + target - pip
+        share = (k - 1) * pip / swept if swept > 0.0 else 2.0
+        step = min(lam * min(max(share, 0.5), 2.0) ** spec.p, cap)
+        if miss < 0.0 and step <= lam:
+            raise SearchError(f"no angle crossing for k={k} below lam={cap:.3e}")
+        lam = step
     lam, miss = illinois_bracket(
-        side, *bracket, _ANGLE_TOL * target, lambda lo, hi: hi - lo <= _REL_TOL * hi
+        side, lo, hi, f_lo, f_hi, f_tol, lambda lo, hi: hi - lo <= _REL_TOL * hi
     )
     return EigenResult(k=k, lam=lam, residual=abs(miss))
 

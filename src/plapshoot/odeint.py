@@ -13,11 +13,12 @@ body of the field pasted into every stage and the PI controller around
 them, so that no step calls a function for its slope or its trial.  A
 field is written once, as a body of statements, and
 :func:`compile_field` turns it into the callable of :class:`IvpSpec`,
-which carries the march that :func:`end_state` runs, keeping only the
-end state; :func:`_run` starts both.  The shots of ``plapshoot.radial``
-(one body for N = 1, one for N > 1) and the eigenvalue angles of
-``plapshoot.eigen`` are written so.  Before a body is compiled, once
-per folded text, :func:`_fold` folds out the constants equal to 1
+which carries the march that :func:`end_state` runs, compiled on its
+first run and keeping only the end state; :func:`_run` starts both.
+The shots of ``plapshoot.radial`` (one body for N = 1, one for N > 1)
+and the eigenvalue angles of ``plapshoot.eigen`` are written so.
+Before a body is compiled, once per folded text, :func:`_fold` folds
+out the constants equal to 1
 (``x ** k``, ``k * x`` and ``copysign(abs(x) ** k, x)`` become ``x``),
 to 0 (``x * y ** k`` becomes ``x``) and to an even integer
 (``abs(x) ** k`` becomes ``x ** k``): exact for every double, so that a
@@ -36,8 +37,8 @@ profile (validated solutions, the ``shoot`` command), eigenfunction
 profiles, the p-trig table and the shots of ``rstar``, which ``until``
 stops where their angle reaches its target, run :func:`integrate`.
 Events, eigenvalues and the sweep in q close in on a sign change with
-:func:`illinois_bracket`, a safeguarded regula falsi, after :func:`grow_bracket`
-where no bracket is given; only the roots in ``d`` still bisect, with :func:`bisect_bracket`.
+:func:`illinois_bracket`, a safeguarded regula falsi, once their caller
+holds a bracket; only the roots in ``d`` still bisect, with :func:`bisect_bracket`.
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ def integrate(ivp: IvpSpec, until: float = math.inf) -> DenseSolution:
     dim = len(ivp.y0)
     reads = tuple(f"y{d}" for d in range(dim))
     body = f"{''.join(f'f{d}, ' for d in range(dim))}= field(r, ({', '.join(reads)},))"
-    march = _end_trial(reads, (body,), ("field",), dense=True)(field=ivp.rhs).march
+    march = _end_trial(reads, (body,), ("field",), dense=True)(field=ivp.rhs)
     rs = [ivp.r_start]
     ys = [ivp.y0]
     cells: list[tuple[float, ...]] = []
@@ -323,11 +324,20 @@ def compile_field(reads: Sequence[str], body: Sequence[str], **consts) -> RhsFun
     whose slope is ``k1``, with the first step ``h``, and returns
     ``(y_end, n_steps, n_rhs_evals)``, its own evaluations only.
     :func:`_fold` first folds the constants equal to 1, to 0 or to an
-    even integer out of the body with the same bits, and
-    :func:`_end_trial` compiles both, once per folded text, on first use.
+    even integer out of the body with the same bits; :func:`_rhs`
+    compiles the callable here and :func:`_end_trial` the march on its
+    first run, each once per folded text, so that a field that is only
+    called, such as a reaction or a p-trig look-up, compiles no march.
     """
-    body = _fold(tuple(body), *_fold_classes(consts))
-    return _end_trial(tuple(reads), body, tuple(consts))(**consts)
+    key = (tuple(reads), _fold(tuple(body), *_fold_classes(consts)), tuple(consts))
+    rhs = _rhs(*key)(**consts)
+
+    def march(*args):
+        rhs.march = _end_trial(*key)(**consts)
+        return rhs.march(*args)
+
+    rhs.march = march
+    return rhs
 
 
 def _fold_classes(consts: dict) -> tuple[frozenset, frozenset, frozenset]:
@@ -404,14 +414,46 @@ def _fold(body: tuple, units: frozenset, evens: frozenset, zeros: frozenset) -> 
     return tuple(ast.unparse(tree).splitlines())
 
 
+def _slopes(body: tuple) -> tuple[int, int]:
+    """The number of slopes ``body`` assigns and of its reads of ``r``.
+
+    A body that assigns no slope, or skips one, is a :class:`SpecError`.
+    """
+    named = [node for node in ast.walk(ast.parse("\n".join(body))) if isinstance(node, ast.Name)]
+    stored = [node.id for node in named if isinstance(node.ctx, ast.Store)]
+    slopes = {int(name[1:]) for name in stored if _SLOPE.fullmatch(name)}
+    if not slopes or slopes != set(range(len(slopes))):
+        raise SpecError(f"a field body must assign the slopes f0, f1, ..., not {sorted(slopes)}")
+    return len(slopes), sum(node.id == "r" for node in named)
+
+
+def _exec_make(source: str):
+    """The function ``make`` that ``source`` defines."""
+    namespace = {"inf": math.inf, "_sqrt": math.sqrt, "_fail": IntegrationError}
+    exec(source, namespace)
+    return namespace["make"]
+
+
+@lru_cache(maxsize=None)
+def _rhs(reads: tuple, body: tuple, consts: tuple):
+    """``make(**consts)``, which returns the callable of :func:`compile_field`:
+    ``body`` run once on the state, returning the tuple of its slopes.
+    """
+    slopes = "".join(f"f{d}, " for d in range(_slopes(body)[0]))
+    lines = [f"{name} = _y[{d}]" for d, name in enumerate(reads)] + [*body, f"return ({slopes})"]
+    source = f"def make({', '.join(consts)}):\n    def rhs(r, _y):\n"
+    source += "".join(f"        {line}\n" for line in lines)
+    return _exec_make(source + "    return rhs\n")
+
+
 @lru_cache(maxsize=None)
 def _end_trial(reads: tuple, body: tuple, consts: tuple, dense: bool = False):
-    """Both forms of a field, generated from its body and the tableau.
+    """The march of a field, generated from its body and the tableau.
 
-    Returns ``make(**consts)``, which returns the callable of
-    :func:`compile_field` with its march, for one component per slope of
-    ``body``, once per text: bodies that :func:`compile_field` folds to
-    the same text share a compile.  The march is the one Dormand-Prince
+    Returns ``make(**consts)``, which returns the march of the callable
+    of :func:`compile_field`, for one component per slope of ``body``,
+    once per text: bodies that :func:`compile_field` folds to the same
+    text share a compile.  The march is the one Dormand-Prince
     step loop of the package: the step budget, the cut to
     ``r_end``, the underflow check, the seven stages of a trial step and
     the PI controller, with the state and the slope of the last stage
@@ -435,13 +477,7 @@ def _end_trial(reads: tuple, body: tuple, consts: tuple, dense: bool = False):
     them, with the four interpolant weights per component of its cell
     summed from ``_P`` in the same way, while the last component is below ``until``.
     """
-    named = [node for node in ast.walk(ast.parse("\n".join(body))) if isinstance(node, ast.Name)]
-    radius_reads = sum(node.id == "r" for node in named)
-    stored = [node.id for node in named if isinstance(node.ctx, ast.Store)]
-    slopes = {int(name[1:]) for name in stored if _SLOPE.fullmatch(name)}
-    dim = len(slopes)
-    if not slopes or slopes != set(range(dim)):
-        raise SpecError(f"a field body must assign the slopes f0, f1, ..., not {sorted(slopes)}")
+    dim, radius_reads = _slopes(body)
     ds = range(dim)
 
     def tup(names):
@@ -529,14 +565,10 @@ def _end_trial(reads: tuple, body: tuple, consts: tuple, dense: bool = False):
         "else:",
         *shrink("_h * 0.25"),
     ]
-    rhs = [f"{name} = _y[{d}]" for d, name in enumerate(reads)] + list(body)
     args = "_r, _r_end, _y, _k1, _h, _rel_tol, _abs_tol, _max_steps"
     source = "".join(
         [
             f"def make({', '.join(consts)}):\n",
-            "    def rhs(r, _y):\n",
-            *(f"        {line}\n" for line in rhs),
-            f"        return {tup(names('f'))}\n",
             f"    def march({args}{', _rs, _ys, _cells, _until' if dense else ''}):\n",
             f"        {tup(names('_y'))} = _y\n",
             f"        {tup(names('_k1_'))} = _k1\n",
@@ -546,13 +578,10 @@ def _end_trial(reads: tuple, body: tuple, consts: tuple, dense: bool = False):
             f"        while _r < _r_end{f' and _y{dim - 1} < _until' if dense else ''}:\n",
             *(f"            {line}\n" for line in loop),
             f"        return {tup(names('_y'))}, _steps, _evals\n",
-            "    rhs.march = march\n",
-            "    return rhs\n",
+            "    return march\n",
         ]
     )
-    namespace = {"inf": math.inf, "_sqrt": math.sqrt, "_fail": IntegrationError}
-    exec(source, namespace)
-    return namespace["make"]
+    return _exec_make(source)
 
 
 def end_state(ivp: IvpSpec) -> tuple[tuple[float, ...], int, int]:
@@ -567,33 +596,6 @@ def end_state(ivp: IvpSpec) -> tuple[tuple[float, ...], int, int]:
     if march is None:
         raise SpecError("end_state runs only a right hand side built by compile_field")
     return _run(ivp, march)
-
-
-def grow_bracket(
-    side: Callable[[float], float], x0: float, x_min: float, x_max: float
-) -> tuple[float, float, float, float] | None:
-    """Bracket the sign change of an increasing ``side``, starting at ``x0``.
-
-    Doubles x while ``side(x) < 0`` and halves it while ``side(x) >= 0``,
-    clamped to ``[x_min, x_max]``.  Returns ``(lo, hi, side(lo),
-    side(hi))``, the arguments :func:`illinois_bracket` takes first, or
-    ``None`` once a clamped end still has the wrong sign.
-    """
-    lo = hi = min(max(x0, x_min), x_max)
-    f_lo = f_hi = side(hi)
-    while f_hi < 0.0:
-        if hi >= x_max:
-            return None
-        lo, f_lo = hi, f_hi
-        hi = min(2.0 * hi, x_max)
-        f_hi = side(hi)
-    while f_lo >= 0.0:
-        if lo <= x_min:
-            return None
-        hi, f_hi = lo, f_lo
-        lo = max(0.5 * lo, x_min)
-        f_lo = side(lo)
-    return lo, hi, f_lo, f_hi
 
 
 def bisect_bracket(

@@ -113,9 +113,15 @@ def phi_p_inv(s: float, p: float) -> float:
 
 
 def pi_p(p: float) -> float:
-    """Half-period of the generalized trigonometric pair."""
+    """Half-period of the generalized trigonometric pair.
+
+    The sine is taken of pi over the larger of p and its conjugate p',
+    as sin(pi/p) = sin(pi/p'): near p = 1, pi/p is close to pi, where the
+    sine would lose its digits to cancellation.
+    """
     check_number(p, "exponent p", above=1.0)
-    return 2.0 * math.pi * (p - 1.0) ** (1.0 / p) / (p * math.sin(math.pi / p))
+    sine = math.sin(math.pi / max(p, p / (p - 1.0)))
+    return 2.0 * math.pi * (p - 1.0) ** (1.0 / p) / (p * sine)
 
 
 class PTrigContext:

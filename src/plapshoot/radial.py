@@ -187,8 +187,9 @@ class Nonlinearity:
         """``f(s) = g(s) - s^(p-1) = s^(q-1) - s^(r-1)`` as a function of s.
 
         Compiled from :data:`REACTION`, the text the shot fields paste,
-        on first use; every ball shot reads it, and the last few
-        reactions and exponents in use keep theirs.
+        on first use, without a march, which it never runs; every ball
+        shot reads it, and the last few reactions and exponents in use
+        keep theirs.
         ``f`` is extended by zero to ``s <= 0``.  Overflow saturates to
         +inf (the top exponent dominates), which the integrator treats
         as a step into forbidden territory.

@@ -413,6 +413,76 @@ def test_starting_guess_does_not_decide_the_answer(monkeypatch, p, dim, ks, fact
     assert moved == pytest.approx(plain, rel=1e-9)
 
 
+def _tan_roots(count):
+    # The roots of tan(x) = x past 0, one in each (j pi, (j + 1/2) pi).
+    def f(x):
+        return math.sin(x) - x * math.cos(x)
+
+    return [brentq(f, j * math.pi + 0.1, (j + 0.5) * math.pi) for j in range(1, count + 1)]
+
+
+@pytest.mark.parametrize(
+    "p, dim, ks, mus",
+    [
+        # p = 2, N = 2: sqrt(lam_k) is the (k-1)-th zero of J0' = -J1.
+        (2.0, 2, (2, 3, 4, 5), tuple(jn_zeros(1, 4))),
+        # p = 2, N = 3: sqrt(lam_k) is the (k-1)-th root of tan x = x.
+        (2.0, 3, (2, 3, 4, 5), tuple(_tan_roots(4))),
+        # p = 2.5, N = 3: the seed-0 ladder's lam_2 and lam_3.
+        (2.5, 3, (2, 3), (37.20642857646261 ** 0.4, 150.36609433506513 ** 0.4)),
+    ],
+)
+def test_the_ball_guess_is_within_6_percent_in_mu(p, dim, ks, mus):
+    spec = geom(p=p, dim=dim)
+    for k, mu in zip(ks, mus):
+        guess = eigen_mod._guess(k, spec) ** (1.0 / p)
+        assert guess == pytest.approx(mu, rel=0.06), k
+
+
+def test_every_lambda_the_search_evaluates_lies_within_2_to_the_p_of_its_answer(monkeypatch):
+    calls = _count_angle_calls(monkeypatch)
+    for k, spec in _ladder_cases():
+        del calls[:]
+        lam = eigenvalue(k, spec).lam
+        assert all(lam / 2.0**spec.p < x < lam * 2.0**spec.p for x in calls), (k, spec)
+
+
+def test_a_start_that_meets_the_tolerance_costs_one_integration(monkeypatch):
+    spec = geom(p=2.5, dim=3)
+    calls = []
+
+    def angle(lam, spec, cfg=None):
+        calls.append(lam)
+        return 3 * pi_p(2.5) * (1.0 + 1e-13)
+
+    monkeypatch.setattr(eigen_mod, "eigen_angle", angle)
+    res = eigenvalue(3, spec)
+    assert calls == [eigen_mod._guess(3, spec)]
+    assert res == EigenResult(k=3, lam=calls[0], residual=res.residual)
+    assert 0.0 < res.residual <= 1e-12 * 3 * pi_p(2.5)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi, 3.5 * math.pi])
+def test_a_side_that_never_changes_sign_ends_at_the_cap(monkeypatch, theta):
+    # An angle stuck below 4 half-periods: from the guess (3 pi)^2 the
+    # search multiplies lam by the square of 3 pi / (theta - pi), capped
+    # at 4 while nothing is swept, and stops once the cap 1e8 is reached.
+    share = 3.0 * math.pi / (theta - math.pi) if theta > math.pi else 2.0
+    bound = 1 + math.ceil(math.log(1e8 / (3 * math.pi) ** 2) / math.log(share**2))
+    calls = []
+
+    def angle(lam, spec, cfg=None):
+        calls.append(lam)
+        return theta
+
+    monkeypatch.setattr(eigen_mod, "eigen_angle", angle)
+    with pytest.raises(SearchError, match="no angle crossing for k=4 below lam=1.000e"):
+        eigenvalue(4, geom())
+    assert calls == sorted(set(calls))
+    assert calls[-1] == eigen_mod.LAMBDA_CAP_FACTOR
+    assert len(calls) <= bound
+
+
 def _count_angle_calls(monkeypatch):
     calls = []
     angle = eigen_mod.eigen_angle
@@ -440,7 +510,7 @@ def test_angle_march_steps_on_the_bench_ladders(monkeypatch):
     for k, spec in _ladder_cases():
         eigenvalue(k, spec)
     steps, evals = map(sum, zip(*counts))
-    assert (len(counts), steps, evals) == (50, 10_874, 72_088)
+    assert (len(counts), steps, evals) == (37, 7_879, 52_400)
 
 
 def test_the_ladders_compile_one_angle_text_per_folded_body(monkeypatch):
@@ -488,7 +558,9 @@ def test_angle_call_budget_on_the_bench_ladders(monkeypatch):
     calls = _count_angle_calls(monkeypatch)
     for k, spec in _ladder_cases():
         eigenvalue(k, spec)
-    assert len(calls) <= 64  # 50 when written; bisection took 330
+    # 37 from the asymptotic start, 50 when the start was the N = 1
+    # closed form with doubling or halving; bisection took 330.
+    assert len(calls) <= 64
 
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS)

@@ -16,7 +16,6 @@ from plapshoot.odeint import (
     compile_field,
     crossings,
     end_state,
-    grow_bracket,
     illinois_bracket,
     integrate,
 )
@@ -821,49 +820,6 @@ def test_until_stops_after_the_first_step_that_reaches_the_level(case, share):
         r_part = crossings(part, 2, [level])[0][0]
         r_full = crossings(full, 2, [level])[0][0]
         assert abs(r_part - r_full) <= 1e-12 * max(1.0, abs(r_full))
-
-
-def _logged(side, calls):
-    def wrapped(x):
-        calls.append(x)
-        return side(x)
-    return wrapped
-
-
-def test_grow_bracket_doubles_up_to_the_sign_change():
-    calls = []
-    side = _logged(lambda x: x - 5.0, calls)
-    assert grow_bracket(side, 1.0, 0.0, 100.0) == (4.0, 8.0, -1.0, 3.0)
-    assert calls == [1.0, 2.0, 4.0, 8.0]
-
-
-def test_grow_bracket_halves_down_to_the_sign_change():
-    calls = []
-    side = _logged(lambda x: x - 0.375, calls)
-    assert grow_bracket(side, 1.0, 0.0, 100.0) == (0.25, 0.5, -0.125, 0.125)
-    assert calls == [1.0, 0.5, 0.25]
-
-
-def test_grow_bracket_clamps_at_both_limits():
-    calls = []
-    up = grow_bracket(_logged(lambda x: x - 5.5, calls), 1.0, 0.0, 6.0)
-    assert up == (4.0, 6.0, -1.5, 0.5)
-    assert calls == [1.0, 2.0, 4.0, 6.0]
-    calls.clear()
-    down = grow_bracket(_logged(lambda x: x - 0.375, calls), 1.0, 0.3125, 6.0)
-    assert down == (0.3125, 0.5, -0.0625, 0.125)
-    assert calls == [1.0, 0.5, 0.3125]
-    # A start outside the limits is clamped first.
-    assert grow_bracket(lambda x: x - 5.5, 50.0, 0.0, 6.0) == (3.0, 6.0, -2.5, 0.5)
-
-
-def test_grow_bracket_gives_none_when_a_clamped_end_has_the_wrong_sign():
-    calls = []
-    assert grow_bracket(_logged(lambda x: -1.0, calls), 1.0, 0.5, 6.0) is None
-    assert calls == [1.0, 2.0, 4.0, 6.0]
-    calls.clear()
-    assert grow_bracket(_logged(lambda x: 1.0, calls), 1.0, 0.3, 6.0) is None
-    assert calls == [1.0, 0.5, 0.3]
 
 
 def test_only_constants_equal_to_one_are_folded(monkeypatch):

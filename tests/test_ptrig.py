@@ -31,12 +31,22 @@ def test_pi_p_frozen_values():
 
 def test_pi_p_stays_above_1_98():
     # pi_p tends to 2 as p falls to 1 and as p grows, and is pi at p = 2.
-    # Its closed form stays above 1.98 from p = 1 + 1e-14 on (1.9834
-    # there; rounding scatters it down to 1.38 within a few ulp of 1).
-    # So a quarter period is far longer than the series cutoff 1e-6.
+    # Its closed form stays above 1.98 from p = 1 + 1e-14 on (2 + 6.4e-13
+    # there, and 2 + 1.6e-14 at the double next to 1, where the sine of
+    # pi/p instead of pi/p' once gave 1.9834 and 1.38).  So a quarter
+    # period is far longer than the series cutoff 1e-6.
     ps = [1.0 + 10.0**e for e in range(-14, 1)] + [10.0**e for e in range(1, 301, 3)]
     assert min(map(pi_p, ps)) > 1.98
     assert pi_p(1e300) == 2.0
+
+
+@pytest.mark.parametrize("p", [1 + 1e-14, 1 + 1e-10, 1.001, 1.3, 1.48, 1.5, 2.5, 7.0])
+def test_pi_p_is_the_same_for_p_and_its_conjugate(p):
+    # sin(pi/p) = sin(pi/p'), and the closed form is symmetric in p and
+    # p'; taking the sine of the smaller angle keeps its digits as p
+    # falls to 1 (40 ulp apart at p = 1.001 with the sine of pi/p).
+    conj = pi_p(p / (p - 1.0))
+    assert abs(pi_p(p) - conj) <= 2 * math.ulp(conj)
 
 
 def test_pi_p_rejects_bad_exponent():

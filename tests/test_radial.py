@@ -667,6 +667,19 @@ def _accepts(g, p):
     return True
 
 
+def test_a_reaction_compiles_no_march_and_the_shot_after_it_keeps_its_bits():
+    # f_for only calls its field, so neither a march is compiled nor the
+    # compile cache of marches consulted; a q that no other test uses
+    # makes f_for compile here.  The shot's end is the one it had when
+    # every compiled field came with its march.
+    before = odeint._end_trial.cache_info()
+    g = Nonlinearity(q=4.321)
+    assert g.f_for(2.5)(0.5) == -0.2534890392612359
+    assert odeint._end_trial.cache_info() == before
+    end = shoot(0.5, ProblemSpec(p=2.5, dim=1, domain=Ball(1.0), g=g), profile=False)
+    assert end == (0.5, 4.090588896446778, 0.7481372812451774, 0.2718854090901533, 44, 302)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_pure_power_is_the_combination_with_r_equal_p(p):
     # s <= 0, both sides of the constant state, and s whose top power
